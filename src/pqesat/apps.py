@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .circuits import Netlist, TransitionSystem, tseitin_encode, unroll
-from .cnf import Clause, CnfProblem
+from .cnf import Clause, CnfProblem, mentioned_variables
 from .oracle import implies
 from .pqe import PqeConfig, PqeProblem, StepLimitError, decide_redundant, take_out
 from .solver import SolverConfig, solve
@@ -22,13 +22,6 @@ from .solver import SolverConfig, solve
 
 class AppError(Exception):
     """Ill-formed application instance."""
-
-
-def _mentioned(problem: CnfProblem) -> frozenset[int]:
-    out: set[int] = set()
-    for c in problem.clauses:
-        out |= c.variables()
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +71,7 @@ class InterpolationInstance:
         self.shared = frozenset(self.shared)
         if self.a.quantified or self.b.quantified:
             raise AppError("interpolation sides must be quantifier-free")
-        overlap = _mentioned(self.a) & _mentioned(self.b)
+        overlap = mentioned_variables(self.a) & mentioned_variables(self.b)
         if overlap != self.shared:
             raise AppError(
                 f"shared set {sorted(self.shared)} does not match the "
@@ -106,7 +99,9 @@ def interpolate(
     under its guard).
     """
     n = max(inst.a.var_count, inst.b.var_count)
-    quantified = (_mentioned(inst.a) | _mentioned(inst.b)) - inst.shared
+    quantified = (
+        mentioned_variables(inst.a) | mentioned_variables(inst.b)
+    ) - inst.shared
     clauses = list(inst.a.clauses) + list(inst.b.clauses)
     problem = CnfProblem(n, clauses, quantified)
     sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), config)

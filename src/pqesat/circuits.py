@@ -87,9 +87,6 @@ class Netlist:
                 raise CircuitError(f"duplicate output {name!r}")
             seen_out.add(name)
 
-    def signal_names(self) -> list[str]:
-        return list(self.inputs) + [g.name for g in self.gates]
-
     def simulate(self, inputs: dict[str, bool]) -> dict[str, bool]:
         """Value of every signal under the given input values."""
         values: dict[str, bool] = {}
@@ -114,10 +111,6 @@ class Netlist:
     def output_values(self, inputs: dict[str, bool]) -> tuple[bool, ...]:
         values = self.simulate(inputs)
         return tuple(values[name] for name in self.outputs)
-
-
-def input_names(nl: Netlist) -> list[str]:
-    return list(nl.inputs)
 
 
 _GATE_RE = re.compile(r"^(\w+)\s*=\s*(\w+)\s*\(\s*([^()]*?)\s*\)$")

@@ -41,7 +41,7 @@ from .circuits import (
     add_stutter,
     parse_netlist_file,
 )
-from .cnf import Clause, CnfError, CnfProblem, parse_dimacs_file
+from .cnf import Clause, CnfError, mentioned_variables, parse_dimacs_file
 from .oracle import GuardError, enum_sat, verify_pqe
 from . import fuzzing
 from .pqe import PqeConfig, PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
@@ -65,15 +65,22 @@ def _model_line(model: dict[int, bool]) -> str:
     return "v " + " ".join(str(lit) for lit in lits) + " 0"
 
 
+def _int_token(tok: str, line: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise CnfError(f"bad token {tok!r} in line: {line.strip()}") from None
+
+
 def _targets_from_comments(path: str) -> Optional[list[int]]:
     """The 1-based target list from a ``c targets i1 i2 ... 0`` line."""
-    with open(path, encoding="ascii") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
             parts = line.split()
             if len(parts) >= 2 and parts[0] == "c" and parts[1] == "targets":
                 if len(parts) < 3 or parts[-1] != "0":
                     raise CnfError(f"malformed targets comment: {line.strip()}")
-                return [int(tok) for tok in parts[2:-1]]
+                return [_int_token(tok, line) for tok in parts[2:-1]]
     return None
 
 
@@ -100,13 +107,13 @@ def _read_solution_clauses(path: str) -> list[Clause]:
     """Clauses from a DIMACS fragment (comments and a header tolerated)."""
     literals: list[int] = []
     clauses: list[Clause] = []
-    with open(path, encoding="ascii") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
             parts = line.split()
             if not parts or parts[0] in ("c", "p"):
                 continue
             for tok in parts:
-                lit = int(tok)
+                lit = _int_token(tok, line)
                 if lit == 0:
                     clauses.append(Clause(literals))
                     literals = []
@@ -204,14 +211,7 @@ def cmd_diameter(args) -> int:
 def cmd_interp(args) -> int:
     side_a = parse_dimacs_file(args.a)
     side_b = parse_dimacs_file(args.b)
-
-    def mentioned(problem: CnfProblem) -> frozenset[int]:
-        out: set[int] = set()
-        for clause in problem.clauses:
-            out |= clause.variables()
-        return frozenset(out)
-
-    shared = mentioned(side_a) & mentioned(side_b)
+    shared = mentioned_variables(side_a) & mentioned_variables(side_b)
     instance = InterpolationInstance(side_a, side_b, shared)
     result = interpolate(instance, _pqe_config(args))
     print(f"status: {result.status}")
@@ -401,10 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except (CnfError, CircuitError) as exc:
+    except (OSError, UnicodeDecodeError, CnfError, CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (PqeError, AppError) as exc:

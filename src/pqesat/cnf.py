@@ -24,14 +24,6 @@ class ResolutionError(CnfError):
     """Raised when two clauses cannot be resolved as requested."""
 
 
-def negate(lit: Literal) -> Literal:
-    return -lit
-
-
-def var_of(lit: Literal) -> Variable:
-    return abs(lit)
-
-
 class Clause:
     """A disjunction of literals.
 
@@ -335,6 +327,11 @@ def format_dimacs(problem: CnfProblem) -> str:
 # ---------------------------------------------------------------------------
 # Structural operations used by the solving algorithms.
 # ---------------------------------------------------------------------------
+
+
+def mentioned_variables(problem: CnfProblem) -> frozenset[Variable]:
+    """The variables that occur in at least one clause of the formula."""
+    return frozenset(abs(lit) for c in problem.clauses for lit in c)
 
 
 def cofactor_clause(clause: Clause, assignment: Assignment) -> Optional[Clause]:

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .apps import EqCheckInstance, InterpolationInstance
-from .circuits import Gate, Netlist, TransitionSystem, add_stutter
-from .cnf import Clause, CnfProblem
+from .circuits import GATE_OPS, Gate, Netlist, TransitionSystem, add_stutter
+from .cnf import Clause, CnfProblem, mentioned_variables
 from .pqe import PqeProblem
 
 
-def random_clause(rng: random.Random, var_count: int, max_width: int = 3) -> Clause:
-    width = rng.randint(1, min(max_width, var_count))
-    variables = rng.sample(range(1, var_count + 1), width)
+def random_clause(
+    rng: random.Random, pool: Sequence[int], max_width: int = 3
+) -> Clause:
+    """Up to ``max_width`` distinct variables of the pool, random signs."""
+    width = rng.randint(1, min(max_width, len(pool)))
+    variables = rng.sample(pool, width)
     return Clause([v if rng.random() < 0.5 else -v for v in variables])
 
 
@@ -28,7 +31,7 @@ def random_cnf(
 ) -> CnfProblem:
     n = rng.randint(3, max_vars)
     m = rng.randint(min(n, max_clauses), max_clauses)
-    return CnfProblem(n, [random_clause(rng, n) for _ in range(m)])
+    return CnfProblem(n, [random_clause(rng, range(1, n + 1)) for _ in range(m)])
 
 
 def random_pqe(
@@ -41,7 +44,7 @@ def random_pqe(
     m = rng.randint(n, min(max_clauses, 3 * n))
     quantified = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
     problem = CnfProblem(
-        n, [random_clause(rng, n) for _ in range(m)], quantified
+        n, [random_clause(rng, range(1, n + 1)) for _ in range(m)], quantified
     )
     targets = tuple(rng.sample(range(m), rng.randint(1, min(max_targets, m))))
     return PqeProblem(problem, targets)
@@ -50,6 +53,24 @@ def random_pqe(
 # ---------------------------------------------------------------------------
 # Netlists.
 # ---------------------------------------------------------------------------
+
+
+def _random_gate(
+    rng: random.Random,
+    name: str,
+    signals: list[str],
+    ops: Sequence[str] = GATE_OPS,
+) -> Gate:
+    """A gate over earlier signals; XOR operands are always distinct."""
+    op = rng.choice(ops)
+    if op == "NOT":
+        return Gate(name, op, (rng.choice(signals),))
+    a = rng.choice(signals)
+    b = rng.choice(signals)
+    if op == "XOR":
+        while b == a:
+            b = rng.choice(signals)
+    return Gate(name, op, (a, b))
 
 
 def random_netlist(
@@ -62,24 +83,10 @@ def random_netlist(
     signals = list(inputs)
     gates: list[Gate] = []
     for j in range(1, n_gates + 1):
-        op = rng.choice(GATE_CHOICES)
-        name = f"g{j}"
-        if op == "NOT":
-            operands: tuple[str, ...] = (rng.choice(signals),)
-        else:
-            a = rng.choice(signals)
-            b = rng.choice(signals)
-            if op == "XOR":
-                while b == a:
-                    b = rng.choice(signals)
-            operands = (a, b)
-        gates.append(Gate(name, op, operands))
-        signals.append(name)
+        gates.append(_random_gate(rng, f"g{j}", signals))
+        signals.append(f"g{j}")
     outputs = [g.name for g in gates[-n_outputs:]]
     return Netlist(inputs, gates, outputs)
-
-
-GATE_CHOICES = ("AND", "OR", "NOT", "XOR")
 
 
 def netlist_truth_table(nl: Netlist) -> tuple[tuple[bool, ...], ...]:
@@ -146,10 +153,13 @@ def mutate_netlist(rng: random.Random, nl: Netlist) -> Netlist:
         gates = list(nl.gates)
         gates[i] = Gate(g.name, rng.choice(choices), g.operands)
         return Netlist(list(nl.inputs), gates, list(nl.outputs))
+    return _invert_first_output(nl)
+
+
+def _invert_first_output(nl: Netlist) -> Netlist:
     inverted = f"{nl.outputs[0]}_inv"
     gates = list(nl.gates) + [Gate(inverted, "NOT", (nl.outputs[0],))]
-    outputs = [inverted] + list(nl.outputs[1:])
-    return Netlist(list(nl.inputs), gates, outputs)
+    return Netlist(list(nl.inputs), gates, [inverted] + list(nl.outputs[1:]))
 
 
 def distinct_mutant(
@@ -161,9 +171,7 @@ def distinct_mutant(
         mutant = mutate_netlist(rng, nl)
         if netlist_truth_table(mutant) != reference:
             return mutant
-    inverted = f"{nl.outputs[0]}_inv"
-    gates = list(nl.gates) + [Gate(inverted, "NOT", (nl.outputs[0],))]
-    return Netlist(list(nl.inputs), gates, [inverted] + list(nl.outputs[1:]))
+    return _invert_first_output(nl)
 
 
 def random_eq_pair(rng: random.Random, n_inputs: int = 3) -> EqCheckInstance:
@@ -187,30 +195,14 @@ def random_transition_system(
     signals = list(inputs)
     gates: list[Gate] = []
     for j in range(1, rng.randint(1, 4) + 1):
-        op = rng.choice(GATE_CHOICES)
-        if op == "NOT":
-            operands: tuple[str, ...] = (rng.choice(signals),)
-        else:
-            a = rng.choice(signals)
-            b = rng.choice(signals)
-            if op == "XOR":
-                while b == a:
-                    b = rng.choice(signals)
-            operands = (a, b)
-        gates.append(Gate(f"g{j}", op, operands))
+        gates.append(_random_gate(rng, f"g{j}", signals))
         signals.append(f"g{j}")
     for i in range(1, bits + 1):
-        op = rng.choice(("AND", "OR", "XOR", "NOT"))
-        if op == "NOT":
-            operands = (rng.choice(signals),)
-        else:
-            a = rng.choice(signals)
-            b = rng.choice(signals)
-            if op == "XOR":
-                while b == a:
-                    b = rng.choice(signals)
-            operands = (a, b)
-        gates.append(Gate(f"next_{i}", op, operands))
+        # A different op order than the inner gates; the frozen corpora
+        # were drawn with it.
+        gates.append(
+            _random_gate(rng, f"next_{i}", signals, ("AND", "OR", "XOR", "NOT"))
+        )
     trans = Netlist(inputs, gates, [f"next_{i}" for i in range(1, bits + 1)])
     init_clauses = [
         Clause([i if rng.random() < 0.5 else -i])
@@ -229,22 +221,11 @@ def random_interp_split(
     ny = rng.randint(1, min(4, max_vars - nx - 1))
     nz = rng.randint(1, max_vars - nx - ny)
     n = nx + ny + nz
-    a_vars = list(range(1, nx + ny + 1))
-    b_vars = list(range(nx + 1, n + 1))
-
-    def side(pool: list[int], m: int) -> list[Clause]:
-        out = []
-        for _ in range(m):
-            width = rng.randint(1, min(3, len(pool)))
-            chosen = rng.sample(pool, width)
-            out.append(Clause([v if rng.random() < 0.5 else -v for v in chosen]))
-        return out
-
-    a = CnfProblem(n, side(a_vars, rng.randint(2, 8)))
-    b = CnfProblem(n, side(b_vars, rng.randint(2, 8)))
-    mentioned_a = frozenset(v for c in a.clauses for v in c.variables())
-    mentioned_b = frozenset(v for c in b.clauses for v in c.variables())
-    shared = mentioned_a & mentioned_b
+    a_vars = range(1, nx + ny + 1)
+    b_vars = range(nx + 1, n + 1)
+    a = CnfProblem(n, [random_clause(rng, a_vars) for _ in range(rng.randint(2, 8))])
+    b = CnfProblem(n, [random_clause(rng, b_vars) for _ in range(rng.randint(2, 8))])
+    shared = mentioned_variables(a) & mentioned_variables(b)
     if not shared:
         return None
     return InterpolationInstance(a, b, shared)

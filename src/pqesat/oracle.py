@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .circuits import TransitionSystem, next_state
 from .cnf import Clause, CnfError, CnfProblem
 
 MAX_SAT_VARS = 24
@@ -120,31 +121,16 @@ def qe_enum(problem: CnfProblem) -> TruthTable:
     n = problem.var_count
     masks = _clause_masks(problem)
     full = (1 << n) - 1
+    quant_masks = [
+        sum(_bit(n, v) for j, v in enumerate(quant) if qm & (1 << j))
+        for qm in range(1 << len(quant))
+    ]
     rows: dict[tuple[int, ...], int] = {}
-    if n <= 20:
-        # Small enough for a single pass over all total assignments.
-        sat_free = set()
-        for m in range(1 << n):
-            if _mask_satisfies(m, full, masks):
-                sat_free.add(tuple(1 if m & _bit(n, v) else 0 for v in free))
-        for fa in _all_rows(len(free)):
-            rows[fa] = 1 if fa in sat_free else 0
-        return TruthTable(tuple(free), rows)
     for fa in _all_rows(len(free)):
-        base = 0
-        for v, val in zip(free, fa):
-            if val:
-                base |= _bit(n, v)
-        found = 0
-        for qm in range(1 << len(quant)):
-            m = base
-            for j, v in enumerate(quant):
-                if qm & (1 << j):
-                    m |= _bit(n, v)
-            if _mask_satisfies(m, full, masks):
-                found = 1
-                break
-        rows[fa] = found
+        base = sum(_bit(n, v) for v, val in zip(free, fa) if val)
+        rows[fa] = int(
+            any(_mask_satisfies(base | qm, full, masks) for qm in quant_masks)
+        )
     return TruthTable(tuple(free), rows)
 
 
@@ -178,21 +164,17 @@ def verify_pqe(
     return qe_enum(problem) == qe_enum(candidate)
 
 
-def bfs_reach(ts, k: int) -> set[tuple[int, ...]]:
+def bfs_reach(ts: TransitionSystem, k: int) -> set[tuple[int, ...]]:
     """States reachable from the initial states in at most k steps.
 
     Works directly on the transition system's netlist by simulating it for
     every combination of current state and free input, so it is immune to
     any encoding mistakes in the CNF path.
     """
-    from .circuits import input_names, next_state  # local import, no cycle
-
     n = ts.state_bits
     if n > MAX_REACH_BITS:
         raise GuardError(f"bfs_reach limited to {MAX_REACH_BITS} state bits, got {n}")
-    free_inputs = [
-        name for name in input_names(ts.trans) if name not in ts.state_names()
-    ]
+    free_inputs = ts.free_input_names()
     init_states = set()
     masks = _clause_masks(ts.init)
     full = (1 << n) - 1

@@ -27,8 +27,8 @@ of the final equivalence never depends on the targets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .bcp import analyze_conflict, propagate
 from .cnf import Assignment, Binding, Clause, CnfProblem
@@ -123,7 +123,6 @@ class PqeProblem:
 @dataclass
 class PqeConfig:
     step_limit: int = 10**6
-    allow_local_targets: bool = True
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
     on_solution_clause: Optional[Callable[[Clause], None]] = None
@@ -423,7 +422,7 @@ class _Engine:
             self.F,
             trail,
             dead=frozenset(self.dead),
-            allow_local_targets=self.config.allow_local_targets,
+            allow_local_targets=True,
             tick=self.tick,
         )
         got = detector.detect(target)
@@ -581,8 +580,7 @@ class _Engine:
         )
 
     def _combine(self, dl: DSequent, dr: DSequent, v: int, t: int) -> DSequent:
-        if not dl.binds(v):
-            return dl
+        # node() already returned a left result that does not bind v.
         if not dr.binds(v):
             return dr
         joined = resolve_dsequents(dl, dr, v)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .bcp import PropagationResult, analyze_conflict, propagate, resolve_to_base
+from .bcp import analyze_conflict, propagate, resolve_to_base
 from .cnf import Assignment, Clause, CnfError, CnfProblem, cluster_of
 
 
@@ -192,25 +192,6 @@ class CertRecord:
     subspace: tuple[tuple[int, bool], ...]
 
 
-class CertificateSet:
-    """Insertion-ordered collection of certificate records."""
-
-    def __init__(self):
-        self.records: list[CertRecord] = []
-
-    def add(self, record: CertRecord) -> None:
-        self.records.append(record)
-
-    def clauses(self) -> list[Clause]:
-        return [r.clause for r in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 @dataclass
 class SolverConfig:
     learn_to: str = "P"  # "P": side set; "F": append to the formula
@@ -225,7 +206,7 @@ class SolverConfig:
 class SolveOutcome:
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[dict[int, bool]]
-    certificates: CertificateSet
+    certificates: list[CertRecord]  # in the order they were learned
     trace: list[dict] = field(default_factory=list)
     closing_clause: Optional[Clause] = None
     steps: int = 0
@@ -240,9 +221,8 @@ class _Solver:
     def __init__(self, problem: CnfProblem, config: SolverConfig):
         self.F = problem.copy()
         self.config = config
-        self.P: list[Clause] = []
         self.learned: list[Clause] = []
-        self.certs = CertificateSet()
+        self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
         self.iteration = 0
@@ -291,7 +271,8 @@ class _Solver:
         self.steps += 1
         if self.steps > self.config.step_limit:
             raise _StepLimit
-        res = propagate(self.F, self.P, base, decisions)
+        side = self.learned if self.config.learn_to == "P" else ()
+        res = propagate(self.F, side, base, decisions)
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
@@ -308,6 +289,17 @@ class _Solver:
         while True:
             spec = self._pick(primary, trail)
             if spec is None:
+                # Certificates learned in other branches may already cover
+                # every pair of the primary cluster before anything is
+                # learned here, so the induction step must be tried now.
+                fired = check_induction(
+                    self.F, self.learned, trail, candidates=[primary]
+                )
+                if fired is not None:
+                    b_ind = build_induction_clause(
+                        self.F, self.learned, trail, fired
+                    )
+                    return ("cert", resolve_to_base(b_ind, res))
                 raise AssertionError(
                     "all pairs certified but no induction fired; "
                     "this indicates a broken invariant"
@@ -324,11 +316,9 @@ class _Solver:
                 self._record(spec, cleaned, None, "return")
                 return ("cert", cleaned)
             self.learned.append(cert)
-            if self.config.learn_to == "P":
-                self.P.append(cert)
-            else:
+            if self.config.learn_to == "F":
                 self.F.add_clause(cert)
-            self.certs.add(
+            self.certs.append(
                 CertRecord(cert, spec.clause_index, spec.literal, spec.bindings)
             )
             fired = check_induction(

@@ -63,7 +63,7 @@ def test_criterion_1_nine_clause_regression():
     )
     out = solve(nine)
     assert out.status == "unsat"
-    learned = [sorted(c.literals, key=abs) for c in out.certificates.clauses()]
+    learned = [sorted(r.clause.literals, key=abs) for r in out.certificates]
     assert learned == [[-1, 2], [1, -2], [-1, 3], [-2, 4]]
     assert [r["iter"] for r in out.trace] == [1, 2, 3, 4]
     # The closing move: induction on the first clause's cluster, with
@@ -196,7 +196,7 @@ def test_criterion_4_solver_agrees_with_enumeration():
                 assert any(
                     out.model[abs(lit)] == (lit > 0) for lit in c.literals
                 )
-        for c in out.certificates.clauses():
+        for c in [r.clause for r in out.certificates]:
             assert implies(p, c)
             implied += 1
     elapsed = time.perf_counter() - started

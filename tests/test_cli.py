@@ -150,6 +150,44 @@ def test_malformed_file_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_targets_comment_is_read_past_a_non_ascii_comment(tmp_path, capsys):
+    f = tmp_path / "f.cnf"
+    f.write_text("c ∃ example\n" + TWO_CLAUSES, encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["pqe", str(f)])
+    assert code == 0
+    assert out == "1 0\n"
+    code, out, _ = run_cli(capsys, ["pqe-check", str(f)])
+    assert code == 0
+    assert out == "not redundant\n"
+
+
+def test_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    f = tmp_path / "latin1.cnf"
+    f.write_bytes(b"c \xff\np cnf 1 1\n1 0\n")
+    code, _, err = run_cli(capsys, ["sat", str(f)])
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_non_integer_target_exits_3(tmp_path, capsys):
+    f = tmp_path / "f.cnf"
+    f.write_text("c targets x 0\np cnf 2 1\ne 2 0\n1 2 0\n")
+    code, _, err = run_cli(capsys, ["pqe", str(f)])
+    assert code == 3
+    assert "bad token 'x'" in err
+
+
+def test_non_integer_solution_token_exits_3(tmp_path, capsys):
+    sol = tmp_path / "bad.sol"
+    sol.write_text("x 0\n")
+    code, _, err = run_cli(
+        capsys,
+        ["verify-pqe", str(EXAMPLES / "example1.cnf"), "--solution", str(sol)],
+    )
+    assert code == 3
+    assert "bad token 'x'" in err
+
+
 def test_oracle_guard_exits_30(tmp_path, capsys):
     f = tmp_path / "wide.cnf"
     f.write_text("p cnf 25 1\n1 0\n")

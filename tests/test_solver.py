@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pqesat.cnf import Assignment, Binding, Clause, CnfError, CnfProblem
+from pqesat.cnf import Assignment, Binding, Clause, CnfError, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat
 from pqesat.solver import (
@@ -195,13 +195,13 @@ def test_nine_clause_run_learns_four_certificates():
     assert out.status == "unsat"
     assert out.closing_clause is not None
     assert out.closing_clause.is_empty()
-    assert [sorted(c.literals, key=abs) for c in out.certificates.clauses()] == [
+    assert [sorted(r.clause.literals, key=abs) for r in out.certificates] == [
         [-1, 2],
         [1, -2],
         [-1, 3],
         [-2, 4],
     ]
-    assert [(r.clause_index, r.literal) for r in out.certificates.records] == [
+    assert [(r.clause_index, r.literal) for r in out.certificates] == [
         (0, 1),
         (0, 2),
         (1, 1),
@@ -223,7 +223,7 @@ def test_nine_clause_learning_into_the_formula():
     assert out.status == "unsat"
     grown = out.problem
     assert len(grown.clauses) == len(NINE.clauses) + len(out.certificates)
-    for c in out.certificates.clauses():
+    for c in [r.clause for r in out.certificates]:
         assert c in grown.clauses
 
 
@@ -237,3 +237,28 @@ def test_solve_agrees_with_enumeration_on_random_formulas():
         if out.status == "sat":
             for c in p.clauses:
                 assert any(out.model[abs(lit)] == (lit > 0) for lit in c)
+
+
+# Random 3-SAT (n=18), shrunk by greedy clause deletion.  Certificates
+# learned in other branches already cover every pair of the primary
+# cluster when a fresh subspace is entered, so induction fires before
+# anything is learned there.
+INDUCTION_ON_ENTRY = """\
+p cnf 18 35
+10 -4 -7 0  5 -7 -14 0  9 4 -14 0  -14 -2 8 0  -9 -1 -2 0  -8 14 -12 0
+3 -4 18 0  -15 12 -7 0  -12 -2 13 0  7 14 -15 0  -10 3 12 0  17 6 -14 0
+-15 14 4 0  -17 -5 10 0  18 -14 -4 0  -14 17 7 0  -18 -17 -9 0  2 13 -14 0
+2 8 14 0  -6 10 -13 0  15 12 14 0  1 15 -14 0  -17 -15 -5 0  10 18 -8 0
+17 18 8 0  -14 2 5 0  -13 16 14 0  -13 -5 -1 0  -7 -15 -14 0  8 15 -16 0
+7 4 -10 0  -10 11 -18 0  -16 5 -2 0  -14 -4 -2 0  -16 -11 -18 0
+"""
+
+
+@pytest.mark.parametrize("learn_to", ["P", "F"])
+def test_induction_fires_when_a_subspace_is_already_certified(learn_to):
+    p = parse_dimacs(INDUCTION_ON_ENTRY)
+    assert enum_sat(p) is None
+    out = solve(p, SolverConfig(learn_to=learn_to))
+    assert out.status == "unsat"
+    assert out.closing_clause is not None
+    assert out.closing_clause.is_empty()

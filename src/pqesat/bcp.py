@@ -1,12 +1,13 @@
 """Unit propagation over a trail, plus trail-guided conflict analysis.
 
 Propagation here is deliberately simple and deterministic: after every
-assignment the clause lists are rescanned front to back, a falsified
-clause is reported the moment one exists, and otherwise the first unit
-clause in scan order fires.  Main-formula clauses are scanned before
-learned ones.  The predictability matters more than speed at the sizes
-this package targets, because the solving algorithms' certificates are
-sensitive to propagation order.
+assignment the clause lists are rescanned front to back in one pass of
+set operations against the trail's true and false literal sets.  A
+falsified clause is reported the moment one exists, and otherwise the
+first unit clause in scan order fires.  Main-formula clauses are scanned
+before learned ones.  The predictability matters more than speed at the
+sizes this package targets, because the solving algorithms' certificates
+are sensitive to propagation order.
 """
 
 from __future__ import annotations
@@ -51,40 +52,25 @@ def propagate(
     for v, val in decisions:
         trail.push(Binding(v, val, decision=True))
 
-    # Set mirrors of the trail keep the scans below on set operations; a
-    # clause is falsified when its literal set sits inside false_lits, and
-    # an unsatisfied clause is unit when exactly one literal is open.
-    true_lits: set[int] = set()
-    false_lits: set[int] = set()
-    for b in trail.bindings:
-        lit = b.var if b.value else -b.var
-        true_lits.add(lit)
-        false_lits.add(-lit)
-
+    true_lits = trail.true_lits
+    false_lits = trail.false_lits
     scan: list[Clause] = list(problem.clauses) + list(learned)
-    sets = [c.literal_set for c in scan]
     while True:
-        conflict = None
-        for i, cs in enumerate(sets):
-            if cs <= false_lits:
-                conflict = scan[i]
-                break
-        if conflict is not None:
-            return PropagationResult(trail, base_len, conflict)
+        # A unit found early does not end the pass: a falsified clause
+        # later in scan order still wins.
         unit = None
-        for i, cs in enumerate(sets):
-            if not true_lits.isdisjoint(cs):
-                continue
-            open_lits = cs - false_lits
-            if len(open_lits) == 1:
-                unit = (scan[i], next(iter(open_lits)))
-                break
+        for c in scan:
+            cs = c.literal_set
+            if cs <= false_lits:
+                return PropagationResult(trail, base_len, c)
+            if unit is None and true_lits.isdisjoint(cs):
+                open_lits = cs - false_lits
+                if len(open_lits) == 1:
+                    unit = (c, next(iter(open_lits)))
         if unit is None:
             return PropagationResult(trail, base_len, None)
         reason, lit = unit
         trail.push(Binding(abs(lit), lit > 0, decision=False, reason=reason))
-        true_lits.add(lit)
-        false_lits.add(-lit)
 
 
 def resolve_to_base(
@@ -106,11 +92,12 @@ def resolve_to_base(
     current = clause
     while True:
         pivot = None
+        lits = current.literal_set
         for i in range(len(trail.bindings) - 1, result.base_len - 1, -1):
             b = trail.bindings[i]
             if b.decision:
                 continue
-            if b.var in current.variables():
+            if b.var in lits or -b.var in lits:
                 pivot = b
                 break
         if pivot is None:

@@ -154,40 +154,43 @@ class Assignment:
     """An ordered partial assignment (a trail).
 
     Bindings are kept in the order they were made, which the conflict
-    analysis relies on.  Lookup by variable is O(1).
+    analysis relies on.  ``true_lits`` and ``false_lits`` hold the
+    literals the trail satisfies and falsifies, so every literal and
+    clause test is a set operation.
     """
 
     def __init__(self, bindings: Iterable[Binding] = ()):
         self.bindings: list[Binding] = []
-        self._value: dict[Variable, bool] = {}
+        self.true_lits: set[Literal] = set()
+        self.false_lits: set[Literal] = set()
         for b in bindings:
             self.push(b)
 
     def push(self, binding: Binding) -> None:
-        if binding.var in self._value:
+        if self.is_assigned(binding.var):
             raise CnfError(f"variable {binding.var} is already assigned")
+        lit = binding.var if binding.value else -binding.var
         self.bindings.append(binding)
-        self._value[binding.var] = binding.value
+        self.true_lits.add(lit)
+        self.false_lits.add(-lit)
 
     def value(self, v: Variable) -> Optional[bool]:
-        return self._value.get(v)
+        return v in self.true_lits if self.is_assigned(v) else None
 
     def is_assigned(self, v: Variable) -> bool:
-        return v in self._value
+        return v in self.true_lits or v in self.false_lits
 
     def satisfies_literal(self, lit: Literal) -> bool:
-        val = self._value.get(abs(lit))
-        return val is not None and val == (lit > 0)
+        return lit in self.true_lits
 
     def falsifies_literal(self, lit: Literal) -> bool:
-        val = self._value.get(abs(lit))
-        return val is not None and val != (lit > 0)
+        return lit in self.false_lits
 
     def satisfies_clause(self, clause: Clause) -> bool:
-        return any(self.satisfies_literal(lit) for lit in clause)
+        return not self.true_lits.isdisjoint(clause.literal_set)
 
     def falsifies_clause(self, clause: Clause) -> bool:
-        return all(self.falsifies_literal(lit) for lit in clause)
+        return clause.literal_set <= self.false_lits
 
     def position(self, v: Variable) -> int:
         """Trail position of a variable (0-based).  Raises if unassigned."""
@@ -199,7 +202,8 @@ class Assignment:
     def copy(self) -> "Assignment":
         fresh = Assignment()
         fresh.bindings = list(self.bindings)
-        fresh._value = dict(self._value)
+        fresh.true_lits = set(self.true_lits)
+        fresh.false_lits = set(self.false_lits)
         return fresh
 
     def items(self) -> list[tuple[Variable, bool]]:

@@ -63,6 +63,9 @@ def _random_gate(
 ) -> Gate:
     """A gate over earlier signals; XOR operands are always distinct."""
     op = rng.choice(ops)
+    if op == "XOR" and len(set(signals)) < 2:
+        # No second operand exists for an XOR, so draw another op.
+        op = rng.choice([o for o in ops if o != "XOR"])
     if op == "NOT":
         return Gate(name, op, (rng.choice(signals),))
     a = rng.choice(signals)

@@ -174,14 +174,12 @@ class _Detector:
         self.dead = dead
         self.allow_local = allow_local_targets
         self.tick = tick
-        # Flattened trail views so the inner loops run on set operations.
+        # Trail literals in binding order: _satisfied needs the earliest
+        # satisfying binding.
         self._order = [
             (b.var if b.value else -b.var, b.var, b.value)
             for b in trail.bindings
         ]
-        self._true = frozenset(t[0] for t in self._order)
-        self._false = frozenset(-t[0] for t in self._order)
-        self._assigned = frozenset(t[1] for t in self._order)
         self._occ: dict[int, list[int]] = {}
 
     def _partners(self, lit: int) -> list[int]:
@@ -213,7 +211,7 @@ class _Detector:
 
     def _satisfied(self, clause: Clause) -> Optional[dict[int, bool]]:
         cs = clause.literal_set
-        if self._true.isdisjoint(cs):
+        if self.trail.true_lits.isdisjoint(cs):
             return None
         for lit, var, value in self._order:
             if lit in cs:
@@ -224,8 +222,8 @@ class _Detector:
         self, index: int, stack: frozenset[int], removed: frozenset[int]
     ) -> Optional[dict]:
         cs = self.problem.clauses[index].literal_set
-        true_lits = self._true
-        false_lits = self._false
+        true_lits = self.trail.true_lits
+        false_lits = self.trail.false_lits
         # Every literal of a witness must appear in the clause being
         # checked or be falsified by the trail, and none may be satisfied.
         allowed = cs | false_lits
@@ -247,10 +245,9 @@ class _Detector:
         clause = self.problem.clauses[index]
         neg_cs = frozenset(-lit for lit in clause.literal_set)
         quantified = self.problem.quantified
-        assigned = self._assigned
+        false_lits = self.trail.false_lits
         for own in clause:
-            u = abs(own)
-            if u not in quantified or u in assigned:
+            if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
             bindings: dict[int, bool] = {}
             rm = removed
@@ -263,8 +260,10 @@ class _Detector:
                 if sat is not None:
                     bindings.update(sat)
                     continue
+                # w is not satisfied, so its open literals are the ones
+                # the trail does not falsify.
                 clash = any(
-                    m != -own and m in neg_cs and abs(m) not in assigned
+                    m != -own and m in neg_cs and m not in false_lits
                     for m in w.literal_set
                 )
                 if clash:

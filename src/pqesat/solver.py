@@ -55,25 +55,8 @@ def specify_vicinity(
     return VicinitySpec(index, literal, tuple(bindings))
 
 
-def falsified_under(
-    clause: Clause, trail: Assignment, extra: dict[int, bool]
-) -> bool:
-    """Is the clause falsified by the trail extended with ``extra``?"""
-    for lit in clause:
-        v = abs(lit)
-        if v in extra:
-            if extra[v] == (lit > 0):
-                return False
-        elif not trail.falsifies_literal(lit):
-            return False
-    return True
-
-
 def required_pairs(
-    problem: CnfProblem,
-    index: int,
-    trail: Assignment,
-    excluded: frozenset[int] = frozenset(),
+    problem: CnfProblem, index: int, trail: Assignment
 ) -> list[tuple[int, int]]:
     """All (cluster clause index, shared literal) pairs demanding coverage.
 
@@ -83,7 +66,7 @@ def required_pairs(
     """
     seed = problem.clauses[index]
     pairs = []
-    for ci in cluster_of(problem, index, excluded):
+    for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         if trail.satisfies_clause(c):
             continue
@@ -97,10 +80,21 @@ def certificate_for(
     spec: VicinitySpec, learned: Sequence[Clause], trail: Assignment
 ) -> Optional[Clause]:
     """First learned clause falsified in the given vicinity, if any."""
-    extra = dict(spec.bindings)
+    falsified = trail.false_lits | {-v if val else v for v, val in spec.bindings}
     for b in learned:
-        if falsified_under(b, trail, extra):
+        if b.literal_set <= falsified:
             return b
+    return None
+
+
+def _uncovered_pair(
+    problem: CnfProblem, learned: Sequence[Clause], trail: Assignment, index: int
+) -> Optional[VicinitySpec]:
+    """The vicinity of the first required pair without a certificate."""
+    for ci, lit in required_pairs(problem, index, trail):
+        spec = specify_vicinity(problem, ci, lit, trail)
+        if certificate_for(spec, learned, trail) is None:
+            return spec
     return None
 
 
@@ -108,7 +102,6 @@ def check_induction(
     problem: CnfProblem,
     learned: Sequence[Clause],
     trail: Assignment,
-    excluded: frozenset[int] = frozenset(),
     candidates: Optional[Sequence[int]] = None,
 ) -> Optional[int]:
     """Lowest clause index whose cluster is fully certified, or None.
@@ -119,19 +112,9 @@ def check_induction(
     """
     indices = candidates if candidates is not None else range(len(problem.clauses))
     for i in indices:
-        if i in excluded:
+        if trail.satisfies_clause(problem.clauses[i]):
             continue
-        c = problem.clauses[i]
-        if trail.satisfies_clause(c):
-            continue
-        pairs = required_pairs(problem, i, trail, excluded)
-        ok = True
-        for ci, lit in pairs:
-            spec = specify_vicinity(problem, ci, lit, trail)
-            if certificate_for(spec, learned, trail) is None:
-                ok = False
-                break
-        if ok:
+        if _uncovered_pair(problem, learned, trail, i) is None:
             return i
     return None
 
@@ -141,7 +124,6 @@ def build_induction_clause(
     learned: Sequence[Clause],
     trail: Assignment,
     index: int,
-    excluded: frozenset[int] = frozenset(),
 ) -> Clause:
     """Assemble the clause an induction step is entitled to.
 
@@ -160,7 +142,7 @@ def build_induction_clause(
     for lit in seed:
         if trail.falsifies_literal(lit):
             take(lit)
-    for ci in cluster_of(problem, index, excluded):
+    for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         if trail.satisfies_clause(c):
             sat_lits = [lit for lit in c if trail.satisfies_literal(lit)]
@@ -236,8 +218,7 @@ class _Solver:
             )
         if kind == "sat":
             model = {
-                v: payload.value(v) if payload.is_assigned(v) else False
-                for v in range(1, self.F.var_count + 1)
+                v: v in payload.true_lits for v in range(1, self.F.var_count + 1)
             }
             return SolveOutcome(
                 "sat", model, self.certs, self.trace, None, self.steps, self.F
@@ -276,40 +257,28 @@ class _Solver:
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
-        if all(trail.satisfies_clause(c) for c in self.F.clauses):
-            return ("sat", trail)
-
         # The first unsatisfied clause anchors every pick in this subspace;
         # the trail no longer changes here, so it stays the first one.
         primary = next(
-            i
-            for i, c in enumerate(self.F.clauses)
-            if not trail.satisfies_clause(c)
+            (i for i, c in enumerate(self.F.clauses) if not trail.satisfies_clause(c)),
+            None,
         )
+        if primary is None:
+            return ("sat", trail)
         while True:
-            spec = self._pick(primary, trail)
+            spec = _uncovered_pair(self.F, self.learned, trail, primary)
             if spec is None:
                 # Certificates learned in other branches may already cover
                 # every pair of the primary cluster before anything is
-                # learned here, so the induction step must be tried now.
-                fired = check_induction(
-                    self.F, self.learned, trail, candidates=[primary]
-                )
-                if fired is not None:
-                    b_ind = build_induction_clause(
-                        self.F, self.learned, trail, fired
-                    )
-                    return ("cert", resolve_to_base(b_ind, res))
-                raise AssertionError(
-                    "all pairs certified but no induction fired; "
-                    "this indicates a broken invariant"
-                )
+                # learned here, so the induction step applies now.
+                b_ind = build_induction_clause(self.F, self.learned, trail, primary)
+                return ("cert", resolve_to_base(b_ind, res))
             kind, payload = self._explore(trail, list(spec.bindings))
             if kind == "sat":
                 self._record(spec, None, None, "sat")
                 return ("sat", payload)
             cert = payload
-            if falsified_under(cert, trail, {}):
+            if trail.falsifies_clause(cert):
                 # The certificate already refutes this whole subspace; pass
                 # it up after clearing out locally propagated literals.
                 cleaned = resolve_to_base(cert, res)
@@ -333,13 +302,6 @@ class _Solver:
                 self._record(spec, cert, fired, "induct")
                 return ("cert", cleaned)
             self._record(spec, cert, None, "learn")
-
-    def _pick(self, primary: int, trail: Assignment) -> Optional[VicinitySpec]:
-        for ci, lit in required_pairs(self.F, primary, trail):
-            spec = specify_vicinity(self.F, ci, lit, trail)
-            if certificate_for(spec, self.learned, trail) is None:
-                return spec
-        return None
 
 
 def solve(problem: CnfProblem, config: Optional[SolverConfig] = None) -> SolveOutcome:

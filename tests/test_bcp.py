@@ -40,6 +40,15 @@ def test_propagate_scans_formula_before_learned():
     assert res.trail.bindings[-1].reason is learned[0]
 
 
+def test_propagate_falsified_clause_beats_an_earlier_unit():
+    # After 1=True the first clause is unit and the second falsified; the
+    # conflict wins even though the unit comes first in scan order.
+    p = CnfProblem(2, [Clause([-1, 2]), Clause([-1])])
+    res = propagate(p, [], Assignment(), [(1, True)])
+    assert res.conflict is p.clauses[1]
+    assert res.trail.items() == [(1, True)]
+
+
 def test_propagate_satisfied_clauses_never_fire():
     # 1=True satisfies the first clause, so only the second is unit.
     p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])

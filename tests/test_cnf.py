@@ -95,6 +95,9 @@ def test_assignment_copy_is_independent():
     b.push(Binding(2, False))
     assert len(a) == 1
     assert len(b) == 2
+    assert not a.is_assigned(2)
+    assert not a.falsifies_literal(2)
+    assert b.falsifies_literal(2)
 
 
 DIMACS = """\

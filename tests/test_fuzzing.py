@@ -8,7 +8,7 @@ generator makes shows up here as a changed digest.
 import hashlib
 import random
 
-from pqesat.circuits import format_netlist
+from pqesat.circuits import TransitionSystem, format_netlist
 from pqesat.cnf import format_dimacs
 from pqesat.fuzzing import (
     distinct_mutant,
@@ -83,3 +83,15 @@ def test_random_interp_split_draws_are_pinned():
     assert _digest(_interp_splits(14)) == (
         "68e2892950560b35192bd1d8697d43e069f5ed07358fa8c3f3aabcf1e534a633"
     )
+
+
+def test_one_bit_transition_systems_are_drawn():
+    # With one state bit and no free input, the first gate has a single
+    # signal to read; an XOR drawn there has no second operand.
+    ts = random_transition_system(random.Random(6), bits=1)
+    assert isinstance(ts, TransitionSystem)
+    for seed in range(50):
+        for bits in (1, 2, 3):
+            ts = random_transition_system(random.Random(seed), bits)
+            assert isinstance(ts, TransitionSystem)
+            assert ts.state_bits == bits

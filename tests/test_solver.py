@@ -260,5 +260,6 @@ def test_induction_fires_when_a_subspace_is_already_certified(learn_to):
     assert enum_sat(p) is None
     out = solve(p, SolverConfig(learn_to=learn_to))
     assert out.status == "unsat"
+    assert out.steps == {"P": 54, "F": 74}[learn_to]
     assert out.closing_clause is not None
     assert out.closing_clause.is_empty()

@@ -186,8 +186,10 @@ class VarMap:
     outputs: list[int]
 
 
-def _gate_clauses(op: str, z: int, a: int, b: Optional[int]) -> list[Clause]:
+def _gate_clauses(g: Gate, var_of: dict[str, int]) -> list[Clause]:
     # One fixed clause order per gate kind so encodings are reproducible.
+    op, z, a = g.op, var_of[g.name], var_of[g.operands[0]]
+    b = var_of[g.operands[1]] if len(g.operands) == 2 else None
     if op == "NOT":
         return [Clause([a, z]), Clause([-a, -z])]
     if op == "AND":
@@ -218,10 +220,7 @@ def tseitin_encode(nl: Netlist) -> tuple[CnfProblem, VarMap]:
         var_of[g.name] = len(var_of) + 1
     clauses: list[Clause] = []
     for g in nl.gates:
-        z = var_of[g.name]
-        a = var_of[g.operands[0]]
-        b = var_of[g.operands[1]] if len(g.operands) == 2 else None
-        clauses.extend(_gate_clauses(g.op, z, a, b))
+        clauses.extend(_gate_clauses(g, var_of))
     out_names = set(nl.outputs)
     vmap = VarMap(
         var_of=var_of,
@@ -396,10 +395,7 @@ def unroll(ts: TransitionSystem, k: int, duplicate_init: bool = False) -> Unroll
 
     for var_of in frames:
         for g in ts.trans.gates:
-            z = var_of[g.name]
-            a = var_of[g.operands[0]]
-            b = var_of[g.operands[1]] if len(g.operands) == 2 else None
-            clauses.extend(_gate_clauses(g.op, z, a, b))
+            clauses.extend(_gate_clauses(g, var_of))
 
     quantified = frozenset(range(1, counter + 1)) - frozenset(frame_states[-1])
     problem = CnfProblem(counter, clauses, quantified)

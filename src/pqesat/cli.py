@@ -251,6 +251,14 @@ def cmd_propgen(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    # The generators draw at least three variables, and pqe mode at least
+    # as many clauses as variables (capped at 10).
+    if args.vars < 3:
+        print("error: --vars must be at least 3", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode == "pqe" and args.clauses < min(args.vars, 10):
+        print("error: pqe mode needs --clauses >= min(--vars, 10)", file=sys.stderr)
+        return EXIT_USAGE
     rng = random.Random(args.seed)
     discrepancies = 0
     for index in range(args.count):

@@ -93,6 +93,11 @@ class CnfProblem:
     distinct members (their positions matter to the algorithms built on
     top).  Clause indices used throughout the package are 0-based positions
     into this list.
+
+    The formula keeps an occurrence index, literal to the indices of the
+    clauses holding it, which ``occurrences`` reads.  It is built here and
+    extended by ``add_clause``, so clauses must be added through
+    ``add_clause`` and never assigned into ``clauses``.
     """
 
     var_count: int
@@ -106,6 +111,7 @@ class CnfProblem:
         for v in self.quantified:
             if not 1 <= v <= self.var_count:
                 raise CnfError(f"quantified variable {v} out of range")
+        self._occ: dict[Literal, list[int]] = {}
         for i, c in enumerate(self.clauses):
             for lit in c:
                 if abs(lit) > self.var_count:
@@ -113,6 +119,7 @@ class CnfProblem:
                         f"clause {i} mentions variable {abs(lit)} "
                         f"but var_count is {self.var_count}"
                     )
+                self._occ.setdefault(lit, []).append(i)
 
     @property
     def free_vars(self) -> frozenset[Variable]:
@@ -129,8 +136,15 @@ class CnfProblem:
                     f"clause mentions variable {abs(lit)} "
                     f"but var_count is {self.var_count}"
                 )
+        index = len(self.clauses)
         self.clauses.append(clause)
-        return len(self.clauses) - 1
+        for lit in clause:
+            self._occ.setdefault(lit, []).append(index)
+        return index
+
+    def occurrences(self, lit: Literal) -> list[int]:
+        """Indices of the clauses holding the literal, in index order."""
+        return self._occ.get(lit, [])
 
     def copy(self) -> "CnfProblem":
         return CnfProblem(self.var_count, list(self.clauses), self.quantified)
@@ -192,12 +206,14 @@ class Assignment:
     def falsifies_clause(self, clause: Clause) -> bool:
         return clause.literal_set <= self.false_lits
 
-    def position(self, v: Variable) -> int:
-        """Trail position of a variable (0-based).  Raises if unassigned."""
-        for i, b in enumerate(self.bindings):
-            if b.var == v:
-                return i
-        raise CnfError(f"variable {v} is not on the trail")
+    def first_true_literal(self, clause: Clause) -> Optional[Literal]:
+        """The clause's literal that the earliest binding satisfies, or None."""
+        if self.true_lits.isdisjoint(clause.literal_set):
+            return None
+        for b in self.bindings:
+            lit = b.var if b.value else -b.var
+            if lit in clause.literal_set:
+                return lit
 
     def copy(self) -> "Assignment":
         fresh = Assignment()
@@ -431,11 +447,5 @@ def cluster_of(
     least one identical literal (same variable, same polarity) with it.
     The seed comes first, remaining members follow in index order.
     """
-    seed = problem.clauses[index]
-    members = [index]
-    for i, other in enumerate(problem.clauses):
-        if i == index or i in skip_indices:
-            continue
-        if seed.literal_set & other.literal_set:
-            members.append(i)
-    return members
+    shared = {j for lit in problem.clauses[index] for j in problem.occurrences(lit)}
+    return [index] + sorted(shared - skip_indices - {index})

@@ -174,26 +174,6 @@ class _Detector:
         self.dead = dead
         self.allow_local = allow_local_targets
         self.tick = tick
-        # Trail literals in binding order: _satisfied needs the earliest
-        # satisfying binding.
-        self._order = [
-            (b.var if b.value else -b.var, b.var, b.value)
-            for b in trail.bindings
-        ]
-        self._occ: dict[int, list[int]] = {}
-
-    def _partners(self, lit: int) -> list[int]:
-        """Indices of clauses containing the literal (formula is frozen
-        for the detector's lifetime, so the scan is done once)."""
-        got = self._occ.get(lit)
-        if got is None:
-            got = [
-                j
-                for j, w in enumerate(self.problem.clauses)
-                if lit in w.literal_set
-            ]
-            self._occ[lit] = got
-        return got
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
         clause = self.problem.clauses[index]
@@ -210,13 +190,8 @@ class _Detector:
         return None
 
     def _satisfied(self, clause: Clause) -> Optional[dict[int, bool]]:
-        cs = clause.literal_set
-        if self.trail.true_lits.isdisjoint(cs):
-            return None
-        for lit, var, value in self._order:
-            if lit in cs:
-                return {var: value}
-        return None
+        lit = self.trail.first_true_literal(clause)
+        return None if lit is None else {abs(lit): lit > 0}
 
     def _subsumed(
         self, index: int, stack: frozenset[int], removed: frozenset[int]
@@ -252,7 +227,7 @@ class _Detector:
             bindings: dict[int, bool] = {}
             rm = removed
             ok = True
-            for j in self._partners(-own):
+            for j in self.problem.occurrences(-own):
                 if j == index or j in rm or j in self.dead:
                     continue
                 w = self.problem.clauses[j]
@@ -290,10 +265,7 @@ class _Detector:
     ) -> Optional[tuple[dict[int, bool], frozenset[int]]]:
         if self.tick is not None:
             self.tick()
-        clause = self.problem.clauses[index]
-        got = self._satisfied(clause)
-        if got is not None:
-            return got, removed
+        # Only _blocked calls this, for a partner it found unsatisfied.
         got = self._subsumed(index, stack, removed)
         if got is not None:
             return got, removed

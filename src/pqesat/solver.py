@@ -144,9 +144,8 @@ def build_induction_clause(
             take(lit)
     for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
-        if trail.satisfies_clause(c):
-            sat_lits = [lit for lit in c if trail.satisfies_literal(lit)]
-            earliest = min(sat_lits, key=lambda lit: trail.position(abs(lit)))
+        earliest = trail.first_true_literal(c)
+        if earliest is not None:
             take(-earliest)
         else:
             for lit in c:

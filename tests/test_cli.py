@@ -329,6 +329,37 @@ def test_fuzz_pqe_mode(capsys):
     assert out.splitlines()[-1] == "discrepancies: 0"
 
 
+def test_fuzz_rejects_too_few_variables(capsys):
+    code, out, err = run_cli(capsys, ["fuzz", "--vars", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--vars" in err
+    code, out, _ = run_cli(capsys, ["fuzz", "--vars", "3", "--count", "5"])
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+
+
+def test_fuzz_pqe_mode_rejects_too_few_clauses(capsys):
+    code, out, err = run_cli(capsys, ["fuzz", "--mode", "pqe", "--clauses", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--clauses" in err
+    code, out, _ = run_cli(
+        capsys,
+        ["fuzz", "--mode", "pqe", "--vars", "3", "--clauses", "3", "--count", "5"],
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+
+
+def test_pqe_step_limit_returns_unknown(capsys):
+    code, out, _ = run_cli(
+        capsys, ["pqe", str(EXAMPLES / "example1.cnf"), "--step-limit", "0"]
+    )
+    assert code == 30
+    assert out == "s UNKNOWN\n"
+
+
 def _installed_distribution():
     try:
         return importlib.metadata.distribution("pqesat")

@@ -1,6 +1,8 @@
 """Clause, formula, assignment, and DIMACS behavior."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqesat.cnf import (
     Assignment,
@@ -77,9 +79,17 @@ def test_assignment_trail_order_and_lookup():
     assert a.value(3) is None
     assert a.satisfies_literal(2)
     assert a.falsifies_literal(-2)
-    assert a.position(1) == 1
+    assert a.first_true_literal(Clause([-1, 2])) == 2
     with pytest.raises(CnfError):
         a.push(Binding(2, False))
+
+
+def test_first_true_literal_follows_the_trail():
+    a = Assignment([Binding(3, False), Binding(1, True), Binding(2, True)])
+    assert a.first_true_literal(Clause([2, 1])) == 1
+    assert a.first_true_literal(Clause([2, -3])) == -3
+    assert a.first_true_literal(Clause([-1, 3, 4])) is None
+    assert a.first_true_literal(Clause([])) is None
 
 
 def test_assignment_clause_tests():
@@ -137,6 +147,22 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 0\ne 1 0\ne 2 0\n")  # duplicate quantifier line
     with pytest.raises(CnfError):
         parse_dimacs("p cnf 2 0\ne 1\n")  # missing terminator
+    with pytest.raises(CnfError, match="line 2: duplicate problem line"):
+        parse_dimacs("p cnf 2 0\np cnf 2 0\n")
+    with pytest.raises(CnfError, match="line 1: malformed problem line"):
+        parse_dimacs("p cnf 2\n")  # wrong field count
+    with pytest.raises(CnfError, match="line 1: malformed problem line"):
+        parse_dimacs("p cnf two 0\n")  # non-integer count
+    with pytest.raises(CnfError, match="line 2: bad token 'x'"):
+        parse_dimacs("p cnf 2 0\ne x 0\n")
+    with pytest.raises(CnfError, match="line 2: quantified variable 3 out of range"):
+        parse_dimacs("p cnf 2 0\ne 3 0\n")
+    with pytest.raises(CnfError, match="line 2: bad token '1x'"):
+        parse_dimacs("p cnf 2 1\n1x 2 0\n")
+    with pytest.raises(CnfError, match="line 3: tautological clause"):
+        parse_dimacs("p cnf 2 2\n1 2 0\n1 -1 0\n")
+    with pytest.raises(CnfError, match="missing problem line"):
+        parse_dimacs("c a comment and nothing else\n")
 
 
 def test_format_round_trip():
@@ -218,3 +244,51 @@ def test_cluster_collects_identical_literal_sharers():
 def test_cluster_seed_comes_first():
     p = CnfProblem(3, [Clause([1]), Clause([1, 2]), Clause([2, 3])])
     assert cluster_of(p, 1) == [1, 0, 2]
+
+
+def _scan_cluster(problem, index, skip_indices=frozenset()):
+    """The plain scan the occurrence index replaced, kept as the reference."""
+    seed = problem.clauses[index]
+    members = [index]
+    for i, other in enumerate(problem.clauses):
+        if i == index or i in skip_indices:
+            continue
+        if seed.literal_set & other.literal_set:
+            members.append(i)
+    return members
+
+
+_N = 6
+_clauses = st.lists(
+    st.sets(st.integers(1, _N), max_size=4).flatmap(
+        lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in sorted(vs)])
+    ),
+    max_size=12,
+)
+
+
+def _assert_index_matches_clauses(p):
+    for lit in [*range(-_N, 0), *range(1, _N + 1)]:
+        want = [j for j, c in enumerate(p.clauses) if lit in c.literal_set]
+        assert p.occurrences(lit) == want
+    for i in range(len(p.clauses)):
+        assert cluster_of(p, i) == _scan_cluster(p, i)
+        skip = frozenset(range(0, len(p.clauses), 2))
+        assert cluster_of(p, i, skip) == _scan_cluster(p, i, skip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clauses, _clauses, _clauses)
+def test_occurrence_index_tracks_added_clauses_and_copies(base, added, copy_added):
+    p = CnfProblem(_N, [Clause(c) for c in base])
+    _assert_index_matches_clauses(p)
+    for c in added:
+        p.add_clause(Clause(c))
+    _assert_index_matches_clauses(p)
+    before = {lit: list(p.occurrences(lit)) for lit in range(-_N, _N + 1)}
+    q = p.copy()
+    for c in copy_added:
+        q.add_clause(Clause(c))
+    _assert_index_matches_clauses(q)
+    _assert_index_matches_clauses(p)
+    assert {lit: p.occurrences(lit) for lit in range(-_N, _N + 1)} == before

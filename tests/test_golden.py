@@ -2,7 +2,8 @@
 
 Each test hashes everything an engine reports on a fixed corpus (solver
 status, steps, trace, certificates and model; PQE derivation, steps and
-solution clauses; diameter answers), so a refactor of a hot path that
+solution clauses; diameter answers; equivalence-checking verdicts and
+interpolants), so a refactor of a hot path that
 changes any decision, any propagation order or any step count shows up
 here as a changed digest.  The corpora are small enough for the file to
 run in a few seconds.
@@ -14,9 +15,16 @@ import random
 
 import pytest
 
-from pqesat.apps import diameter_lt
+from pqesat.apps import EqCheckInstance, diameter_lt, eq_check, interpolate
 from pqesat.cnf import Clause, CnfProblem
-from pqesat.fuzzing import random_pqe, random_transition_system
+from pqesat.fuzzing import (
+    distinct_mutant,
+    random_eq_pair,
+    random_interp_split,
+    random_netlist,
+    random_pqe,
+    random_transition_system,
+)
 from pqesat.pqe import take_out
 from pqesat.solver import SolverConfig, solve
 
@@ -72,6 +80,40 @@ def _diameter_records():
         yield [diameter_lt(ts, k) for k in (1, 2, 3)]
 
 
+def _eq_check_records():
+    rng = random.Random(8080)
+    for i in range(40):
+        if i % 2 == 0:
+            inst = random_eq_pair(rng)
+        else:
+            m1 = random_netlist(rng, 3, rng.randint(2, 5))
+            inst = EqCheckInstance(m1, distinct_mutant(rng, m1))
+        res = eq_check(inst)
+        yield [
+            res.verdict,
+            res.witness,
+            res.constant,
+            res.steps,
+            [list(c.literals) for c in res.solution],
+        ]
+
+
+def _interpolate_records():
+    rng = random.Random(4141)
+    for _ in range(200):
+        inst = random_interp_split(rng)
+        if inst is None:
+            yield None
+            continue
+        res = interpolate(inst)
+        yield [
+            res.status,
+            [list(c.literals) for c in res.candidate],
+            res.steps,
+            res.derivation,
+        ]
+
+
 @pytest.mark.parametrize(
     "learn_to, digest",
     [
@@ -92,4 +134,16 @@ def test_take_out_outcomes_are_pinned():
 def test_diameter_answers_are_pinned():
     assert _digest(_diameter_records()) == (
         "e9b4d77b2fd5bb44b874e591103926d50521d09f33341df0105e61ad31c2c700"
+    )
+
+
+def test_eq_check_outcomes_are_pinned():
+    assert _digest(_eq_check_records()) == (
+        "dda7bba7ef8336695bec202aeee8e3914dfcdf5dd5f10fa3256942de3795bd14"
+    )
+
+
+def test_interpolate_outcomes_are_pinned():
+    assert _digest(_interpolate_records()) == (
+        "3e596ddd3e79a21e17c2a742abb8a6089a32e65c492987cf10655eb05f56edd1"
     )

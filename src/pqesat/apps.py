@@ -16,8 +16,8 @@ from typing import Optional
 from .circuits import Netlist, TransitionSystem, tseitin_encode, unroll
 from .cnf import Clause, CnfProblem, mentioned_variables
 from .oracle import implies
-from .pqe import PqeConfig, PqeProblem, StepLimitError, decide_redundant, take_out
-from .solver import SolverConfig, solve
+from .pqe import PqeConfig, PqeProblem, bounded_solve, decide_redundant, take_out
+from .solver import solve  # noqa: F401  bench/spans.py wraps apps.solve by name
 
 
 class AppError(Exception):
@@ -150,11 +150,10 @@ class EqCheckResult:
 def _probe_constant(nl: Netlist, label: str, limit: int) -> Optional[str]:
     problem, vmap = tseitin_encode(nl)
     w = vmap.outputs[0]
+    what = f"constant probe of the {label} circuit"
     for value, forced in ((0, Clause([w])), (1, Clause([-w]))):
-        trial = CnfProblem(problem.var_count, list(problem.clauses) + [forced])
-        outcome = solve(trial, SolverConfig(step_limit=limit))
-        if outcome.status == "unknown":
-            raise StepLimitError(f"constant probe of the {label} circuit gave up")
+        clauses = list(problem.clauses) + [forced]
+        outcome = bounded_solve(problem.var_count, clauses, limit, what)
         if outcome.status == "unsat":
             return f"{label} is constant {value}"
     return None
@@ -212,13 +211,8 @@ def eq_check(
         return EqCheckResult("equivalent", solution=sol.solution_clauses,
                              steps=sol.steps)
 
-    miter = CnfProblem(
-        var_count,
-        body + [Clause([w1, w2]), Clause([-w1, -w2])],
-    )
-    outcome = solve(miter, SolverConfig(step_limit=config.step_limit))
-    if outcome.status == "unknown":
-        raise StepLimitError("miter call gave up")
+    miter = body + [Clause([w1, w2]), Clause([-w1, -w2])]
+    outcome = bounded_solve(var_count, miter, config.step_limit, "miter call")
     if outcome.status != "sat":
         raise AssertionError("solution refutes equality but the miter is unsat")
     witness = {name: outcome.model[v] for name, v in zip(inst.m1.inputs, v1)}

@@ -4,16 +4,17 @@ Propagation here is deliberately simple and deterministic: after every
 assignment the clause lists are rescanned front to back in one pass of
 set operations against the trail's true and false literal sets.  A
 falsified clause is reported the moment one exists, and otherwise the
-first unit clause in scan order fires.  Main-formula clauses are scanned
-before learned ones.  The predictability matters more than speed at the
-sizes this package targets, because the solving algorithms' certificates
-are sensitive to propagation order.
+first unit clause in scan order fires.  Main-formula clauses, minus any
+the caller skips (PQE skips the clauses it took out), are scanned before
+learned ones.  The predictability matters more than speed at the sizes
+this package targets, because the solving algorithms' certificates are
+sensitive to propagation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .cnf import Assignment, Binding, Clause, CnfProblem, resolve
 
@@ -41,11 +42,13 @@ def propagate(
     learned: Sequence[Clause],
     base: Assignment,
     decisions: Sequence[tuple[int, bool]],
+    skip: AbstractSet[int] = frozenset(),
 ) -> PropagationResult:
     """Extend ``base`` with ``decisions`` and run unit propagation.
 
     ``base`` itself is not modified.  Clauses of the problem are consulted
-    first (in index order), then the learned clauses.
+    first (in index order), then the learned clauses.  Problem clauses
+    whose indices are in ``skip`` are ignored as if absent.
     """
     trail = base.copy()
     base_len = len(base)
@@ -54,7 +57,8 @@ def propagate(
 
     true_lits = trail.true_lits
     false_lits = trail.false_lits
-    scan: list[Clause] = list(problem.clauses) + list(learned)
+    scan = [c for i, c in enumerate(problem.clauses) if i not in skip]
+    scan += learned
     while True:
         # A unit found early does not end the pass: a falsified clause
         # later in scan order still wins.

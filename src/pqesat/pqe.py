@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 from .bcp import analyze_conflict, propagate
 from .cnf import Assignment, Binding, Clause, CnfProblem
-from .solver import SolverConfig, solve
+from .solver import SolveOutcome, SolverConfig, solve
 
 MAX_CHAIN_DEPTH = 8
 
@@ -158,14 +158,16 @@ class _Detector:
     whole chain reads as a sequence of single-clause removals.  Clauses
     still being worked on (``stack``) stay visible as threats but may not
     be discharged or serve as subsumption witnesses; ``dead`` clauses
-    were taken out by earlier passes and are invisible entirely.
+    were taken out by earlier passes and are invisible entirely.  ``dead``
+    is the engine's live set, read rather than copied: clauses retire only
+    between passes.
     """
 
     def __init__(
         self,
         problem: CnfProblem,
         trail: Assignment,
-        dead: frozenset[int],
+        dead: AbstractSet[int],
         allow_local_targets: bool,
         tick: Optional[Callable[[], None]] = None,
     ):
@@ -319,7 +321,6 @@ class _Engine:
         self.unsat_closed = False
         self.free_order = sorted(self.F.free_vars)
         self.quant_order = sorted(self.F.quantified)
-        self._alive_cache: Optional[CnfProblem] = None
         # How often each clause content has been added during solving;
         # a target content coming back a third time is eliminated by
         # resolution instead of another branching pass.
@@ -338,26 +339,11 @@ class _Engine:
 
     def retire(self, index: int) -> None:
         self.dead.add(index)
-        self._alive_cache = None
         self.derivation.append({"event": "retired", "index": index})
-
-    def alive_problem(self) -> CnfProblem:
-        """The working formula without the clauses already taken out."""
-        if not self.dead:
-            return self.F
-        if self._alive_cache is None:
-            clauses = [
-                c for i, c in enumerate(self.F.clauses) if i not in self.dead
-            ]
-            self._alive_cache = CnfProblem(
-                self.F.var_count, clauses, self.F.quantified
-            )
-        return self._alive_cache
 
     def _add_clause(self, clause: Clause, tainted: bool) -> int:
         idx = self.F.add_clause(clause)
         self.index_of[id(clause)] = idx
-        self._alive_cache = None
         self.births[clause.literal_set] += 1
         if tainted:
             self.tainted.add(idx)
@@ -382,7 +368,7 @@ class _Engine:
             return DSequent(
                 (), target, len(self.F.clauses), "conflict", tuple(self.dead)
             )
-        res = propagate(self.alive_problem(), (), Assignment(), decisions)
+        res = propagate(self.F, (), Assignment(), decisions, self.dead)
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
 
@@ -392,7 +378,7 @@ class _Engine:
         detector = _Detector(
             self.F,
             trail,
-            dead=frozenset(self.dead),
+            dead=self.dead,
             allow_local_targets=True,
             tick=self.tick,
         )
@@ -468,12 +454,16 @@ class _Engine:
         """Index of a live clause with the derived clause's exact content.
 
         The target itself never counts: the clause justifying its removal
-        must be one that stays behind.
+        must be one that stays behind.  A twin is on every literal's
+        occurrence list, which is ascending, so the first hit is the lowest
+        index; only the empty clause, with no literal, scans every index.
         """
-        for j, c in enumerate(self.F.clauses):
+        lits = derived.literals
+        candidates = self.F.occurrences(lits[0]) if lits else range(len(self.F.clauses))
+        for j in candidates:
             if j == target or j in self.dead:
                 continue
-            if c.literal_set == derived.literal_set:
+            if self.F.clauses[j].literal_set == derived.literal_set:
                 return j
         return None
 
@@ -624,6 +614,16 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
     )
 
 
+def bounded_solve(
+    var_count: int, clauses: list[Clause], limit: int, what: str
+) -> SolveOutcome:
+    """Solve ``clauses`` in ``limit`` steps, or raise StepLimitError naming ``what``."""
+    out = solve(CnfProblem(var_count, clauses), SolverConfig(step_limit=limit))
+    if out.status == "unknown":
+        raise StepLimitError(f"{what} hit the step limit")
+    return out
+
+
 class _NotRedundant(Exception):
     def __init__(self, model):
         self.model = model
@@ -641,16 +641,16 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     if config is None:
         config = PqeConfig()
     base = pqe.problem
-    kept = [c for i, c in enumerate(base.clauses) if i not in set(pqe.targets)]
+    targets = set(pqe.targets)
+    kept = [c for i, c in enumerate(base.clauses) if i not in targets]
 
     def check(h: Clause) -> None:
         units = [Clause([-lit], "input") for lit in h.literals]
-        probe = CnfProblem(base.var_count, kept + units)
-        out = solve(probe, SolverConfig(step_limit=config.step_limit))
+        out = bounded_solve(
+            base.var_count, kept + units, config.step_limit, "redundancy probe"
+        )
         if out.status == "sat":
             raise _NotRedundant(out.model)
-        if out.status == "unknown":
-            raise StepLimitError("satisfiability probe hit the step limit")
 
     probing = replace(config, on_solution_clause=check)
     try:

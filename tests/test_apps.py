@@ -23,6 +23,7 @@ from pqesat.circuits import (
 from pqesat.cnf import Clause, CnfProblem
 from pqesat.fuzzing import random_interp_split
 from pqesat.oracle import bfs_reach, enum_sat, implies
+from pqesat.pqe import PqeConfig, StepLimitError
 
 from oracle_helpers import extension_holds, projected_models
 
@@ -227,6 +228,11 @@ def test_eq_check_flags_constant_circuits():
     res = eq_check(EqCheckInstance(plain, const0))
     assert res.verdict == "constant_circuit"
     assert res.constant == "m2 is constant 0"
+
+
+def test_eq_check_constant_probe_respects_the_step_limit():
+    with pytest.raises(StepLimitError, match="constant probe of the m1 circuit"):
+        eq_check(EqCheckInstance(AND_DIRECT, OR_DIRECT), PqeConfig(step_limit=0))
 
 
 def test_eq_check_validates_shapes():

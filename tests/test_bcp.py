@@ -56,6 +56,26 @@ def test_propagate_satisfied_clauses_never_fire():
     assert res.trail.items() == [(1, True), (3, True)]
 
 
+def test_propagate_skips_a_clause_that_would_be_the_conflict():
+    # Both clauses are falsified; with the first skipped the second is
+    # the conflict.
+    p = CnfProblem(2, [Clause([-1]), Clause([-1, -2])])
+    decisions = [(1, True), (2, True)]
+    assert propagate(p, [], Assignment(), decisions).conflict is p.clauses[0]
+    res = propagate(p, [], Assignment(), decisions, {0})
+    assert res.conflict is p.clauses[1]
+
+
+def test_propagate_skips_a_clause_that_would_be_the_first_unit():
+    # The skipped clause never fires, so 2 stays open and the second
+    # clause propagates 3.
+    p = CnfProblem(3, [Clause([-1, 2]), Clause([-1, 3])])
+    res = propagate(p, [], Assignment(), [(1, True)], {0})
+    assert not res.is_conflict
+    assert res.trail.items() == [(1, True), (3, True)]
+    assert res.trail.bindings[-1].reason is p.clauses[1]
+
+
 def test_propagate_no_unit_no_conflict():
     p = CnfProblem(3, [Clause([1, 2, 3])])
     res = propagate(p, [], Assignment(), [(1, False)])

@@ -233,6 +233,18 @@ def test_unsat_quantified_block_yields_the_empty_clause():
         assert check_dsequent(sol.formula, d)
 
 
+def test_an_empty_live_clause_is_reused_as_the_conflict_twin():
+    # The empty clause falsifies at the root; it is already in the formula
+    # and is not the target, so the conflict reuses it instead of adding
+    # a copy.
+    p = CnfProblem(2, [Clause([1, 2]), Clause([])], frozenset({1}))
+    sol = take_out(PqeProblem(p, (0,)))
+    event = sol.derivation[0]
+    assert event["event"] == "conflict_clause"
+    assert (event["index"], event["reused"], event["clause"]) == (1, True, [])
+    assert len(sol.formula.clauses) == 2
+
+
 def test_projection_fallback_run_pinned():
     """A run whose per-target passes keep re-deriving the same content.
 
@@ -327,6 +339,14 @@ def test_decide_redundant_agrees_with_projection_oracle():
         )
         want = qe_enum(pq.problem) == qe_enum(reduced)
         assert decide_redundant(pq) == want
+
+
+def test_decide_redundant_redundancy_probe_respects_the_step_limit():
+    # A target free of quantified variables goes straight to the solution,
+    # so the redundancy probe runs before the engine takes a step.
+    p = CnfProblem(2, [Clause([1]), Clause([1, 2])], frozenset({2}))
+    with pytest.raises(StepLimitError, match="redundancy probe"):
+        decide_redundant(PqeProblem(p, (0,)), PqeConfig(step_limit=0))
 
 
 def test_sat_by_pqe_satisfiable():

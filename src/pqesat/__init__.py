@@ -20,8 +20,6 @@ from .cnf import (
     CnfProblem,
     ResolutionError,
     cluster_of,
-    cofactor_clause,
-    cofactor_formula,
     format_dimacs,
     is_blocked,
     parse_dimacs,
@@ -87,8 +85,6 @@ __all__ = [
     "CnfProblem",
     "ResolutionError",
     "cluster_of",
-    "cofactor_clause",
-    "cofactor_formula",
     "format_dimacs",
     "is_blocked",
     "parse_dimacs",

@@ -147,9 +147,10 @@ class EqCheckResult:
     steps: int = 0
 
 
-def _probe_constant(nl: Netlist, label: str, limit: int) -> Optional[str]:
-    problem, vmap = tseitin_encode(nl)
-    w = vmap.outputs[0]
+def _probe_constant(
+    problem: CnfProblem, w: int, label: str, limit: int
+) -> Optional[str]:
+    """Which constant, if any, the encoded circuit with output ``w`` computes."""
     what = f"constant probe of the {label} circuit"
     for value, forced in ((0, Clause([w])), (1, Clause([-w]))):
         clauses = list(problem.clauses) + [forced]
@@ -173,13 +174,13 @@ def eq_check(
     """
     if config is None:
         config = PqeConfig()
-    for label, nl in (("m1", inst.m1), ("m2", inst.m2)):
-        verdict = _probe_constant(nl, label, config.step_limit)
+    f1, map1 = tseitin_encode(inst.m1)
+    f2, map2 = tseitin_encode(inst.m2)
+    for label, f, vmap in (("m1", f1, map1), ("m2", f2, map2)):
+        verdict = _probe_constant(f, vmap.outputs[0], label, config.step_limit)
         if verdict is not None:
             return EqCheckResult("constant_circuit", constant=verdict)
 
-    f1, map1 = tseitin_encode(inst.m1)
-    f2, map2 = tseitin_encode(inst.m2)
     offset = f1.var_count
 
     def shift(c: Clause) -> Clause:

@@ -109,7 +109,7 @@ def resolve_to_base(
         current = resolve(current, pivot.reason, pivot.var)
         if steps is not None:
             steps.append((pivot.reason, pivot.var))
-    return Clause(current.literals, origin="learned")
+    return Clause(current.literals)
 
 
 def analyze_conflict(
@@ -122,7 +122,8 @@ def analyze_conflict(
     peel off everything this call propagated, so the result is falsified
     by the caller's context plus this call's decisions.  With no
     propagated literal involved, the falsified clause itself comes back
-    (as a learned-origin copy).
+    as a fresh copy: the PQE engine maps clause objects to their indices
+    by identity, so a derived clause must never be a formula member.
     """
     if result.conflict is None:
         raise ValueError("analyze_conflict needs a conflicting result")

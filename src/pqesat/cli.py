@@ -42,7 +42,7 @@ from .circuits import (
     parse_netlist_file,
 )
 from .cnf import Clause, CnfError, mentioned_variables, parse_dimacs_file
-from .oracle import GuardError, enum_sat, verify_pqe
+from .oracle import MAX_SAT_VARS, GuardError, enum_sat, verify_pqe
 from . import fuzzing
 from .pqe import PqeConfig, PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
 from .solver import SolverConfig, solve
@@ -62,7 +62,7 @@ def _clause_line(clause: Clause) -> str:
 
 def _model_line(model: dict[int, bool]) -> str:
     lits = [v if model[v] else -v for v in sorted(model)]
-    return "v " + " ".join(str(lit) for lit in lits) + " 0"
+    return " ".join(["v", *map(str, lits), "0"])
 
 
 def _int_token(tok: str, line: str) -> int:
@@ -252,9 +252,13 @@ def cmd_propgen(args) -> int:
 
 def cmd_fuzz(args) -> int:
     # The generators draw at least three variables, and pqe mode at least
-    # as many clauses as variables (capped at 10).
+    # as many clauses as variables (capped at 10).  Sat mode checks every
+    # draw by enumeration, which stops at MAX_SAT_VARS.
     if args.vars < 3:
         print("error: --vars must be at least 3", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode == "sat" and args.vars > MAX_SAT_VARS:
+        print(f"error: sat mode needs --vars <= {MAX_SAT_VARS}", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == "pqe" and args.clauses < min(args.vars, 10):
         print("error: pqe mode needs --clauses >= min(--vars, 10)", file=sys.stderr)

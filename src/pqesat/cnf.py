@@ -32,15 +32,11 @@ class Clause:
     hashing ignore order: two clauses are equal iff they hold the same set
     of literals.  Tautologies (v and -v together) are rejected outright
     since no algorithm here has a use for them.
-
-    The ``origin`` tag records where a clause came from ("input" for
-    clauses of the original formula, "learned" for derived ones).  It is
-    bookkeeping only and does not participate in equality.
     """
 
-    __slots__ = ("literals", "literal_set", "origin")
+    __slots__ = ("literals", "literal_set")
 
-    def __init__(self, literals: Iterable[Literal], origin: str = "input"):
+    def __init__(self, literals: Iterable[Literal]):
         seen = []
         seen_set = set()
         for lit in literals:
@@ -55,7 +51,6 @@ class Clause:
                 seen_set.add(lit)
         self.literals: tuple[Literal, ...] = tuple(seen)
         self.literal_set: frozenset[Literal] = frozenset(seen_set)
-        self.origin = origin
 
     def variables(self) -> frozenset[Variable]:
         return frozenset(abs(lit) for lit in self.literals)
@@ -125,9 +120,6 @@ class CnfProblem:
     def free_vars(self) -> frozenset[Variable]:
         return frozenset(range(1, self.var_count + 1)) - self.quantified
 
-    def is_quantified(self, v: Variable) -> bool:
-        return v in self.quantified
-
     def add_clause(self, clause: Clause) -> int:
         """Append a clause and return its index."""
         for lit in clause:
@@ -193,9 +185,6 @@ class Assignment:
 
     def is_assigned(self, v: Variable) -> bool:
         return v in self.true_lits or v in self.false_lits
-
-    def satisfies_literal(self, lit: Literal) -> bool:
-        return lit in self.true_lits
 
     def falsifies_literal(self, lit: Literal) -> bool:
         return lit in self.false_lits
@@ -354,36 +343,6 @@ def mentioned_variables(problem: CnfProblem) -> frozenset[Variable]:
     return frozenset(abs(lit) for c in problem.clauses for lit in c)
 
 
-def cofactor_clause(clause: Clause, assignment: Assignment) -> Optional[Clause]:
-    """Restrict a clause to an assignment.
-
-    Returns None when the assignment satisfies the clause, otherwise the
-    clause with its falsified literals removed.
-    """
-    if assignment.satisfies_clause(clause):
-        return None
-    kept = [lit for lit in clause if not assignment.falsifies_literal(lit)]
-    return Clause(kept, origin=clause.origin)
-
-
-def cofactor_formula(problem: CnfProblem, assignment: Assignment) -> CnfProblem:
-    """Restrict a formula to an assignment.
-
-    Satisfied clauses are dropped; the rest lose their falsified literals.
-    Assigned variables leave the quantified set.  The variable numbering is
-    unchanged, so clauses of the result are comparable with the original's.
-    """
-    kept = []
-    for c in problem.clauses:
-        restricted = cofactor_clause(c, assignment)
-        if restricted is not None:
-            kept.append(restricted)
-    assigned = {b.var for b in assignment.bindings}
-    return CnfProblem(
-        problem.var_count, kept, problem.quantified - assigned
-    )
-
-
 def resolve(c1: Clause, c2: Clause, v: Variable) -> Clause:
     """Resolve two clauses on variable v.
 
@@ -400,7 +359,7 @@ def resolve(c1: Clause, c2: Clause, v: Variable) -> Clause:
         )
     merged = [lit for lit in c1 if abs(lit) != v]
     merged += [lit for lit in c2 if abs(lit) != v and lit not in merged]
-    return Clause(merged, origin="learned")
+    return Clause(merged)
 
 
 def is_blocked(
@@ -436,11 +395,7 @@ def is_blocked(
     return True
 
 
-def cluster_of(
-    problem: CnfProblem,
-    index: int,
-    skip_indices: frozenset[int] = frozenset(),
-) -> list[int]:
+def cluster_of(problem: CnfProblem, index: int) -> list[int]:
     """Indices of the clause cluster seeded at ``index``.
 
     The cluster holds the seed clause plus every formula clause sharing at
@@ -448,4 +403,4 @@ def cluster_of(
     The seed comes first, remaining members follow in index order.
     """
     shared = {j for lit in problem.clauses[index] for j in problem.occurrences(lit)}
-    return [index] + sorted(shared - skip_indices - {index})
+    return [index] + sorted(shared - {index})

@@ -168,13 +168,11 @@ class _Detector:
         problem: CnfProblem,
         trail: Assignment,
         dead: AbstractSet[int],
-        allow_local_targets: bool,
         tick: Optional[Callable[[], None]] = None,
     ):
         self.problem = problem
         self.trail = trail
         self.dead = dead
-        self.allow_local = allow_local_targets
         self.tick = tick
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
@@ -245,11 +243,7 @@ class _Detector:
                 )
                 if clash:
                     continue
-                if (
-                    self.allow_local
-                    and j not in stack
-                    and depth < MAX_CHAIN_DEPTH
-                ):
+                if j not in stack and depth < MAX_CHAIN_DEPTH:
                     sub = self._discharge(j, stack | {index}, rm, depth + 1)
                     if sub is not None:
                         sub_bindings, sub_rm = sub
@@ -279,17 +273,12 @@ def atomic_dsequent(
 ) -> Optional[DSequent]:
     """Try the syntactic redundancy detectors on one clause.
 
-    The subspace assignment should consist of plain decisions.  Returns a
-    D-sequent whose subspace is the subset of bindings the detection
-    actually relied on, or None when no detector applies.
+    The subspace assignment should consist of plain decisions.  Detection
+    is the engine's own, so it may discharge chains of other clauses on the
+    way.  Returns a D-sequent whose subspace is the subset of bindings the
+    detection actually relied on, or None when no detector applies.
     """
-    det = _Detector(
-        problem,
-        subspace,
-        dead=frozenset(),
-        allow_local_targets=False,
-    )
-    got = det.detect(index)
+    got = _Detector(problem, subspace, dead=frozenset()).detect(index)
     if got is None:
         return None
     bindings, rationale = got
@@ -305,7 +294,7 @@ class _Engine:
         # the caller reused objects between positions.
         self.F = CnfProblem(
             base.var_count,
-            [Clause(c.literals, c.origin) for c in base.clauses],
+            [Clause(c.literals) for c in base.clauses],
             base.quantified,
         )
         self.config = config
@@ -375,14 +364,7 @@ class _Engine:
         trail = Assignment(
             [Binding(v, val, decision=True) for v, val in decisions]
         )
-        detector = _Detector(
-            self.F,
-            trail,
-            dead=self.dead,
-            allow_local_targets=True,
-            tick=self.tick,
-        )
-        got = detector.detect(target)
+        got = _Detector(self.F, trail, dead=self.dead, tick=self.tick).detect(target)
         if got is not None:
             bindings, rationale = got
             d = DSequent(
@@ -518,7 +500,7 @@ class _Engine:
         )
         for s in order:
             literals = sorted(s, key=lambda l: (abs(l), l < 0))
-            clause = Clause(literals, "learned")
+            clause = Clause(literals)
             if self._alive_twin(clause, -1) is not None:
                 continue
             idx = self._add_clause(clause, tainted=True)
@@ -645,7 +627,7 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     kept = [c for i, c in enumerate(base.clauses) if i not in targets]
 
     def check(h: Clause) -> None:
-        units = [Clause([-lit], "input") for lit in h.literals]
+        units = [Clause([-lit]) for lit in h.literals]
         out = bounded_solve(
             base.var_count, kept + units, config.step_limit, "redundancy probe"
         )

@@ -160,7 +160,7 @@ def build_induction_clause(
                     for b in cert:
                         if abs(b) not in c.variables():
                             take(b)
-    return Clause(lits, origin="learned")
+    return Clause(lits)
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,13 @@ class _StepLimit(Exception):
 
 class _Solver:
     def __init__(self, problem: CnfProblem, config: SolverConfig):
-        self.F = problem.copy()
+        # Only learn_to="F" grows the formula, so only it needs a copy.
+        self.F = problem.copy() if config.learn_to == "F" else problem
         self.config = config
         self.learned: list[Clause] = []
         self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
-        self.iteration = 0
 
     def run(self) -> SolveOutcome:
         try:
@@ -231,10 +231,9 @@ class _Solver:
         )
 
     def _record(self, spec, certificate, induction, action):
-        self.iteration += 1
         self.trace.append(
             {
-                "iter": self.iteration,
+                "iter": len(self.trace) + 1,
                 "clause": spec.clause_index + 1,
                 "literal": spec.literal,
                 "certificate": (

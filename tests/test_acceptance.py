@@ -135,10 +135,10 @@ def test_criterion_3_worked_micro_examples():
     # cut clause through that point closes the conjunction.
     cluster = [Clause([1, -2]), Clause([1, 5]), Clause([-2, -6, 8])]
     learned = [
-        Clause([-1, -2], "learned"),
-        Clause([1, 2], "learned"),
-        Clause([-1, 5], "learned"),
-        Clause([2, -6, 8], "learned"),
+        Clause([-1, -2]),
+        Clause([1, 2]),
+        Clause([-1, 5]),
+        Clause([2, -6, 8]),
     ]
     assert enum_sat(CnfProblem(8, learned)) is not None
     model = enum_sat(CnfProblem(8, learned + cluster))
@@ -169,9 +169,9 @@ def test_criterion_3_worked_micro_examples():
         ]
     )
     side = [
-        Clause([3, 10], "learned"),
-        Clause([2, 4], "learned"),
-        Clause([4, -6, 8], "learned"),
+        Clause([3, 10]),
+        Clause([2, 4]),
+        Clause([4, -6, 8]),
     ]
     got = build_induction_clause(formula, side, trail, 0)
     assert got.literals == (-1, 10, 4, -9)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pqesat import apps
 from pqesat.apps import (
     AppError,
     EqCheckInstance,
@@ -19,6 +20,7 @@ from pqesat.circuits import (
     TransitionSystem,
     add_stutter,
     parse_netlist,
+    tseitin_encode,
 )
 from pqesat.cnf import Clause, CnfProblem
 from pqesat.fuzzing import random_interp_split
@@ -228,6 +230,20 @@ def test_eq_check_flags_constant_circuits():
     res = eq_check(EqCheckInstance(plain, const0))
     assert res.verdict == "constant_circuit"
     assert res.constant == "m2 is constant 0"
+
+
+def test_eq_check_encodes_each_circuit_once(monkeypatch):
+    encoded = []
+
+    def counting(nl):
+        encoded.append(nl)
+        return tseitin_encode(nl)
+
+    monkeypatch.setattr(apps, "tseitin_encode", counting)
+    res = eq_check(EqCheckInstance(AND_DIRECT, OR_DIRECT))
+    assert res.verdict == "inequivalent"
+    assert len(encoded) == 2
+    assert encoded[0] is AND_DIRECT and encoded[1] is OR_DIRECT
 
 
 def test_eq_check_constant_probe_respects_the_step_limit():

@@ -33,7 +33,7 @@ def test_propagate_decisions_then_conflict():
 
 def test_propagate_scans_formula_before_learned():
     p = CnfProblem(2, [Clause([-1, 2])])
-    learned = [Clause([2], "learned")]
+    learned = [Clause([2])]
     res = propagate(p, [], Assignment(), [(1, True)])
     assert res.trail.bindings[-1].reason is p.clauses[0]
     res = propagate(p, learned, Assignment(), [])
@@ -96,7 +96,6 @@ def test_analyze_conflict_resolves_out_propagated_literals():
     steps = []
     learned = analyze_conflict(res, steps)
     assert learned.literals == (2, 1)
-    assert learned.origin == "learned"
     assert steps == [(p.clauses[1], 4)]
     assert res.trail.falsifies_clause(learned)
 
@@ -107,7 +106,7 @@ def test_analyze_conflict_without_propagated_literals():
     steps = []
     learned = analyze_conflict(res, steps)
     assert learned == Clause([1, 2])
-    assert learned.origin == "learned"
+    assert learned is not p.clauses[0]
     assert steps == []
 
 

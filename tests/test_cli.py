@@ -52,6 +52,15 @@ def test_sat_unsatisfiable(tmp_path, capsys):
     assert out == "s UNSATISFIABLE\n"
 
 
+def test_sat_model_line_for_the_empty_formula(tmp_path, capsys):
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 0 0\n")
+    for command in ("sat", "sat-oracle"):
+        code, out, _ = run_cli(capsys, [command, str(f)])
+        assert code == 10
+        assert out == "s SATISFIABLE\nv 0\n"
+
+
 def test_sat_oracle_agrees(tmp_path, capsys):
     f = tmp_path / "f.cnf"
     f.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
@@ -335,6 +344,20 @@ def test_fuzz_rejects_too_few_variables(capsys):
     assert out == ""
     assert err.startswith("error:") and "--vars" in err
     code, out, _ = run_cli(capsys, ["fuzz", "--vars", "3", "--count", "5"])
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+
+
+def test_fuzz_sat_mode_rejects_more_variables_than_enumeration_takes(capsys):
+    # Sat mode checks each draw by enumeration, which stops at 24 variables;
+    # pqe mode draws at most 10 whatever --vars says.
+    code, out, err = run_cli(capsys, ["fuzz", "--vars", "25"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--vars" in err
+    code, out, _ = run_cli(
+        capsys, ["fuzz", "--mode", "pqe", "--vars", "30", "--count", "3"]
+    )
     assert code == 0
     assert out.splitlines()[-1] == "discrepancies: 0"
 

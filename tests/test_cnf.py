@@ -12,8 +12,6 @@ from pqesat.cnf import (
     CnfProblem,
     ResolutionError,
     cluster_of,
-    cofactor_clause,
-    cofactor_formula,
     format_dimacs,
     is_blocked,
     parse_dimacs,
@@ -31,10 +29,6 @@ def test_clause_equality_ignores_order():
     assert Clause([1, 2]) == Clause([2, 1])
     assert hash(Clause([1, 2])) == hash(Clause([2, 1]))
     assert Clause([1, 2]) != Clause([1, -2])
-
-
-def test_clause_origin_is_bookkeeping_only():
-    assert Clause([1], "learned") == Clause([1], "input")
 
 
 def test_clause_rejects_tautology_and_zero():
@@ -60,8 +54,6 @@ def test_problem_checks_variable_range():
 def test_free_vars():
     p = CnfProblem(4, [], frozenset({2, 4}))
     assert p.free_vars == frozenset({1, 3})
-    assert p.is_quantified(2)
-    assert not p.is_quantified(1)
 
 
 def test_add_clause_returns_index():
@@ -77,7 +69,6 @@ def test_assignment_trail_order_and_lookup():
     assert a.items() == [(2, True), (1, False)]
     assert a.value(2) is True
     assert a.value(3) is None
-    assert a.satisfies_literal(2)
     assert a.falsifies_literal(-2)
     assert a.first_true_literal(Clause([-1, 2])) == 2
     with pytest.raises(CnfError):
@@ -176,7 +167,6 @@ def test_format_round_trip():
 def test_resolve():
     got = resolve(Clause([2, -4]), Clause([1, 4]), 4)
     assert got.literals == (2, 1)
-    assert got.origin == "learned"
 
 
 def test_resolve_rejects_bad_pivots():
@@ -184,24 +174,6 @@ def test_resolve_rejects_bad_pivots():
         resolve(Clause([1, 2]), Clause([-1, -2]), 1)  # two clashes
     with pytest.raises(ResolutionError):
         resolve(Clause([1, 2]), Clause([1, 3]), 1)  # no clash
-
-
-def test_cofactor_clause():
-    a = Assignment([Binding(1, False)])
-    assert cofactor_clause(Clause([1, 2]), a).literals == (2,)
-    assert cofactor_clause(Clause([-1, 2]), a) is None
-
-
-def test_cofactor_formula():
-    p = CnfProblem(
-        3,
-        [Clause([1, 2]), Clause([-1, 3]), Clause([2, 3])],
-        frozenset({1, 2}),
-    )
-    a = Assignment([Binding(1, False)])
-    got = cofactor_formula(p, a)
-    assert [c.literals for c in got.clauses] == [(2,), (2, 3)]
-    assert got.quantified == frozenset({2})
 
 
 def test_is_blocked():
@@ -238,7 +210,6 @@ def test_cluster_collects_identical_literal_sharers():
         ],
     )
     assert cluster_of(p, 0) == [0, 1, 2, 3]
-    assert cluster_of(p, 0, skip_indices=frozenset({2})) == [0, 1, 3]
 
 
 def test_cluster_seed_comes_first():
@@ -246,12 +217,12 @@ def test_cluster_seed_comes_first():
     assert cluster_of(p, 1) == [1, 0, 2]
 
 
-def _scan_cluster(problem, index, skip_indices=frozenset()):
+def _scan_cluster(problem, index):
     """The plain scan the occurrence index replaced, kept as the reference."""
     seed = problem.clauses[index]
     members = [index]
     for i, other in enumerate(problem.clauses):
-        if i == index or i in skip_indices:
+        if i == index:
             continue
         if seed.literal_set & other.literal_set:
             members.append(i)
@@ -273,8 +244,6 @@ def _assert_index_matches_clauses(p):
         assert p.occurrences(lit) == want
     for i in range(len(p.clauses)):
         assert cluster_of(p, i) == _scan_cluster(p, i)
-        skip = frozenset(range(0, len(p.clauses), 2))
-        assert cluster_of(p, i, skip) == _scan_cluster(p, i, skip)
 
 
 @settings(max_examples=60, deadline=None)

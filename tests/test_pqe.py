@@ -118,6 +118,16 @@ def test_atomic_returns_none_when_nothing_applies():
     assert atomic_dsequent(p, 0, Assignment()) is None
 
 
+def test_atomic_blocked_through_a_discharged_partner():
+    # The partner (-1 or 3) does not clash, but it is itself blocked at the
+    # quantified 3, so the chain discharges it and clause 0 is blocked at 1.
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])], frozenset({1, 3}))
+    d = atomic_dsequent(p, 0, Assignment())
+    assert d.rationale == "blocked"
+    assert d.subspace == ()
+    assert check_dsequent(p, d)
+
+
 # ---------------------------------------------------------------------------
 # Problem plumbing.
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ def _coverage_fixture():
         ]
     )
     learned = [
-        Clause([3, 10], "learned"),
-        Clause([2, 4], "learned"),
-        Clause([4, -6, 8], "learned"),
+        Clause([3, 10]),
+        Clause([2, 4]),
+        Clause([4, -6, 8]),
     ]
     return problem, trail, learned
 
@@ -99,7 +99,7 @@ def test_certificate_for_each_required_pair():
 def test_certificate_for_returns_none_when_nothing_is_falsified():
     problem, trail, _ = _coverage_fixture()
     spec = specify_vicinity(problem, 0, 2, trail)
-    assert certificate_for(spec, [Clause([2, 3], "learned")], trail) is None
+    assert certificate_for(spec, [Clause([2, 3])], trail) is None
 
 
 def test_check_induction_fires_only_with_full_coverage():
@@ -115,7 +115,6 @@ def test_build_induction_clause():
     problem, trail, learned = _coverage_fixture()
     got = build_induction_clause(problem, learned, trail, 0)
     assert got.literals == (-1, 10, 4, -9)
-    assert got.origin == "learned"
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +125,10 @@ def test_build_induction_clause():
 def test_learned_set_restricts_cluster_models():
     cluster = [Clause([1, -2]), Clause([1, 5]), Clause([-2, -6, 8])]
     learned = [
-        Clause([-1, -2], "learned"),
-        Clause([1, 2], "learned"),
-        Clause([-1, 5], "learned"),
-        Clause([2, -6, 8], "learned"),
+        Clause([-1, -2]),
+        Clause([1, 2]),
+        Clause([-1, 5]),
+        Clause([2, -6, 8]),
     ]
     assert enum_sat(CnfProblem(8, learned)) is not None
     joint = CnfProblem(8, learned + cluster)
@@ -225,6 +224,16 @@ def test_nine_clause_learning_into_the_formula():
     assert len(grown.clauses) == len(NINE.clauses) + len(out.certificates)
     for c in [r.clause for r in out.certificates]:
         assert c in grown.clauses
+
+
+def test_learning_into_the_formula_leaves_the_callers_formula_alone():
+    p = parse_dimacs(INDUCTION_ON_ENTRY)
+    size = len(p.clauses)
+    out = solve(p, SolverConfig(learn_to="F"))
+    assert out.status == "unsat"
+    assert out.problem is not p
+    assert len(p.clauses) == size
+    assert len(out.problem.clauses) == size + len(out.certificates)
 
 
 def test_solve_agrees_with_enumeration_on_random_formulas():

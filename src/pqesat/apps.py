@@ -16,7 +16,7 @@ from typing import Optional
 from .circuits import Netlist, TransitionSystem, tseitin_encode, unroll
 from .cnf import Clause, CnfProblem, mentioned_variables
 from .oracle import implies
-from .pqe import PqeConfig, PqeProblem, bounded_solve, decide_redundant, take_out
+from .pqe import PqeConfig, PqeProblem, bounded_solve, decide_redundant, entails, take_out
 from .solver import solve  # noqa: F401  bench/spans.py wraps apps.solve by name
 
 
@@ -94,10 +94,11 @@ def interpolate(
 
     The solution mentions only shared variables; conjoined with B it has
     the same models over the shared-and-B variables as A with B.  When
-    every solution clause is implied by A alone, the result is a proper
-    interpolant (checked by the enumeration oracle, so side sizes fall
-    under its guard).
+    every solution clause is implied by A alone (checked by bounded
+    solver probes), the result is a proper interpolant.
     """
+    if config is None:
+        config = PqeConfig()
     n = max(inst.a.var_count, inst.b.var_count)
     quantified = (
         mentioned_variables(inst.a) | mentioned_variables(inst.b)
@@ -105,11 +106,12 @@ def interpolate(
     clauses = list(inst.a.clauses) + list(inst.b.clauses)
     problem = CnfProblem(n, clauses, quantified)
     sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), config)
-    status = "interpolant"
-    for c in sol.solution_clauses:
-        if not implies(inst.a, c):
-            status = "candidate_only"
-            break
+    a = inst.a
+    implied = all(
+        entails(a.var_count, a.clauses, c, config.step_limit, "interpolant probe")
+        for c in sol.solution_clauses
+    )
+    status = "interpolant" if implied else "candidate_only"
     return InterpolationResult(
         list(sol.solution_clauses), status, sol.derivation, sol.steps
     )
@@ -147,19 +149,6 @@ class EqCheckResult:
     steps: int = 0
 
 
-def _probe_constant(
-    problem: CnfProblem, w: int, label: str, limit: int
-) -> Optional[str]:
-    """Which constant, if any, the encoded circuit with output ``w`` computes."""
-    what = f"constant probe of the {label} circuit"
-    for value, forced in ((0, Clause([w])), (1, Clause([-w]))):
-        clauses = list(problem.clauses) + [forced]
-        outcome = bounded_solve(problem.var_count, clauses, limit, what)
-        if outcome.status == "unsat":
-            return f"{label} is constant {value}"
-    return None
-
-
 def eq_check(
     inst: EqCheckInstance, config: Optional[PqeConfig] = None
 ) -> EqCheckResult:
@@ -176,10 +165,12 @@ def eq_check(
         config = PqeConfig()
     f1, map1 = tseitin_encode(inst.m1)
     f2, map2 = tseitin_encode(inst.m2)
-    for label, f, vmap in (("m1", f1, map1), ("m2", f2, map2)):
-        verdict = _probe_constant(f, vmap.outputs[0], label, config.step_limit)
-        if verdict is not None:
-            return EqCheckResult("constant_circuit", constant=verdict)
+    for label, f, w in (("m1", f1, map1.outputs[0]), ("m2", f2, map2.outputs[0])):
+        what = f"constant probe of the {label} circuit"
+        for value, h in ((0, Clause([-w])), (1, Clause([w]))):
+            if entails(f.var_count, f.clauses, h, config.step_limit, what):
+                constant = f"{label} is constant {value}"
+                return EqCheckResult("constant_circuit", constant=constant)
 
     offset = f1.var_count
 
@@ -208,6 +199,7 @@ def eq_check(
         for c in sol.solution_clauses
     ]
     hprob = CnfProblem(2, small)
+    # Exact at two variables; bench/selftest.py also expects implies traced here.
     if implies(hprob, Clause([-1, 2])) and implies(hprob, Clause([1, -2])):
         return EqCheckResult("equivalent", solution=sol.solution_clauses,
                              steps=sol.steps)

@@ -254,15 +254,21 @@ def cmd_fuzz(args) -> int:
     # The generators draw at least three variables, and pqe mode at least
     # as many clauses as variables (capped at 10).  Sat mode checks every
     # draw by enumeration, which stops at MAX_SAT_VARS.
+    pqe_vars = min(args.vars, 10)
     if args.vars < 3:
         print("error: --vars must be at least 3", file=sys.stderr)
+        return EXIT_USAGE
+    if args.step_limit < 1:
+        print("error: --step-limit must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == "sat" and args.vars > MAX_SAT_VARS:
         print(f"error: sat mode needs --vars <= {MAX_SAT_VARS}", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode == "pqe" and args.clauses < min(args.vars, 10):
+    if args.mode == "pqe" and args.clauses < pqe_vars:
         print("error: pqe mode needs --clauses >= min(--vars, 10)", file=sys.stderr)
         return EXIT_USAGE
+    if args.mode == "pqe" and args.vars > pqe_vars:
+        print("note: pqe mode draws at most 10 variables", file=sys.stderr)
     rng = random.Random(args.seed)
     discrepancies = 0
     for index in range(args.count):
@@ -270,11 +276,14 @@ def cmd_fuzz(args) -> int:
             problem = fuzzing.random_cnf(rng, args.vars, args.clauses)
             outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
             expected = "sat" if enum_sat(problem) is not None else "unsat"
-            if outcome.status != expected:
+            if outcome.status == "unknown":
+                discrepancies += 1
+                print(f"instance {index}: step limit exhausted")
+            elif outcome.status != expected:
                 discrepancies += 1
                 print(f"instance {index}: solver={outcome.status} oracle={expected}")
         else:
-            instance = fuzzing.random_pqe(rng, min(args.vars, 10), args.clauses)
+            instance = fuzzing.random_pqe(rng, pqe_vars, args.clauses)
             try:
                 solution = take_out(instance, PqeConfig(step_limit=args.step_limit))
             except StepLimitError:

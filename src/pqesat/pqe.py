@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import AbstractSet, Callable, Optional
+from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import analyze_conflict, propagate
 from .cnf import Assignment, Binding, Clause, CnfProblem
@@ -159,8 +159,8 @@ class _Detector:
     still being worked on (``stack``) stay visible as threats but may not
     be discharged or serve as subsumption witnesses; ``dead`` clauses
     were taken out by earlier passes and are invisible entirely.  ``dead``
-    is the engine's live set, read rather than copied: clauses retire only
-    between passes.
+    is a live view of the engine's closed targets, read rather than
+    copied: targets close only between passes.
     """
 
     def __init__(
@@ -303,13 +303,14 @@ class _Engine:
         }
         self.targets: list[int] = []
         self.tainted: set[int] = set()
-        self.dead: set[int] = set()
+        # Closed targets' final D-sequents, in closing order; dead views the keys.
+        self.final: dict[int, DSequent] = {}
+        self.dead = self.final.keys()
         self.solution: list[Clause] = []
         self.derivation: list[dict] = []
         self.steps = 0
         self.unsat_closed = False
-        self.free_order = sorted(self.F.free_vars)
-        self.quant_order = sorted(self.F.quantified)
+        self.order = sorted(self.F.free_vars) + sorted(self.F.quantified)
         # How often each clause content has been added during solving;
         # a target content coming back a third time is eliminated by
         # resolution instead of another branching pass.
@@ -326,9 +327,25 @@ class _Engine:
         self.targets.append(index)
         self.tainted.add(index)
 
-    def retire(self, index: int) -> None:
-        self.dead.add(index)
-        self.derivation.append({"event": "retired", "index": index})
+    def close(self, d: DSequent) -> None:
+        """Record a target's final D-sequent, taking the target out."""
+        self.final[d.target] = d
+        self.derivation.append({"event": "retired", "index": d.target})
+
+    def dsequent(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
+        """A D-sequent about the current formula minus the closed targets."""
+        return DSequent(
+            tuple(subspace), target, len(self.F.clauses), rationale, tuple(self.dead)
+        )
+
+    def emit(self, clause: Clause, index: int, event: str) -> None:
+        """Add a clause over free variables only to the solution."""
+        self.solution.append(clause)
+        self.derivation.append(
+            {"event": event, "index": index, "clause": list(clause.literals)}
+        )
+        if self.config.on_solution_clause is not None:
+            self.config.on_solution_clause(clause)
 
     def _add_clause(self, clause: Clause, tainted: bool) -> int:
         idx = self.F.add_clause(clause)
@@ -337,12 +354,7 @@ class _Engine:
         if tainted:
             self.tainted.add(idx)
         if not clause.variables() & self.F.quantified:
-            self.solution.append(clause)
-            self.derivation.append(
-                {"event": "solution_clause", "index": idx, "clause": list(clause.literals)}
-            )
-            if self.config.on_solution_clause is not None:
-                self.config.on_solution_clause(clause)
+            self.emit(clause, idx, "solution_clause")
         return idx
 
     def node(self, decisions: list[tuple[int, bool]], target: int) -> DSequent:
@@ -354,9 +366,7 @@ class _Engine:
         """
         self.tick()
         if self.unsat_closed:
-            return DSequent(
-                (), target, len(self.F.clauses), "conflict", tuple(self.dead)
-            )
+            return self.dsequent((), target, "conflict")
         res = propagate(self.F, (), Assignment(), decisions, self.dead)
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
@@ -367,13 +377,7 @@ class _Engine:
         got = _Detector(self.F, trail, dead=self.dead, tick=self.tick).detect(target)
         if got is not None:
             bindings, rationale = got
-            d = DSequent(
-                tuple(sorted(bindings.items())),
-                target,
-                len(self.F.clauses),
-                rationale,
-                tuple(self.dead),
-            )
+            d = self.dsequent(bindings.items(), target, rationale)
             self.derivation.append(
                 {
                     "event": "atomic",
@@ -418,19 +422,18 @@ class _Engine:
                 "decisions": list(decisions),
             }
         )
-        size = len(self.F.clauses)
         if derived.is_empty():
             # The whole formula is unsatisfiable: the empty clause joins
             # the solution side and every target is redundant everywhere.
             self.unsat_closed = True
-            return DSequent((), target, size, "conflict", tuple(self.dead))
+            return self.dsequent((), target, "conflict")
         if twin is None and tainted and derived.variables() & self.F.quantified:
             # The derived clause leans on targets and still has quantified
             # variables, so it has to be taken out in a later pass.
             self.add_target(idx)
             self.derivation.append({"event": "new_target", "index": idx})
-        sub = tuple(sorted((abs(l), l < 0) for l in derived.literals))
-        return DSequent(sub, target, size, "conflict", tuple(self.dead))
+        sub = ((abs(l), l < 0) for l in derived.literals)
+        return self.dsequent(sub, target, "conflict")
 
     def _alive_twin(self, derived: Clause, target: int) -> Optional[int]:
         """Index of a live clause with the derived clause's exact content.
@@ -512,10 +515,7 @@ class _Engine:
 
     def _branch_var(self, decisions: list[tuple[int, bool]]) -> int:
         decided = {v for v, _ in decisions}
-        for v in self.free_order:
-            if v not in decided:
-                return v
-        for v in self.quant_order:
+        for v in self.order:
             if v not in decided:
                 return v
         raise AssertionError(
@@ -548,25 +548,19 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
     if config is None:
         config = PqeConfig()
     engine = _Engine(pqe, config)
-    final: dict[int, DSequent] = {}
     for t in pqe.targets:
         clause = engine.F.clauses[t]
         if not clause.variables() & engine.F.quantified:
             # Already free of quantified variables: it moves to the
             # solution verbatim and is trivially redundant afterwards.
-            engine.solution.append(clause)
-            engine.derivation.append(
-                {"event": "free_target", "index": t, "clause": list(clause.literals)}
-            )
-            if config.on_solution_clause is not None:
-                config.on_solution_clause(clause)
+            engine.emit(clause, t, "free_target")
         else:
             engine.add_target(t)
     # One pass per target, oldest first.  A pass may queue new targets;
     # each later pass runs on the formula left by the ones before it,
     # with the clauses they took out retired.
     while True:
-        pending = [t for t in engine.targets if t not in final]
+        pending = [t for t in engine.targets if t not in engine.final]
         if not pending:
             break
         t = pending[0]
@@ -576,19 +570,16 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
             # it: eliminate the quantified block outright, which makes
             # every pending target redundant in one stroke.
             engine.project_out_remaining()
-            size = len(engine.F.clauses)
             for p in pending:
-                final[p] = DSequent((), p, size, "projected", tuple(engine.dead))
-                engine.retire(p)
+                engine.close(engine.dsequent((), p, "projected"))
             continue
         d = engine.node([], t)
         if d.subspace != ():
             raise AssertionError(f"target {t} left with nonempty subspace {d}")
-        final[t] = d
-        engine.retire(t)
+        engine.close(d)
     return PqeSolution(
         solution_clauses=list(engine.solution),
-        final_dsequents=final,
+        final_dsequents=engine.final,
         grown_targets=[t for t in engine.targets if t not in pqe.targets],
         derivation=engine.derivation,
         formula=engine.F,
@@ -606,9 +597,21 @@ def bounded_solve(
     return out
 
 
+def entails(
+    var_count: int, clauses: list[Clause], h: Clause, limit: int, what: str
+) -> bool:
+    """Does every model of ``clauses`` satisfy ``h``?
+
+    Asks the solver, within ``limit`` steps, whether ``clauses`` plus one
+    unit per negated literal of ``h`` (in ``h``'s order) is unsatisfiable.
+    Raises StepLimitError naming ``what`` when the budget runs out.
+    """
+    units = [Clause([-lit]) for lit in h.literals]
+    return bounded_solve(var_count, [*clauses, *units], limit, what).status == "unsat"
+
+
 class _NotRedundant(Exception):
-    def __init__(self, model):
-        self.model = model
+    pass
 
 
 def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> bool:
@@ -623,16 +626,11 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     if config is None:
         config = PqeConfig()
     base = pqe.problem
-    targets = set(pqe.targets)
-    kept = [c for i, c in enumerate(base.clauses) if i not in targets]
+    kept = [c for i, c in enumerate(base.clauses) if i not in pqe.targets]
 
     def check(h: Clause) -> None:
-        units = [Clause([-lit]) for lit in h.literals]
-        out = bounded_solve(
-            base.var_count, kept + units, config.step_limit, "redundancy probe"
-        )
-        if out.status == "sat":
-            raise _NotRedundant(out.model)
+        if not entails(base.var_count, kept, h, config.step_limit, "redundancy probe"):
+            raise _NotRedundant
 
     probing = replace(config, on_solution_clause=check)
     try:

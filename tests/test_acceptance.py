@@ -290,6 +290,8 @@ def test_criterion_7_interpolation_extension_property():
                     n, list(res.candidate) + list(inst.b.clauses)
                 )
                 assert enum_sat(refut) is None
+        else:
+            assert not all(implies(inst.a, c) for c in res.candidate)
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     summary = ", ".join(f"{k} {v}" for k, v in sorted(statuses.items()))

@@ -167,6 +167,16 @@ def test_candidate_can_lean_on_b():
     assert extension_holds(inst, res.candidate)
 
 
+def test_interpolant_status_holds_beyond_the_enumeration_guard():
+    # Variables are numbered up to 26, past the enumeration oracle's 24;
+    # the status comes from solver probes, so the size does not matter.
+    a = CnfProblem(26, [Clause([1]), Clause([-1, 2])])
+    b = CnfProblem(26, [Clause([-2, 26])])
+    res = interpolate(InterpolationInstance(a, b, frozenset({2})))
+    assert res.status == "interpolant"
+    assert res.candidate == [Clause([2])]
+
+
 def test_interpolation_random_splits_keep_the_extension_property():
     rng = random.Random(7)
     done = 0

@@ -295,6 +295,16 @@ def test_interp_cli(tmp_path, capsys):
     assert out.splitlines() == ["status: interpolant", "2 0", "3 -2 0"]
 
 
+def test_interp_cli_beyond_the_enumeration_guard(tmp_path, capsys):
+    a = tmp_path / "a.cnf"
+    a.write_text("p cnf 26 2\n1 0\n-1 2 0\n")
+    b = tmp_path / "b.cnf"
+    b.write_text("p cnf 26 1\n-2 26 0\n")
+    code, out, _ = run_cli(capsys, ["interp", str(a), str(b)])
+    assert code == 0
+    assert out.splitlines() == ["status: interpolant", "2 0"]
+
+
 def test_eqcheck_cli(tmp_path, capsys):
     first = tmp_path / "and.net"
     first.write_text("input a\ninput b\ngate z = AND(a, b)\noutput z\n")
@@ -360,6 +370,37 @@ def test_fuzz_sat_mode_rejects_more_variables_than_enumeration_takes(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "discrepancies: 0"
+
+
+def test_fuzz_pqe_mode_notes_the_variable_cap(capsys):
+    argv = ["fuzz", "--mode", "pqe", "--count", "3", "--vars"]
+    code, out, err = run_cli(capsys, argv + ["30"])
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+    assert err == "note: pqe mode draws at most 10 variables\n"
+    code, out, err = run_cli(capsys, argv + ["8"])
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+    assert err == ""
+
+
+def test_fuzz_rejects_a_step_limit_below_one(capsys):
+    for limit in ("0", "-5"):
+        code, out, err = run_cli(capsys, ["fuzz", "--step-limit", limit])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--step-limit" in err
+
+
+def test_fuzz_sat_mode_reports_an_exhausted_step_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, ["fuzz", "--step-limit", "1", "--count", "3", "--seed", "1"]
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "instance 0: step limit exhausted",
+        "discrepancies: 1",
+    ]
 
 
 def test_fuzz_pqe_mode_rejects_too_few_clauses(capsys):

@@ -315,9 +315,14 @@ def test_take_out_random_instances_verify():
         assert verify_pqe(
             pq.problem, list(pq.targets), sol.solution_clauses
         )
-        for d in sol.final_dsequents.values():
+        retired = [e["index"] for e in sol.derivation if e["event"] == "retired"]
+        assert list(sol.final_dsequents) == retired
+        for closed, d in enumerate(sol.final_dsequents.values()):
             assert d.subspace == ()
             assert check_dsequent(sol.formula, d)
+            # Each D-sequent is about the formula minus the targets
+            # closed before it.
+            assert d.removed == tuple(sorted(retired[:closed]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Differential golden pins: the engines' full outputs on seeded corpora.
 
 Each test hashes everything an engine reports on a fixed corpus (solver
-status, steps, trace, certificates and model; PQE derivation, steps and
+status, steps, trace, certificates and model; PQE derivation and
 solution clauses; diameter answers; equivalence-checking verdicts and
 interpolants), so a refactor of a hot path that
 changes any decision, any propagation order or any step count shows up
-here as a changed digest.  The corpora are small enough for the file to
-run in a few seconds.
+here as a changed digest.  The PQE corpora pin their ``steps`` in a digest
+of their own: steps count work against a budget, so a change that only
+saves work moves that digest and leaves the outputs' digest alone.  The
+corpora are small enough for the file to run in a few seconds.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -62,15 +65,20 @@ def _solver_records(learn_to: str):
         ]
 
 
-def _take_out_records():
+@functools.cache
+def _take_out_runs():
+    """(outputs, steps) of each run; cached, as two tests read it."""
     rng = random.Random(5150)
+    runs = []
     for _ in range(200):
         sol = take_out(random_pqe(rng, 14, 42, 3))
-        yield [
-            sol.derivation,
-            sol.steps,
-            [list(c.literals) for c in sol.solution_clauses],
-        ]
+        runs.append(
+            (
+                [sol.derivation, [list(c.literals) for c in sol.solution_clauses]],
+                sol.steps,
+            )
+        )
+    return runs
 
 
 def _diameter_records():
@@ -80,8 +88,11 @@ def _diameter_records():
         yield [diameter_lt(ts, k) for k in (1, 2, 3)]
 
 
-def _eq_check_records():
+@functools.cache
+def _eq_check_runs():
+    """(outputs, steps) of each run; cached, as two tests read it."""
     rng = random.Random(8080)
+    runs = []
     for i in range(40):
         if i % 2 == 0:
             inst = random_eq_pair(rng)
@@ -89,29 +100,50 @@ def _eq_check_records():
             m1 = random_netlist(rng, 3, rng.randint(2, 5))
             inst = EqCheckInstance(m1, distinct_mutant(rng, m1))
         res = eq_check(inst)
-        yield [
-            res.verdict,
-            res.witness,
-            res.constant,
-            res.steps,
-            [list(c.literals) for c in res.solution],
-        ]
+        runs.append(
+            (
+                [
+                    res.verdict,
+                    res.witness,
+                    res.constant,
+                    [list(c.literals) for c in res.solution],
+                ],
+                res.steps,
+            )
+        )
+    return runs
 
 
-def _interpolate_records():
+@functools.cache
+def _interpolate_runs():
+    """(outputs, steps) of each run, None for no split; cached, as two tests read it."""
     rng = random.Random(4141)
+    runs = []
     for _ in range(200):
         inst = random_interp_split(rng)
         if inst is None:
-            yield None
+            runs.append((None, None))
             continue
         res = interpolate(inst)
-        yield [
-            res.status,
-            [list(c.literals) for c in res.candidate],
-            res.steps,
-            res.derivation,
-        ]
+        runs.append(
+            (
+                [
+                    res.status,
+                    [list(c.literals) for c in res.candidate],
+                    res.derivation,
+                ],
+                res.steps,
+            )
+        )
+    return runs
+
+
+def _outputs(runs):
+    return [out for out, _ in runs]
+
+
+def _steps(runs):
+    return [steps for _, steps in runs]
 
 
 @pytest.mark.parametrize(
@@ -126,8 +158,14 @@ def test_solver_outcomes_are_pinned(learn_to, digest):
 
 
 def test_take_out_outcomes_are_pinned():
-    assert _digest(_take_out_records()) == (
-        "94d2942e6b4066e2427b8cc94f6041c1cd1ecfc78caab7dcab10cfb6abb134aa"
+    assert _digest(_outputs(_take_out_runs())) == (
+        "3d2455211dc392c6010393f09b54b52cf3302c056a51202b9ba5c391e9b980dc"
+    )
+
+
+def test_take_out_steps_are_pinned():
+    assert _digest(_steps(_take_out_runs())) == (
+        "f0f936e28ffcaa084a06882b4c46fb82b563a670624cc782cc8be3f7ed8903d4"
     )
 
 
@@ -138,12 +176,24 @@ def test_diameter_answers_are_pinned():
 
 
 def test_eq_check_outcomes_are_pinned():
-    assert _digest(_eq_check_records()) == (
-        "dda7bba7ef8336695bec202aeee8e3914dfcdf5dd5f10fa3256942de3795bd14"
+    assert _digest(_outputs(_eq_check_runs())) == (
+        "eb274411ade55a6714155d394518508f2739170ea2d4556257930cd3a53c8f25"
+    )
+
+
+def test_eq_check_steps_are_pinned():
+    assert _digest(_steps(_eq_check_runs())) == (
+        "82795b99918a4eaa2c76df67e55c1d7e256afea656e09944348ebee110c993df"
     )
 
 
 def test_interpolate_outcomes_are_pinned():
-    assert _digest(_interpolate_records()) == (
-        "3e596ddd3e79a21e17c2a742abb8a6089a32e65c492987cf10655eb05f56edd1"
+    assert _digest(_outputs(_interpolate_runs())) == (
+        "b23f5abfde4c1ac1e32be54e11aec1c55552057da02c5bb2e8fc559233dd6fb7"
+    )
+
+
+def test_interpolate_steps_are_pinned():
+    assert _digest(_steps(_interpolate_runs())) == (
+        "2494a649001a9f1cc21f73d752e90f4a5c679f22687e6507858fc97d03729252"
     )

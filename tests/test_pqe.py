@@ -13,6 +13,7 @@ from pqesat.pqe import (
     PqeError,
     PqeProblem,
     StepLimitError,
+    _Detector,
     atomic_dsequent,
     decide_redundant,
     resolve_dsequents,
@@ -127,6 +128,63 @@ def test_atomic_blocked_through_a_discharged_partner():
     assert d.subspace == ()
     assert check_dsequent(p, d)
 
+
+def test_atomic_subsumed_by_a_falsified_witness_first():
+    # Clause 1 shares no literal with clause 0 but 3=1 falsifies it whole,
+    # so it is a witness, and it comes before the literal-sharing clause 2.
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-3]), Clause([2])], frozenset({1}))
+    d = atomic_dsequent(p, 0, Assignment([Binding(3, True)]))
+    assert d.rationale == "subsumed"
+    assert d.subspace == ((3, True),)
+    assert check_dsequent(p, d)
+
+
+def test_atomic_subsumed_takes_the_first_witness_in_index_order():
+    # Both clause 1 (under 3=0) and clause 2 are witnesses; the lower index wins.
+    p = CnfProblem(3, [Clause([1, 2]), Clause([2, 3]), Clause([2])], frozenset({1}))
+    d = atomic_dsequent(p, 0, Assignment([Binding(3, False)]))
+    assert d.rationale == "subsumed"
+    assert d.subspace == ((3, False),)
+    assert check_dsequent(p, d)
+
+
+def _linear_subsumed(problem, trail, dead, index, stack, removed):
+    """Reference: the first witness found by scanning every clause in order."""
+    allowed = problem.clauses[index].literal_set | trail.false_lits
+    for j, w in enumerate(problem.clauses):
+        if j == index or j in stack or j in removed or j in dead:
+            continue
+        if w.literal_set <= allowed and trail.true_lits.isdisjoint(w.literal_set):
+            return {abs(lit): lit < 0 for lit in w.literal_set & trail.false_lits}
+    return None
+
+
+def test_subsumption_witnesses_match_a_linear_scan():
+    rng = random.Random(9191)
+    checked = hits = 0
+    for _ in range(150):
+        problem = random_pqe(rng, 9, 27, 1).problem
+        if rng.random() < 0.2:
+            # The empty clause is falsified under every trail.
+            problem.add_clause(Clause([]))
+        n, m = problem.var_count, len(problem.clauses)
+        for _ in range(4):
+            chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
+            trail = Assignment([Binding(v, rng.random() < 0.5) for v in chosen])
+            dead = frozenset(j for j in range(m) if rng.random() < 0.1)
+            det = _Detector(problem, trail, dead)
+            for index in range(m):
+                stack = frozenset(j for j in range(m) if rng.random() < 0.15)
+                removed = frozenset(j for j in range(m) if rng.random() < 0.15)
+                got = det._subsumed(index, stack | {index}, removed)
+                want = _linear_subsumed(
+                    problem, trail, dead, index, stack | {index}, removed
+                )
+                assert got == want
+                checked += 1
+                hits += want is not None
+    # The corpus exercises both outcomes.
+    assert 0 < hits < checked
 
 # ---------------------------------------------------------------------------
 # Problem plumbing.

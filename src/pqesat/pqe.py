@@ -174,6 +174,12 @@ class _Detector:
         self.trail = trail
         self.dead = dead
         self.tick = tick
+        # The trail never changes, so the clauses it falsifies whole (the
+        # empty clause among them) are found once.
+        false_lits = trail.false_lits
+        self.falsified = [
+            j for j, c in enumerate(problem.clauses) if c.literal_set <= false_lits
+        ]
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
         clause = self.problem.clauses[index]
@@ -196,16 +202,22 @@ class _Detector:
     def _subsumed(
         self, index: int, stack: frozenset[int], removed: frozenset[int]
     ) -> Optional[dict]:
-        cs = self.problem.clauses[index].literal_set
+        clause = self.problem.clauses[index]
         true_lits = self.trail.true_lits
         false_lits = self.trail.false_lits
         # Every literal of a witness must appear in the clause being
         # checked or be falsified by the trail, and none may be satisfied.
-        allowed = cs | false_lits
-        for j, w in enumerate(self.problem.clauses):
+        # So a witness shares a literal with the clause or is falsified
+        # whole; walking those candidates in index order finds the same
+        # first witness as a scan of the whole formula.
+        allowed = clause.literal_set | false_lits
+        candidates = set(self.falsified)
+        for lit in clause:
+            candidates.update(self.problem.occurrences(lit))
+        for j in sorted(candidates):
             if j == index or j in stack or j in removed or j in self.dead:
                 continue
-            ws = w.literal_set
+            ws = self.problem.clauses[j].literal_set
             if ws <= allowed and true_lits.isdisjoint(ws):
                 return {abs(lit): lit < 0 for lit in ws & false_lits}
         return None

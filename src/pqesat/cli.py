@@ -311,7 +311,11 @@ def _add_step_limit(parser: argparse.ArgumentParser) -> None:
         dest="step_limit",
         type=int,
         default=10**6,
-        help="give up (exit 30) after this many engine steps",
+        help=(
+            "give up (exit 30) after this many engine steps; a step is a unit "
+            "of work (a PQE branching node, chained discharge attempt or "
+            "projection tick, or a solver exploration), a budget and not an output"
+        ),
     )
 
 

@@ -122,6 +122,9 @@ class PqeProblem:
 
 @dataclass
 class PqeConfig:
+    # Work budget: StepLimitError once more steps than this are taken.
+    # A step is one branching node, one chained _discharge attempt or one
+    # projection tick, so a change that only saves work spends fewer.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -138,7 +141,10 @@ class PqeSolution:
     D-sequent; every other target (original or grown along the way) maps
     to its final empty-subspace D-sequent in ``final_dsequents``.
     ``formula`` is the grown formula, so D-sequent clause indices stay
-    meaningful.
+    meaningful.  ``steps`` is the work spent against ``step_limit``:
+    branching nodes, chained ``_discharge`` attempts and projection ticks.
+    It is a budget count, not an output; two engines that agree on every
+    other field may spend different steps.
     """
 
     solution_clauses: list[Clause]
@@ -161,6 +167,18 @@ class _Detector:
     were taken out by earlier passes and are invisible entirely.  ``dead``
     is a live view of the engine's closed targets, read rather than
     copied: targets close only between passes.
+
+    Two invariants keep failed detections cheap without changing any
+    result.  A subsumption witness lies inside the clause plus the
+    falsified literals, so it shares a literal with the clause or is
+    falsified whole: only the clause's occurrence lists and the falsified
+    clauses are candidates, walked in index order so the first witness is
+    the one a scan of the whole formula finds.  And no discharge ever puts
+    a ``stack`` member into ``removed``, while at ``MAX_CHAIN_DEPTH`` no
+    discharge runs at all: so a blocked check whose literal has an open,
+    non-clashing partner in ``stack``, or any such partner at the depth
+    cap, fails before a single partner is discharged.  Only ``steps``
+    tells the difference, one tick per ``_discharge`` not attempted.
     """
 
     def __init__(
@@ -236,35 +254,43 @@ class _Detector:
         for own in clause:
             if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
-            bindings: dict[int, bool] = {}
-            rm = removed
-            ok = True
+            # Sort the partners first: satisfied ones bring their bindings,
+            # clashing ones drop out, and open ones (None) need a discharge.
+            partners: list[tuple[int, Optional[dict[int, bool]]]] = []
+            stuck = False
             for j in self.problem.occurrences(-own):
-                if j == index or j in rm or j in self.dead:
+                if j == index or j in removed or j in self.dead:
                     continue
                 w = self.problem.clauses[j]
                 sat = self._satisfied(w)
+                if sat is None:
+                    # w is not satisfied, so its open literals are the ones
+                    # the trail does not falsify.
+                    if any(
+                        m != -own and m in neg_cs and m not in false_lits
+                        for m in w.literal_set
+                    ):
+                        continue
+                    if j in stack or depth >= MAX_CHAIN_DEPTH:
+                        # No discharge can take this partner out, so the
+                        # others need not be tried.
+                        stuck = True
+                        break
+                partners.append((j, sat))
+            if stuck:
+                continue
+            bindings: dict[int, bool] = {}
+            rm = removed
+            for j, sat in partners:
                 if sat is not None:
                     bindings.update(sat)
-                    continue
-                # w is not satisfied, so its open literals are the ones
-                # the trail does not falsify.
-                clash = any(
-                    m != -own and m in neg_cs and m not in false_lits
-                    for m in w.literal_set
-                )
-                if clash:
-                    continue
-                if j not in stack and depth < MAX_CHAIN_DEPTH:
+                elif j not in rm:
                     sub = self._discharge(j, stack | {index}, rm, depth + 1)
-                    if sub is not None:
-                        sub_bindings, sub_rm = sub
-                        bindings.update(sub_bindings)
-                        rm = sub_rm | {j}
-                        continue
-                ok = False
-                break
-            if ok:
+                    if sub is None:
+                        break
+                    bindings.update(sub[0])
+                    rm = sub[1] | {j}
+            else:
                 return bindings, rm
         return None
 

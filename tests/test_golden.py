@@ -165,7 +165,7 @@ def test_take_out_outcomes_are_pinned():
 
 def test_take_out_steps_are_pinned():
     assert _digest(_steps(_take_out_runs())) == (
-        "f0f936e28ffcaa084a06882b4c46fb82b563a670624cc782cc8be3f7ed8903d4"
+        "507163b56b7fc847802f8d0d4212e87a28828c5c1241cf51656b44fbd88d578d"
     )
 
 
@@ -183,7 +183,7 @@ def test_eq_check_outcomes_are_pinned():
 
 def test_eq_check_steps_are_pinned():
     assert _digest(_steps(_eq_check_runs())) == (
-        "82795b99918a4eaa2c76df67e55c1d7e256afea656e09944348ebee110c993df"
+        "5cfa29cff63eab8f0083071cc5f91db631c6a49e81ee3f76ab8dd237f81e3f9e"
     )
 
 
@@ -195,5 +195,5 @@ def test_interpolate_outcomes_are_pinned():
 
 def test_interpolate_steps_are_pinned():
     assert _digest(_steps(_interpolate_runs())) == (
-        "2494a649001a9f1cc21f73d752e90f4a5c679f22687e6507858fc97d03729252"
+        "e99366c35d6e7c52b2b47f15b11c2cbf0e182cc2c395487b678e08a2a3ef9fc8"
     )

@@ -337,7 +337,9 @@ def test_projection_fallback_run_pinned():
     p = CnfProblem(4, [Clause(c) for c in clauses], frozenset({2, 3, 4}))
     targets = (1, 0, 4)
     sol = take_out(PqeProblem(p, targets))
-    assert sol.steps == 49
+    # Steps count work, not output: 45 since a blocked chain stops at a
+    # partner no discharge can take out.
+    assert sol.steps == 45
     assert len(sol.formula.clauses) == 13
     assert sol.solution_clauses == []
     # Two learned clauses carried quantified variables, so they joined

@@ -195,9 +195,9 @@ class _Detector:
         # The trail never changes, so the clauses it falsifies whole (the
         # empty clause among them) are found once.
         false_lits = trail.false_lits
-        self.falsified = [
+        self.falsified = frozenset(
             j for j, c in enumerate(problem.clauses) if c.literal_set <= false_lits
-        ]
+        )
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
         clause = self.problem.clauses[index]
@@ -229,9 +229,8 @@ class _Detector:
         # whole; walking those candidates in index order finds the same
         # first witness as a scan of the whole formula.
         allowed = clause.literal_set | false_lits
-        candidates = set(self.falsified)
-        for lit in clause:
-            candidates.update(self.problem.occurrences(lit))
+        occurrences = self.problem.occurrences
+        candidates = self.falsified.union(*(occurrences(lit) for lit in clause))
         for j in sorted(candidates):
             if j == index or j in stack or j in removed or j in self.dead:
                 continue

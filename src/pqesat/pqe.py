@@ -253,42 +253,43 @@ class _Detector:
         for own in clause:
             if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
-            # Sort the partners first: satisfied ones bring their bindings,
-            # clashing ones drop out, and open ones (None) need a discharge.
-            partners: list[tuple[int, Optional[dict[int, bool]]]] = []
+            # Satisfied partners bring their bindings, clashing ones drop
+            # out, and open ones wait for a discharge.
+            bindings: dict[int, bool] = {}
+            pending: list[int] = []
             stuck = False
             for j in self.problem.occurrences(-own):
                 if j == index or j in removed or j in self.dead:
                     continue
                 w = self.problem.clauses[j]
                 sat = self._satisfied(w)
-                if sat is None:
-                    # w is not satisfied, so its open literals are the ones
-                    # the trail does not falsify.
-                    if any(
-                        m != -own and m in neg_cs and m not in false_lits
-                        for m in w.literal_set
-                    ):
-                        continue
-                    if j in stack or depth >= MAX_CHAIN_DEPTH:
-                        # No discharge can take this partner out, so the
-                        # others need not be tried.
-                        stuck = True
-                        break
-                partners.append((j, sat))
-            if stuck:
-                continue
-            bindings: dict[int, bool] = {}
-            rm = removed
-            for j, sat in partners:
                 if sat is not None:
                     bindings.update(sat)
-                elif j not in rm:
-                    sub = self._discharge(j, stack | {index}, rm, depth + 1)
-                    if sub is None:
-                        break
-                    bindings.update(sub[0])
-                    rm = sub[1] | {j}
+                    continue
+                # w is not satisfied, so its open literals are the ones
+                # the trail does not falsify.
+                if any(
+                    m != -own and m in neg_cs and m not in false_lits
+                    for m in w.literal_set
+                ):
+                    continue
+                if j in stack or depth >= MAX_CHAIN_DEPTH:
+                    # No discharge can take this partner out, so the
+                    # others need not be tried.
+                    stuck = True
+                    break
+                pending.append(j)
+            if stuck:
+                continue
+            rm = removed
+            for j in pending:
+                if j in rm:
+                    continue
+                sub = self._discharge(j, stack | {index}, rm, depth + 1)
+                if sub is None:
+                    break
+                bindings.update(sub[0])
+                rm = sub[1] | {j}
             else:
                 return bindings, rm
         return None

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import analyze_conflict, propagate
@@ -192,11 +193,19 @@ class _Detector:
         self.trail = trail
         self.dead = dead
         self.tick = tick
-        # The trail never changes, so the clauses it falsifies whole (the
-        # empty clause among them) are found once.
-        false_lits = trail.false_lits
-        self.falsified = frozenset(
-            j for j, c in enumerate(problem.clauses) if c.literal_set <= false_lits
+
+    @cached_property
+    def falsified(self) -> frozenset[int]:
+        """The clauses the trail falsifies whole, the empty clause among them.
+
+        The trail never changes, so they are found once, and only for a
+        detection that gets as far as a subsumption check.
+        """
+        false_lits = self.trail.false_lits
+        return frozenset(
+            j
+            for j, c in enumerate(self.problem.clauses)
+            if c.literal_set <= false_lits
         )
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:

@@ -20,8 +20,11 @@ worse than the parent's by more than the metric's bound.  ``--claim``
 names a metric whose gain is judged: the change must win at least nine
 tenths of the pairs and its median must beat the parent's by more than
 the parent's interquartile range.  ``--holdout`` repeats the claimed
-workload on a query-order seed not used for the main pairs.  One traced
-pass per ``--trace-workloads`` entry and side records the per-layer split.
+workload on a query-order seed not used for the main pairs, in
+``HOLDOUT_PAIRS`` pairs.  One traced pass per workload and side records the
+per-layer split, and names every per-layer count of ``BENCHMARK.json``
+whose value differs between the sides.  Every run uses ``bench/run.py``'s
+own run length.
 The output file keeps the shape of the earlier ``BENCH_*.json`` records.
 """
 
@@ -39,6 +42,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HOLDOUT_PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -62,10 +66,10 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def bench(checkout: Path, workload: str, seed: int, extra: list[str]) -> dict:
+def bench(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
     """One ``bench/run.py`` run; its last output line, parsed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), *extra]
+           "--seed", str(seed), *(["--trace", "1"] if trace else [])]
     out = subprocess.run(
         cmd, cwd=checkout, check=True, capture_output=True, text=True
     ).stdout
@@ -114,14 +118,14 @@ def judge(m: dict, pairs: int, spec: dict) -> dict:
     }
 
 
-def run_pairs(sides, workloads, seed, pairs, extra, log) -> dict:
+def run_pairs(sides, workloads, seed, pairs, log) -> dict:
     """``pairs`` alternating runs per workload; returns raw results by side."""
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(1, pairs + 1):
         order = ["parent", "change"] if i % 2 else ["change", "parent"]
         for w in workloads:
             for side in order:
-                line = bench(sides[side], w, seed, extra)
+                line = bench(sides[side], w, seed)
                 runs[w][side].append(line)
                 qps = line["metrics"]["queries_per_s"]["value"]
                 log(f"pair {i}/{pairs} {w} {side}: correct={line['correct']} "
@@ -163,23 +167,19 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD", help="revision measured as the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="query-order seed of the pairs")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="passed to bench/run.py (its own default otherwise)")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
                     help="judge a gain on this metric by the pair rule")
     ap.add_argument("--holdout", default=None, metavar="WORKLOAD:SEED",
                     help="also run this workload in pairs on a held-out seed")
-    ap.add_argument("--holdout-pairs", type=int, default=3)
-    ap.add_argument("--trace-workloads", nargs="*", default=["diameter", "eqcheck"])
     ap.add_argument("--out", required=True, help="where to write the JSON record")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.holdout_pairs < 1:
-        ap.error("--pairs and --holdout-pairs must be at least 1")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in config["end_to_end"]}
+    counts = [m["name"] for m in config["per_layer"] if m["unit"] == "count"]
     workloads = [w["name"] for w in config["workloads"]]
-    extra = [] if args.seconds is None else ["--seconds", str(args.seconds)]
     parent, change = git("rev-parse", args.parent), git("rev-parse", args.change)
 
     def log(msg: str) -> None:
@@ -193,8 +193,7 @@ def main(argv=None) -> int:
         record = {
             "what": (
                 f"{args.pairs} alternating pairs of `python3 bench/run.py` per "
-                f"workload (--seed {args.seed}, --seconds "
-                f"{args.seconds if args.seconds is not None else 'default'}); "
+                f"workload (--seed {args.seed}, bench/run.py's default --seconds); "
                 "odd pairs ran the parent first, even pairs the change first"
             ),
             "parent_commit": parent,
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
             ),
             "gain_claimed": args.claim is not None,
         }
-        runs = run_pairs(sides, workloads, args.seed, args.pairs, extra, log)
+        runs = run_pairs(sides, workloads, args.seed, args.pairs, log)
         record["workloads"] = summarize(runs, specs)
         if args.claim is not None:
             w, metric = args.claim.split(":")
@@ -218,23 +217,29 @@ def main(argv=None) -> int:
             }
         if args.holdout is not None:
             w, seed = args.holdout.split(":")
-            held = run_pairs(sides, [w], int(seed), args.holdout_pairs, extra, log)
+            held = run_pairs(sides, [w], int(seed), HOLDOUT_PAIRS, log)
             record["holdout"] = {"workload": w, "seed": int(seed),
-                                 "pairs": args.holdout_pairs,
+                                 "pairs": HOLDOUT_PAIRS,
                                  **summarize(held, specs)[w]}
             if args.claim is not None and args.claim.startswith(w + ":"):
                 metric = args.claim.split(":")[1]
                 record["holdout"]["claim"] = judge(
-                    record["holdout"]["metrics"][metric], args.holdout_pairs,
+                    record["holdout"]["metrics"][metric], HOLDOUT_PAIRS,
                     specs[metric],
                 )
         record["trace"] = {}
-        for w in args.trace_workloads:
-            record["trace"][w] = {}
+        for w in workloads:
+            traced = {}
             for side in ("parent", "change"):
-                line = bench(sides[side], w, args.seed, ["--trace", "1"])
-                record["trace"][w][side] = layer_split(line["metrics"])
+                line = bench(sides[side], w, args.seed, trace=True)
+                traced[side] = layer_split(line["metrics"])
                 log(f"traced {w} {side}: correct={line['correct']}")
+            traced["counts_differ"] = [
+                k for k in counts
+                if traced["parent"]["metrics"].get(k)
+                != traced["change"]["metrics"].get(k)
+            ]
+            record["trace"][w] = traced
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     log(f"wrote {args.out}")
     return 0

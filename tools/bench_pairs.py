@@ -3,15 +3,17 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent <rev> --out BENCH_9.json
-    python3 tools/bench_pairs.py --parent <rev> --change <rev> --pairs 10 \\
+    python3 tools/bench_pairs.py --parent <rev> --change <rev> \\
         --claim eqcheck:queries_per_s --holdout eqcheck:3 --out BENCH_9.json
 
 Both revisions are exported with ``git archive`` into a temporary
 directory, so each side runs its own committed ``bench/run.py`` on its own
-``src/``, and the working tree is neither read nor touched.  Pair ``i``
-runs every workload once on each side, one workload at a time; odd pairs
-run the parent first, even pairs the change first.  The per-workload
-command line is the one ``bench/run.py --workload all`` gives its children.
+``src/``, and the working tree is neither read nor touched.  ``PAIRS``
+pairs run on query-order seed ``SEED``.  Pair ``i`` runs every workload
+once on each side, one workload at a time; odd pairs run the parent
+first, even pairs the change first.  The per-workload command line is the
+one ``bench/run.py --workload all`` gives its children, so every run uses
+``bench/run.py``'s own run length.
 
 Each end-to-end metric of ``BENCHMARK.json`` is reported per workload with
 both sides' runs, medians and quartiles, the number of pairs the change
@@ -21,11 +23,10 @@ names a metric whose gain is judged: the change must win at least nine
 tenths of the pairs and its median must beat the parent's by more than
 the parent's interquartile range.  ``--holdout`` repeats the claimed
 workload on a query-order seed not used for the main pairs, in
-``HOLDOUT_PAIRS`` pairs.  One traced pass per workload and side records the
-per-layer split, and names every per-layer count of ``BENCHMARK.json``
-whose value differs between the sides.  Every run uses ``bench/run.py``'s
-own run length.
-The output file keeps the shape of the earlier ``BENCH_*.json`` records.
+``HOLDOUT_PAIRS`` pairs.  One traced pass per workload and side records
+the per-layer split, and ``counts_differ`` names every per-layer count of
+``BENCHMARK.json`` whose value differs between the sides.  The output file
+keeps the shape of the earlier ``BENCH_*.json`` records.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 1
 HOLDOUT_PAIRS = 3
 
 
@@ -165,16 +168,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision measured as the parent")
     ap.add_argument("--change", default="HEAD", help="revision measured as the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1, help="query-order seed of the pairs")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
                     help="judge a gain on this metric by the pair rule")
     ap.add_argument("--holdout", default=None, metavar="WORKLOAD:SEED",
                     help="also run this workload in pairs on a held-out seed")
     ap.add_argument("--out", required=True, help="where to write the JSON record")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in config["end_to_end"]}
@@ -192,8 +191,8 @@ def main(argv=None) -> int:
         }
         record = {
             "what": (
-                f"{args.pairs} alternating pairs of `python3 bench/run.py` per "
-                f"workload (--seed {args.seed}, bench/run.py's default --seconds); "
+                f"{PAIRS} alternating pairs of `python3 bench/run.py` per "
+                f"workload (--seed {SEED}, bench/run.py's default --seconds); "
                 "odd pairs ran the parent first, even pairs the change first"
             ),
             "parent_commit": parent,
@@ -205,14 +204,14 @@ def main(argv=None) -> int:
             ),
             "gain_claimed": args.claim is not None,
         }
-        runs = run_pairs(sides, workloads, args.seed, args.pairs, log)
+        runs = run_pairs(sides, workloads, SEED, PAIRS, log)
         record["workloads"] = summarize(runs, specs)
         if args.claim is not None:
             w, metric = args.claim.split(":")
             record["claim"] = {
                 "workload": w,
                 "metric": metric,
-                **judge(record["workloads"][w]["metrics"][metric], args.pairs,
+                **judge(record["workloads"][w]["metrics"][metric], PAIRS,
                         specs[metric]),
             }
         if args.holdout is not None:
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
         for w in workloads:
             traced = {}
             for side in ("parent", "change"):
-                line = bench(sides[side], w, args.seed, trace=True)
+                line = bench(sides[side], w, SEED, trace=True)
                 traced[side] = layer_split(line["metrics"])
                 log(f"traced {w} {side}: correct={line['correct']}")
             traced["counts_differ"] = [

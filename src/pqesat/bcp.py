@@ -1,19 +1,28 @@
 """Unit propagation over a trail, plus trail-guided conflict analysis.
 
-Propagation here is deliberately simple and deterministic: after every
-assignment the clause lists are rescanned front to back in one pass of
-set operations against the trail's true and false literal sets.  A
-falsified clause is reported the moment one exists, and otherwise the
-first unit clause in scan order fires.  Main-formula clauses, minus any
-the caller skips (PQE skips the clauses it took out), are scanned before
-learned ones.  The predictability matters more than speed at the sizes
-this package targets, because the solving algorithms' certificates are
-sensitive to propagation order.
+Propagation is deterministic, because the solving algorithms'
+certificates are sensitive to its order.  Each clause has a scan
+position: its index for a formula clause, and the formula's length plus
+its index for a learned one, so formula clauses come first.  Formula
+clauses whose indices the caller skips (PQE skips the clauses it took
+out) are ignored as if absent.  After every assignment, a falsified
+clause is reported if one exists, the one first in scan order; otherwise
+the first unit clause in scan order fires.
+
+One pass over the clauses records each unsatisfied clause's count of
+open (unassigned) literals and puts the unit ones on a min-heap of scan
+positions.  After that, a propagated literal touches only the clauses
+that hold it, which drop out as satisfied, and those that hold its
+negation, which lose an open literal: at none they are falsified, at one
+they join the heap.  A heap entry satisfied after it was pushed is
+skipped when popped.  Formula clauses are found through the formula's
+occurrence index, learned ones through an index built once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import AbstractSet, Optional, Sequence
 
 from .cnf import Assignment, Binding, Clause, CnfProblem, resolve
@@ -57,24 +66,57 @@ def propagate(
 
     true_lits = trail.true_lits
     false_lits = trail.false_lits
-    scan = [c for i, c in enumerate(problem.clauses) if i not in skip]
+    occ = problem.occurrences
+    n = len(problem.clauses)
+    scan = list(problem.clauses)
     scan += learned
-    while True:
-        # A unit found early does not end the pass: a falsified clause
-        # later in scan order still wins.
-        unit = None
-        for c in scan:
-            cs = c.literal_set
-            if cs <= false_lits:
-                return PropagationResult(trail, base_len, c)
-            if unit is None and true_lits.isdisjoint(cs):
-                open_lits = cs - false_lits
-                if len(open_lits) == 1:
-                    unit = (c, next(iter(open_lits)))
-        if unit is None:
-            return PropagationResult(trail, base_len, None)
-        reason, lit = unit
+    open_count: dict[int, int] = {}
+    learned_occ: dict[int, list[int]] = {}
+    units: list[int] = []
+    for pos, c in enumerate(scan):
+        if pos < n and pos in skip:
+            continue
+        cs = c.literal_set
+        if not true_lits.isdisjoint(cs):
+            continue
+        # Most clauses share no literal with the trail; skip the difference.
+        k = len(cs) if cs.isdisjoint(false_lits) else len(cs - false_lits)
+        if k == 0:
+            return PropagationResult(trail, base_len, c)
+        open_count[pos] = k
+        if k == 1:
+            units.append(pos)
+        if pos >= n:
+            for lit in c.literals:
+                learned_occ.setdefault(lit, []).append(pos)
+
+    # ``units`` is in ascending order, so it is already a heap.
+    while units:
+        pos = heappop(units)
+        if pos not in open_count:
+            continue
+        reason = scan[pos]
+        for lit in reason.literals:
+            if lit not in false_lits:
+                break
         trail.push(Binding(abs(lit), lit > 0, decision=False, reason=reason))
+        for p in occ(lit):
+            open_count.pop(p, None)
+        for p in learned_occ.get(lit, ()):
+            open_count.pop(p, None)
+        # Both lists ascend and formula positions precede learned ones, so
+        # the first clause falsified here is the first in scan order.
+        for touched in (occ(-lit), learned_occ.get(-lit, ())):
+            for p in touched:
+                k = open_count.get(p)
+                if k is None:
+                    continue
+                if k == 1:
+                    return PropagationResult(trail, base_len, scan[p])
+                open_count[p] = k - 1
+                if k == 2:
+                    heappush(units, p)
+    return PropagationResult(trail, base_len, None)
 
 
 def resolve_to_base(

@@ -334,6 +334,30 @@ def atomic_dsequent(
     )
 
 
+def _strict_subset_test(
+    family: Iterable[frozenset[int]],
+) -> Callable[[frozenset[int]], bool]:
+    """A test for "some member of ``family`` is a strict subset of s".
+
+    Each member is filed under its smallest literal, and the empty set
+    under 0, which is no literal.  A strict subset of s holds its own
+    smallest literal, which is then in s, so only the buckets of s's
+    literals need checking.  The empty set is a strict subset of every
+    non-empty s.
+    """
+    buckets: dict[int, list[frozenset[int]]] = {}
+    for t in family:
+        buckets.setdefault(min(t, default=0), []).append(t)
+    has_empty = 0 in buckets
+
+    def test(s: frozenset[int]) -> bool:
+        if s and has_empty:
+            return True
+        return any(t < s for lit in s for t in buckets.get(lit, ()))
+
+    return test
+
+
 class _Engine:
     def __init__(self, pqe: PqeProblem, config: PqeConfig):
         base = pqe.problem
@@ -505,7 +529,9 @@ class _Engine:
         Runs variable elimination over the live formula, cheapest variable
         first (fewest positive-negative occurrence pairs): the variable's
         non-tautological resolvents replace the clauses mentioning it, and
-        clauses subsumed by a subset clause are dropped.  What survives
+        clauses subsumed by a subset clause are dropped.  The subset test
+        looks only at the clauses filed under one of the clause's own
+        literals (see ``_strict_subset_test``).  What survives
         mentions free variables only and is exactly the projection of the
         live formula, so adding it makes every remaining target redundant
         at once.  This is the last resort when branching keeps re-deriving
@@ -539,10 +565,11 @@ class _Engine:
                     res = (a - {v}) | (b - {-v})
                     if not any(-lit in res for lit in res):
                         merged.add(res)
+            subsumed = _strict_subset_test(merged)
             work = set()
             for s in merged:
                 self.tick()
-                if not any(t < s for t in merged):
+                if not subsumed(s):
                     work.add(s)
         added = []
         order = sorted(

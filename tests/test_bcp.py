@@ -1,5 +1,7 @@
 """Unit propagation and conflict analysis."""
 
+import random
+
 import pytest
 
 from pqesat.bcp import analyze_conflict, propagate, resolve_to_base
@@ -81,6 +83,102 @@ def test_propagate_no_unit_no_conflict():
     res = propagate(p, [], Assignment(), [(1, False)])
     assert not res.is_conflict
     assert res.trail.items() == [(1, False)]
+
+
+def test_propagate_skips_a_unit_satisfied_before_it_fires():
+    # After 1=T and 2=T the first two clauses are both unit on 3.  The
+    # first fires; the second is satisfied by then and must not fire
+    # again, and propagation goes on to the third clause.
+    p = CnfProblem(4, [Clause([-1, 3]), Clause([-2, 3]), Clause([-3, 4])])
+    decisions = [(1, True), (2, True)]
+    res = propagate(p, [], Assignment(), decisions)
+    assert not res.is_conflict
+    assert res.trail.items() == [(1, True), (2, True), (3, True), (4, True)]
+    assert res.trail.bindings[2].reason is p.clauses[0]
+    assert res.trail.bindings[3].reason is p.clauses[2]
+    _assert_same_result(res, _scan_propagate(p, [], Assignment(), decisions))
+
+
+def test_propagate_prefers_the_formula_clause_falsified_with_a_learned_one():
+    # Propagating 2 falsifies the second formula clause and the learned
+    # clause in one push; the formula clause comes first in scan order.
+    p = CnfProblem(2, [Clause([-1, 2]), Clause([-1, -2])])
+    learned = [Clause([-2, -1])]
+    res = propagate(p, learned, Assignment(), [(1, True)])
+    assert res.conflict is p.clauses[1]
+    assert res.trail.items() == [(1, True), (2, True)]
+    want = _scan_propagate(p, learned, Assignment(), [(1, True)])
+    _assert_same_result(res, want)
+
+
+def _scan_propagate(problem, learned, base, decisions, skip=frozenset()):
+    """The plain rescan the clause counters replaced, kept as the reference.
+
+    Every round scans all clauses in order: the first falsified one is the
+    conflict, and otherwise the first unit clause fires.
+    """
+    trail = base.copy()
+    for v, val in decisions:
+        trail.push(Binding(v, val, decision=True))
+    scan = [c for i, c in enumerate(problem.clauses) if i not in skip]
+    scan += learned
+    while True:
+        unit = None
+        for c in scan:
+            cs = c.literal_set
+            if cs <= trail.false_lits:
+                return trail, len(base), c
+            if unit is None and trail.true_lits.isdisjoint(cs):
+                open_lits = cs - trail.false_lits
+                if len(open_lits) == 1:
+                    unit = (c, next(iter(open_lits)))
+        if unit is None:
+            return trail, len(base), None
+        reason, lit = unit
+        trail.push(Binding(abs(lit), lit > 0, decision=False, reason=reason))
+
+
+def _assert_same_result(res, want):
+    trail, base_len, conflict = want
+    assert res.base_len == base_len
+    assert res.conflict is conflict
+    assert res.trail.items() == trail.items()
+    for got, ref in zip(res.trail.bindings, trail.bindings):
+        assert got.decision == ref.decision
+        assert got.reason is ref.reason
+
+
+def _random_clause(rng, n):
+    vs = rng.sample(range(1, n + 1), min(rng.choice((1, 2, 2, 2, 3, 3, 4)), n))
+    return Clause([v if rng.random() < 0.5 else -v for v in vs])
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_propagate_matches_the_rescan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    clauses = [_random_clause(rng, n) for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.15:
+        clauses.insert(rng.randint(0, len(clauses)), Clause([]))
+    p = CnfProblem(n, clauses)
+    learned = []
+    for _ in range(rng.randint(0, n)):
+        if clauses and rng.random() < 0.3:
+            # A learned clause may repeat a formula clause, as the same
+            # object or as an equal copy.
+            c = rng.choice(clauses)
+            learned.append(c if rng.random() < 0.5 else Clause(c.literals))
+        else:
+            learned.append(_random_clause(rng, n))
+    skip = {i for i in range(len(clauses)) if rng.random() < 0.2}
+    order = rng.sample(range(1, n + 1), n)
+    k = rng.randint(0, n // 3)
+    base = Assignment(
+        [Binding(v, rng.random() < 0.5, rng.random() < 0.5) for v in order[:k]]
+    )
+    decisions = [(v, rng.random() < 0.5) for v in order[k : k + rng.randint(0, 4)]]
+    res = propagate(p, learned, base, decisions, skip)
+    _assert_same_result(res, _scan_propagate(p, learned, base, decisions, skip))
 
 
 def test_analyze_conflict_resolves_out_propagated_literals():

@@ -1,0 +1,78 @@
+"""The judgement rule of tools/bench_pairs.py, tested without running a benchmark."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+HIGHER = {"better": "higher", "bound": 0.2}
+LOWER = {"better": "lower", "bound": 0.2}
+
+
+def _judge(parent, change, spec):
+    m = bench_pairs.compare(parent, change, spec)
+    return m, bench_pairs.judge(m, len(parent), spec)
+
+
+def test_nine_wins_of_ten_meet_the_claim():
+    m, verdict = _judge([10.0] * 10, [11.0] * 9 + [9.0], HIGHER)
+    assert m["change_wins"] == 9 and m["parent_wins"] == 1
+    assert verdict["met"]
+
+
+def test_eight_wins_of_ten_do_not():
+    m, verdict = _judge([10.0] * 10, [11.0] * 8 + [9.0] * 2, HIGHER)
+    assert m["change_wins"] == 8
+    assert verdict["median_gap"] > verdict["parent_iqr"]
+    assert not verdict["met"]
+
+
+def test_ties_count_for_neither_side():
+    m, verdict = _judge([10.0] * 10, [11.0] * 8 + [10.0] * 2, HIGHER)
+    assert (m["change_wins"], m["parent_wins"]) == (8, 0)
+    assert not verdict["met"]
+
+
+def test_a_median_gap_equal_to_the_parent_iqr_does_not_meet_the_claim():
+    parent = [float(x) for x in range(1, 11)]
+    assert bench_pairs.quartiles(parent) == (3.25, 5.5, 7.75)
+    _, verdict = _judge(parent, [x + 4.5 for x in parent], HIGHER)
+    assert verdict["change_wins"] == 10
+    assert verdict["median_gap"] == verdict["parent_iqr"] == 4.5
+    assert not verdict["met"]
+    _, verdict = _judge(parent, [x + 4.6 for x in parent], HIGHER)
+    assert verdict["met"]
+
+
+def test_lower_is_better_flips_the_sign():
+    parent, change = [10.0] * 10, [9.0] * 10
+    m, verdict = _judge(parent, change, LOWER)
+    assert m["change_wins"] == 10
+    assert verdict["median_gap"] == pytest.approx(1.0)
+    assert verdict["met"]
+    m, verdict = _judge(parent, change, HIGHER)
+    assert m["change_wins"] == 0
+    assert verdict["median_gap"] == pytest.approx(-1.0)
+    assert not verdict["met"]
+
+
+def test_a_single_run_gives_equal_quartiles():
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    m = bench_pairs.compare([3.0], [4.0], HIGHER)
+    assert m["parent_quartiles"] == [3.0, 3.0]
+    assert m["parent_iqr_over_median"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, at_bound, past_bound",
+    [(HIGHER, 8.0, 7.99), (LOWER, 12.0, 12.01)],
+)
+def test_worse_than_bound_triggers_just_past_the_bound(spec, at_bound, past_bound):
+    parent = [10.0] * 3
+    assert not bench_pairs.compare(parent, [at_bound] * 3, spec)["worse_than_bound"]
+    assert bench_pairs.compare(parent, [past_bound] * 3, spec)["worse_than_bound"]

@@ -14,6 +14,7 @@ from pqesat.pqe import (
     PqeProblem,
     StepLimitError,
     _Detector,
+    _strict_subset_test,
     atomic_dsequent,
     decide_redundant,
     resolve_dsequents,
@@ -357,6 +358,50 @@ def test_projection_fallback_run_pinned():
     assert verify_pqe(p, list(targets), sol.solution_clauses)
     for d in sol.final_dsequents.values():
         assert check_dsequent(sol.formula, d)
+
+
+def _random_literal_sets(rng):
+    family = []
+    for _ in range(rng.randint(0, 12)):
+        vs = rng.sample(range(1, 7), rng.randint(1, 4))
+        s = frozenset(v if rng.random() < 0.5 else -v for v in vs)
+        family.append(s)
+        if s and rng.random() < 0.3:
+            # A nested chain down from s, one literal dropped at a time.
+            chain = sorted(s)
+            rng.shuffle(chain)
+            for k in range(len(chain) - 1, 0, -1):
+                family.append(frozenset(chain[:k]))
+        if s and rng.random() < 0.3:
+            # The same variables with one polarity flipped.
+            lit = rng.choice(sorted(s))
+            family.append(s - {lit} | {-lit})
+    if rng.random() < 0.3:
+        family.append(frozenset())
+    return set(family)
+
+
+def test_strict_subset_test_matches_the_quadratic_filter():
+    rng = random.Random(4505)
+    checked = hits = 0
+    for _ in range(300):
+        family = _random_literal_sets(rng)
+        has_subset = _strict_subset_test(family)
+        for s in family:
+            want = any(t < s for t in family)
+            assert has_subset(s) == want, (sorted(s), family)
+            checked += 1
+            hits += want
+    # The families exercise both outcomes.
+    assert 0 < hits < checked
+
+
+def test_strict_subset_test_empty_set_subsumes_every_other():
+    family = {frozenset(), frozenset({1}), frozenset({-2, 3})}
+    has_subset = _strict_subset_test(family)
+    assert not has_subset(frozenset())
+    assert has_subset(frozenset({1}))
+    assert has_subset(frozenset({-2, 3}))
 
 
 def test_solution_clause_callback_sees_every_clause():

@@ -313,8 +313,8 @@ def _add_step_limit(parser: argparse.ArgumentParser) -> None:
         default=10**6,
         help=(
             "give up (exit 30) after this many engine steps; a step is a unit "
-            "of work (a PQE branching node, chained discharge attempt or "
-            "projection tick, or a solver exploration), a budget and not an output"
+            "of work (a PQE branching node, chained discharge attempt or solver "
+            "step of a cube probe, or a solver exploration), a budget, not an output"
         ),
     )
 

@@ -13,26 +13,29 @@ assignment.  Atomic D-sequents come from cheap syntactic detectors
 branches of a variable resolve into one covering both; a D-sequent with
 an empty subspace discharges its target outright.
 
-Targets are taken out one at a time, oldest first.  Each pass works on
-the current formula: clauses added by earlier passes participate, clauses
+Targets are taken out one at a time, in the given order.  Each pass works
+on the current formula: clauses added by earlier passes participate, clauses
 already taken out are retired and ignored.  That makes every pass a
 statement about removing a single clause from the formula it actually ran
-on, so passes compose by simple chaining.  Conflicts found by propagation
-add derived clauses to the working formula; derived clauses descending
-from a target are tainted, and a tainted clause over quantified variables
-becomes a target itself, queued for a later pass, so the right-hand side
-of the final equivalence never depends on the targets.
+on, so passes compose by simple chaining.  Branching decides free variables
+only, those some clause mentions, in ascending order.  A conflict found by
+propagation resolves back to the decisions, so the derived clause is over
+free variables and joins the solution.  When detection fails with every
+such variable decided, one solver probe settles that full free cube x: if
+the live formula, the target included, is satisfiable at x, the target is
+redundant there; otherwise the clause x falsifies, shrunk, joins the
+solution.  No target is ever grown, and no quantified variable is branched
+on.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import analyze_conflict, propagate
-from .cnf import Assignment, Binding, Clause, CnfProblem
+from .cnf import Assignment, Binding, Clause, CnfProblem, mentioned_variables
 from .solver import SolveOutcome, SolverConfig, solve
 
 MAX_CHAIN_DEPTH = 8
@@ -125,7 +128,8 @@ class PqeProblem:
 class PqeConfig:
     # Work budget: StepLimitError once more steps than this are taken.
     # A step is one branching node, one chained _discharge attempt or one
-    # projection tick, so a change that only saves work spends fewer.
+    # solver step of a cube probe, so a change that only saves work spends
+    # fewer.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -139,18 +143,17 @@ class PqeSolution:
     ``solution_clauses`` mention free variables only; conjoined with the
     input minus the targets they preserve its projection.  Targets that
     were free of quantified variables move there verbatim and get no
-    D-sequent; every other target (original or grown along the way) maps
-    to its final empty-subspace D-sequent in ``final_dsequents``.
-    ``formula`` is the grown formula, so D-sequent clause indices stay
-    meaningful.  ``steps`` is the work spent against ``step_limit``:
-    branching nodes, chained ``_discharge`` attempts and projection ticks.
+    D-sequent; every other target maps to its final empty-subspace
+    D-sequent in ``final_dsequents``.  ``formula`` is the grown formula,
+    so D-sequent clause indices stay meaningful.  ``steps`` is the work
+    spent against ``step_limit``: branching nodes, chained ``_discharge``
+    attempts and the solver steps of cube probes.
     It is a budget count, not an output; two engines that agree on every
     other field may spend different steps.
     """
 
     solution_clauses: list[Clause]
     final_dsequents: dict[int, DSequent]
-    grown_targets: list[int]
     derivation: list[dict]
     formula: CnfProblem
     steps: int
@@ -334,30 +337,6 @@ def atomic_dsequent(
     )
 
 
-def _strict_subset_test(
-    family: Iterable[frozenset[int]],
-) -> Callable[[frozenset[int]], bool]:
-    """A test for "some member of ``family`` is a strict subset of s".
-
-    Each member is filed under its smallest literal, and the empty set
-    under 0, which is no literal.  A strict subset of s holds its own
-    smallest literal, which is then in s, so only the buckets of s's
-    literals need checking.  The empty set is a strict subset of every
-    non-empty s.
-    """
-    buckets: dict[int, list[frozenset[int]]] = {}
-    for t in family:
-        buckets.setdefault(min(t, default=0), []).append(t)
-    has_empty = 0 in buckets
-
-    def test(s: frozenset[int]) -> bool:
-        if s and has_empty:
-            return True
-        return any(t < s for lit in s for t in buckets.get(lit, ()))
-
-    return test
-
-
 class _Engine:
     def __init__(self, pqe: PqeProblem, config: PqeConfig):
         base = pqe.problem
@@ -372,8 +351,6 @@ class _Engine:
         self.index_of: dict[int, int] = {
             id(c): i for i, c in enumerate(self.F.clauses)
         }
-        self.targets: list[int] = []
-        self.tainted: set[int] = set()
         # Closed targets' final D-sequents, in closing order; dead views the keys.
         self.final: dict[int, DSequent] = {}
         self.dead = self.final.keys()
@@ -381,22 +358,15 @@ class _Engine:
         self.derivation: list[dict] = []
         self.steps = 0
         self.unsat_closed = False
-        self.order = sorted(self.F.free_vars) + sorted(self.F.quantified)
-        # How often each clause content has been added during solving;
-        # a target content coming back a third time is eliminated by
-        # resolution instead of another branching pass.
-        self.births: Counter = Counter()
+        # The branching order; decisions are always a prefix of it.
+        self.order = sorted(mentioned_variables(self.F) - self.F.quantified)
 
-    def tick(self) -> None:
-        self.steps += 1
+    def tick(self, n: int = 1) -> None:
+        self.steps += n
         if self.steps > self.config.step_limit:
             raise StepLimitError(
                 f"step limit {self.config.step_limit} exceeded"
             )
-
-    def add_target(self, index: int) -> None:
-        self.targets.append(index)
-        self.tainted.add(index)
 
     def close(self, d: DSequent) -> None:
         """Record a target's final D-sequent, taking the target out."""
@@ -409,6 +379,15 @@ class _Engine:
             tuple(subspace), target, len(self.F.clauses), rationale, tuple(self.dead)
         )
 
+    def atomic(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
+        """A D-sequent from a single rule, logged as an ``atomic`` event."""
+        d = self.dsequent(subspace, target, rationale)
+        self.derivation.append(
+            {"event": "atomic", "target": target, "rationale": rationale,
+             "subspace": list(d.subspace)}
+        )
+        return d
+
     def emit(self, clause: Clause, index: int, event: str) -> None:
         """Add a clause over free variables only to the solution."""
         self.solution.append(clause)
@@ -418,22 +397,17 @@ class _Engine:
         if self.config.on_solution_clause is not None:
             self.config.on_solution_clause(clause)
 
-    def _add_clause(self, clause: Clause, tainted: bool) -> int:
+    def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
         self.index_of[id(clause)] = idx
-        self.births[clause.literal_set] += 1
-        if tainted:
-            self.tainted.add(idx)
-        if not clause.variables() & self.F.quantified:
-            self.emit(clause, idx, "solution_clause")
+        self.emit(clause, idx, "solution_clause")
         return idx
 
     def node(self, decisions: list[tuple[int, bool]], target: int) -> DSequent:
         """Cover the target with a D-sequent over this subspace.
 
         The returned subspace is a subset of ``decisions``.  The call may
-        add clauses and queue new targets for later passes; only the given
-        target is covered here.
+        add solution clauses; only the given target is covered here.
         """
         self.tick()
         if self.unsat_closed:
@@ -448,17 +422,10 @@ class _Engine:
         got = _Detector(self.F, trail, dead=self.dead, tick=self.tick).detect(target)
         if got is not None:
             bindings, rationale = got
-            d = self.dsequent(bindings.items(), target, rationale)
-            self.derivation.append(
-                {
-                    "event": "atomic",
-                    "target": target,
-                    "rationale": rationale,
-                    "subspace": list(d.subspace),
-                }
-            )
-            return d
-        v = self._branch_var(decisions)
+            return self.atomic(bindings.items(), target, rationale)
+        if len(decisions) == len(self.order):
+            return self.project_out_remaining(decisions, target)
+        v = self.order[len(decisions)]
         left = self.node(decisions + [(v, False)], target)
         # A left result that never mentions v covers the whole subspace
         # already; only otherwise is the other branch needed.
@@ -469,132 +436,82 @@ class _Engine:
 
     def _conflict_node(self, decisions, target, res) -> DSequent:
         steps_log: list[tuple[Clause, int]] = []
+        # The decisions bind free variables only, so the derived clause,
+        # which keeps just the literals they falsify, is over free ones.
         derived = analyze_conflict(res, steps_log)
-        start = self.index_of[id(res.conflict)]
-        used = [start] + [self.index_of[id(r)] for r, _ in steps_log]
-        tainted = any(i in self.tainted for i in used)
-        twin = self._alive_twin(derived, target)
-        if twin is not None:
-            # The formula already holds an identical clause that is not
-            # being taken out; it justifies the target here, and adding a
-            # copy would change nothing.
-            idx = twin
-        else:
-            idx = self._add_clause(derived, tainted)
+        twin = self._alive_twin(derived)
+        # An identical live clause justifies the target here already, and
+        # adding a copy would change nothing.
+        idx = twin if twin is not None else self._add_clause(derived)
         self.derivation.append(
             {
                 "event": "conflict_clause",
                 "index": idx,
                 "reused": twin is not None,
                 "clause": list(derived.literals),
-                "start": start,
+                "start": self.index_of[id(res.conflict)],
                 "steps": [[self.index_of[id(r)], v] for r, v in steps_log],
-                "tainted": tainted,
                 "decisions": list(decisions),
             }
         )
         if derived.is_empty():
-            # The whole formula is unsatisfiable: the empty clause joins
+            # The whole formula is unsatisfiable: the empty clause is on
             # the solution side and every target is redundant everywhere.
             self.unsat_closed = True
-            return self.dsequent((), target, "conflict")
-        if twin is None and tainted and derived.variables() & self.F.quantified:
-            # The derived clause leans on targets and still has quantified
-            # variables, so it has to be taken out in a later pass.
-            self.add_target(idx)
-            self.derivation.append({"event": "new_target", "index": idx})
         sub = ((abs(l), l < 0) for l in derived.literals)
         return self.dsequent(sub, target, "conflict")
 
-    def _alive_twin(self, derived: Clause, target: int) -> Optional[int]:
+    def _alive_twin(self, derived: Clause) -> Optional[int]:
         """Index of a live clause with the derived clause's exact content.
 
-        The target itself never counts: the clause justifying its removal
-        must be one that stays behind.  A twin is on every literal's
-        occurrence list, which is ascending, so the first hit is the lowest
-        index; only the empty clause, with no literal, scans every index.
+        A twin is on every literal's occurrence list, which is ascending,
+        so the first hit is the lowest index; only the empty clause, with
+        no literal, scans every index.
         """
         lits = derived.literals
         candidates = self.F.occurrences(lits[0]) if lits else range(len(self.F.clauses))
         for j in candidates:
-            if j == target or j in self.dead:
+            if j in self.dead:
                 continue
             if self.F.clauses[j].literal_set == derived.literal_set:
                 return j
         return None
 
-    def project_out_remaining(self) -> list[int]:
-        """Eliminate the quantified variables outright and emit the result.
+    def project_out_remaining(
+        self, decisions: list[tuple[int, bool]], target: int
+    ) -> DSequent:
+        """Settle a full free cube x, where detection failed, by probing.
 
-        Runs variable elimination over the live formula, cheapest variable
-        first (fewest positive-negative occurrence pairs): the variable's
-        non-tautological resolvents replace the clauses mentioning it, and
-        clauses subsumed by a subset clause are dropped.  The subset test
-        looks only at the clauses filed under one of the clause's own
-        literals (see ``_strict_subset_test``).  What survives
-        mentions free variables only and is exactly the projection of the
-        live formula, so adding it makes every remaining target redundant
-        at once.  This is the last resort when branching keeps re-deriving
-        a target's own content; unlike the branching passes it always
-        terminates.  Every intermediate set here is canonical (subset
-        minimality does not depend on visit order), so the output is
-        deterministic.
+        Does the live formula, the target included, entail h, the clause
+        x falsifies?  If not, it has a model at x, and so does it without
+        the target: a ``"sat"`` D-sequent over x.  If so, h is shrunk by
+        dropping each literal in turn while the entailment holds, joins
+        the formula and the solution, and the target is redundant where h
+        is false.  Probe steps count against the budget.  The name is
+        kept from the variable elimination this replaced, because the
+        benchmark's tracer wraps the method by it as ``pqe.project``.
         """
-        work: set[frozenset] = {
-            c.literal_set
-            for i, c in enumerate(self.F.clauses)
-            if i not in self.dead
-        }
-        remaining = set(self.F.quantified)
-        while remaining:
-            self.tick()
-            counts = {v: [0, 0] for v in remaining}
-            for s in work:
-                for lit in s:
-                    pair = counts.get(abs(lit))
-                    if pair is not None:
-                        pair[0 if lit > 0 else 1] += 1
-            v = min(remaining, key=lambda w: (counts[w][0] * counts[w][1], w))
-            remaining.discard(v)
-            pos = [s for s in work if v in s]
-            neg = [s for s in work if -v in s]
-            merged = {s for s in work if v not in s and -v not in s}
-            for a in pos:
-                for b in neg:
-                    self.tick()
-                    res = (a - {v}) | (b - {-v})
-                    if not any(-lit in res for lit in res):
-                        merged.add(res)
-            subsumed = _strict_subset_test(merged)
-            work = set()
-            for s in merged:
-                self.tick()
-                if not subsumed(s):
-                    work.add(s)
-        added = []
-        order = sorted(
-            work, key=lambda s: (len(s), sorted((abs(l), l < 0) for l in s))
-        )
-        for s in order:
-            literals = sorted(s, key=lambda l: (abs(l), l < 0))
-            clause = Clause(literals)
-            if self._alive_twin(clause, -1) is not None:
-                continue
-            idx = self._add_clause(clause, tainted=True)
-            added.append(idx)
-            if clause.is_empty():
-                self.unsat_closed = True
-        self.derivation.append({"event": "projected", "clauses": added})
-        return added
+        live = [c for i, c in enumerate(self.F.clauses) if i not in self.dead]
 
-    def _branch_var(self, decisions: list[tuple[int, bool]]) -> int:
-        decided = {v for v, _ in decisions}
-        for v in self.order:
-            if v not in decided:
-                return v
-        raise AssertionError(
-            "no variable left to branch on with the target still undetected"
+        def entailed(lits: list[int]) -> bool:
+            limit = self.config.step_limit - self.steps
+            return entails(self.F.var_count, live, Clause(lits), limit, "cube probe", self.tick)
+
+        lits = [-v if val else v for v, val in decisions]
+        if not entailed(lits):
+            return self.atomic(decisions, target, "sat")
+        for lit in list(lits):
+            rest = [m for m in lits if m != lit]
+            if entailed(rest):
+                lits = rest
+        idx = self._add_clause(Clause(lits))
+        self.derivation.append(
+            {"event": "probe_clause", "index": idx, "clause": lits,
+             "decisions": list(decisions)}
         )
+        if not lits:
+            self.unsat_closed = True
+        return self.dsequent(((abs(l), l < 0) for l in lits), target, "conflict")
 
     def _combine(self, dl: DSequent, dr: DSequent, v: int, t: int) -> DSequent:
         # node() already returned a left result that does not bind v.
@@ -616,12 +533,13 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
     """Make the target clauses redundant, returning the clauses that do it.
 
     The returned solution clauses mention free variables only.  Appended
-    to the input formula minus the targets (original and grown), they
-    preserve its projection onto the free variables.
+    to the input formula minus the targets, they preserve its projection
+    onto the free variables.
     """
     if config is None:
         config = PqeConfig()
     engine = _Engine(pqe, config)
+    passes = []
     for t in pqe.targets:
         clause = engine.F.clauses[t]
         if not clause.variables() & engine.F.quantified:
@@ -629,32 +547,15 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
             # solution verbatim and is trivially redundant afterwards.
             engine.emit(clause, t, "free_target")
         else:
-            engine.add_target(t)
-    # One pass per target, oldest first.  A pass may queue new targets;
-    # each later pass runs on the formula left by the ones before it,
-    # with the clauses they took out retired.
-    while True:
-        pending = [t for t in engine.targets if t not in engine.final]
-        if not pending:
-            break
-        t = pending[0]
-        content = engine.F.clauses[t].literal_set
-        if engine.births[content] >= 2 and not engine.unsat_closed:
-            # Branching keeps re-deriving this content, so stop chasing
-            # it: eliminate the quantified block outright, which makes
-            # every pending target redundant in one stroke.
-            engine.project_out_remaining()
-            for p in pending:
-                engine.close(engine.dsequent((), p, "projected"))
-            continue
-        d = engine.node([], t)
-        if d.subspace != ():
-            raise AssertionError(f"target {t} left with nonempty subspace {d}")
-        engine.close(d)
+            passes.append(t)
+    # One pass per target, in order; each runs on the formula left by the
+    # ones before it, with the clauses they took out retired.  The root
+    # has no decisions, so its D-sequent has an empty subspace.
+    for t in passes:
+        engine.close(engine.node([], t))
     return PqeSolution(
         solution_clauses=list(engine.solution),
         final_dsequents=engine.final,
-        grown_targets=[t for t in engine.targets if t not in pqe.targets],
         derivation=engine.derivation,
         formula=engine.F,
         steps=engine.steps,
@@ -672,16 +573,25 @@ def bounded_solve(
 
 
 def entails(
-    var_count: int, clauses: list[Clause], h: Clause, limit: int, what: str
+    var_count: int,
+    clauses: list[Clause],
+    h: Clause,
+    limit: int,
+    what: str,
+    charge: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Does every model of ``clauses`` satisfy ``h``?
 
     Asks the solver, within ``limit`` steps, whether ``clauses`` plus one
     unit per negated literal of ``h`` (in ``h``'s order) is unsatisfiable.
-    Raises StepLimitError naming ``what`` when the budget runs out.
+    Raises StepLimitError naming ``what`` when the budget runs out;
+    otherwise ``charge``, when given, receives the solver steps spent.
     """
     units = [Clause([-lit]) for lit in h.literals]
-    return bounded_solve(var_count, [*clauses, *units], limit, what).status == "unsat"
+    out = bounded_solve(var_count, [*clauses, *units], limit, what)
+    if charge is not None:
+        charge(out.steps)
+    return out.status == "unsat"
 
 
 class _NotRedundant(Exception):
@@ -722,7 +632,10 @@ def sat_by_pqe(
     All variables are treated as quantified, so the taken-out clauses can
     only be empty (unsatisfiable) or absent entirely (satisfiable: the
     formula minus the falsified clauses is satisfied by the given
-    assignment, and equisatisfiability transfers the verdict).
+    assignment, and equisatisfiability transfers the verdict).  With no
+    free variable, the engine's cube probe runs at the empty cube, so a
+    falsified target the detectors cannot settle is decided by one
+    satisfiability call on the live formula.
     """
     for v in range(1, problem.var_count + 1):
         if v not in assignment:

@@ -424,6 +424,32 @@ def test_pqe_step_limit_returns_unknown(capsys):
     assert out == "s UNKNOWN\n"
 
 
+SHRUNK_PROBE = """\
+c targets 6 0
+p cnf 5 8
+e 1 3 5 0
+5 -3 0
+5 3 4 0
+-4 0
+-2 -5 3 0
+2 1 -3 0
+-1 4 -5 0
+3 1 0
+5 4 -1 0
+"""
+
+
+def test_pqe_step_limit_spent_inside_a_cube_probe(tmp_path, capsys):
+    # The run needs 42 steps, and at 20 its first cube probe runs out.
+    f = tmp_path / "probe.cnf"
+    f.write_text(SHRUNK_PROBE)
+    code, out, _ = run_cli(capsys, ["pqe", str(f), "--step-limit", "42"])
+    assert (code, out) == (0, "2 0\n")
+    code, out, _ = run_cli(capsys, ["pqe", str(f), "--step-limit", "20"])
+    assert code == 30
+    assert out == "s UNKNOWN\n"
+
+
 def _installed_distribution():
     try:
         return importlib.metadata.distribution("pqesat")

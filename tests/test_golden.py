@@ -159,13 +159,13 @@ def test_solver_outcomes_are_pinned(learn_to, digest):
 
 def test_take_out_outcomes_are_pinned():
     assert _digest(_outputs(_take_out_runs())) == (
-        "3d2455211dc392c6010393f09b54b52cf3302c056a51202b9ba5c391e9b980dc"
+        "57b4690e2695735ac64da107b515236939f515dd90b920ea510881e90e76721e"
     )
 
 
 def test_take_out_steps_are_pinned():
     assert _digest(_steps(_take_out_runs())) == (
-        "507163b56b7fc847802f8d0d4212e87a28828c5c1241cf51656b44fbd88d578d"
+        "e88d234f42fd10ae89c78c01f108a91faaa172b901683791e63d432b873b7ef2"
     )
 
 
@@ -177,23 +177,23 @@ def test_diameter_answers_are_pinned():
 
 def test_eq_check_outcomes_are_pinned():
     assert _digest(_outputs(_eq_check_runs())) == (
-        "eb274411ade55a6714155d394518508f2739170ea2d4556257930cd3a53c8f25"
+        "2637c041cbac29212e421aad5507814f88eb2476c0f4152af1d9f216e9c0a9a9"
     )
 
 
 def test_eq_check_steps_are_pinned():
     assert _digest(_steps(_eq_check_runs())) == (
-        "5cfa29cff63eab8f0083071cc5f91db631c6a49e81ee3f76ab8dd237f81e3f9e"
+        "84c19689484d41faa44c41ddf537198adc7e2f176821b39190aec740be0980ee"
     )
 
 
 def test_interpolate_outcomes_are_pinned():
     assert _digest(_outputs(_interpolate_runs())) == (
-        "b23f5abfde4c1ac1e32be54e11aec1c55552057da02c5bb2e8fc559233dd6fb7"
+        "b3bf01ac4683764e260046d47392ee2ac1f0401510380117fa4f571f95d1a32f"
     )
 
 
 def test_interpolate_steps_are_pinned():
     assert _digest(_steps(_interpolate_runs())) == (
-        "e99366c35d6e7c52b2b47f15b11c2cbf0e182cc2c395487b678e08a2a3ef9fc8"
+        "a58c81460567fe11babc3634846bbe8bf1d385984c908995dd0eb6346e5a99fd"
     )

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pqesat import pqe
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_pqe
 from pqesat.oracle import enum_sat, qe_enum, verify_pqe
@@ -14,7 +15,6 @@ from pqesat.pqe import (
     PqeProblem,
     StepLimitError,
     _Detector,
-    _strict_subset_test,
     atomic_dsequent,
     decide_redundant,
     resolve_dsequents,
@@ -231,7 +231,6 @@ def test_unit_extraction_run_in_full():
     sol = take_out(PqeProblem(p, (0,)))
     assert [list(c.literals) for c in sol.solution_clauses] == [[2]]
     assert sol.steps == 5
-    assert sol.grown_targets == []
     assert len(sol.formula.clauses) == 6
     assert sol.derivation == [
         {"event": "solution_clause", "index": 5, "clause": [2]},
@@ -242,7 +241,6 @@ def test_unit_extraction_run_in_full():
             "clause": [2],
             "start": 2,
             "steps": [[0, 3], [1, 1]],
-            "tainted": True,
             "decisions": [(2, False)],
         },
         {
@@ -314,13 +312,11 @@ def test_an_empty_live_clause_is_reused_as_the_conflict_twin():
     assert len(sol.formula.clauses) == 2
 
 
-def test_projection_fallback_run_pinned():
-    """A run whose per-target passes keep re-deriving the same content.
+def test_three_target_regression_closes_each_target():
+    """Three targets whose passes once kept re-deriving the same content.
 
-    The engine detects the second rebirth and eliminates the quantified
-    block outright; every pending target retires against the projection.
-    All concrete numbers below were produced by an oracle-verified run
-    and then frozen.
+    Branching on free variables only, every pass closes its own target
+    and nothing else is ever queued.
     """
     clauses = [
         (-4, -1),
@@ -338,70 +334,117 @@ def test_projection_fallback_run_pinned():
     p = CnfProblem(4, [Clause(c) for c in clauses], frozenset({2, 3, 4}))
     targets = (1, 0, 4)
     sol = take_out(PqeProblem(p, targets))
-    # Steps count work, not output: 45 since a blocked chain stops at a
-    # partner no discharge can take out.
-    assert sol.steps == 45
-    assert len(sol.formula.clauses) == 13
-    assert sol.solution_clauses == []
-    # Two learned clauses carried quantified variables, so they joined
-    # the target queue themselves.
-    assert sol.grown_targets == [11, 12]
-    assert any(ev["event"] == "new_target" for ev in sol.derivation)
-    assert any(ev["event"] == "projected" for ev in sol.derivation)
-    assert sorted((t, d.rationale) for t, d in sol.final_dsequents.items()) == [
-        (0, "subsumed"),
-        (1, "resolved"),
-        (4, "subsumed"),
-        (11, "resolved"),
-        (12, "projected"),
-    ]
     assert verify_pqe(p, list(targets), sol.solution_clauses)
+    assert set(sol.final_dsequents) == set(targets)
     for d in sol.final_dsequents.values():
         assert check_dsequent(sol.formula, d)
+    assert not any(ev["event"] == "projected" for ev in sol.derivation)
 
 
-def _random_literal_sets(rng):
-    family = []
-    for _ in range(rng.randint(0, 12)):
-        vs = rng.sample(range(1, 7), rng.randint(1, 4))
-        s = frozenset(v if rng.random() < 0.5 else -v for v in vs)
-        family.append(s)
-        if s and rng.random() < 0.3:
-            # A nested chain down from s, one literal dropped at a time.
-            chain = sorted(s)
-            rng.shuffle(chain)
-            for k in range(len(chain) - 1, 0, -1):
-                family.append(frozenset(chain[:k]))
-        if s and rng.random() < 0.3:
-            # The same variables with one polarity flipped.
-            lit = rng.choice(sorted(s))
-            family.append(s - {lit} | {-lit})
-    if rng.random() < 0.3:
-        family.append(frozenset())
-    return set(family)
+def _take_out_replayed(monkeypatch, pq):
+    """take_out, checking every D-sequent the engine builds along the way."""
+    made = []
+
+    def recorded(build):
+        def wrapper(*args):
+            d = build(*args)
+            made.append(d)
+            return d
+
+        return wrapper
+
+    monkeypatch.setattr(pqe, "resolve_dsequents", recorded(resolve_dsequents))
+    monkeypatch.setattr(pqe._Engine, "dsequent", recorded(pqe._Engine.dsequent))
+    sol = take_out(pq)
+    assert made
+    for d in made:
+        assert check_dsequent(sol.formula, d), d
+    return sol
 
 
-def test_strict_subset_test_matches_the_quadratic_filter():
-    rng = random.Random(4505)
-    checked = hits = 0
-    for _ in range(300):
-        family = _random_literal_sets(rng)
-        has_subset = _strict_subset_test(family)
-        for s in family:
-            want = any(t < s for t in family)
-            assert has_subset(s) == want, (sorted(s), family)
-            checked += 1
-            hits += want
-    # The families exercise both outcomes.
-    assert 0 < hits < checked
+def _instance(clauses, quantified, targets):
+    n = max(abs(lit) for c in clauses for lit in c)
+    problem = CnfProblem(n, [Clause(c) for c in clauses], frozenset(quantified))
+    return PqeProblem(problem, targets)
 
 
-def test_strict_subset_test_empty_set_subsumes_every_other():
-    family = {frozenset(), frozenset({1}), frozenset({-2, 3})}
-    has_subset = _strict_subset_test(family)
-    assert not has_subset(frozenset())
-    assert has_subset(frozenset({1}))
-    assert has_subset(frozenset({-2, 3}))
+# Detection fails at 1=0, where the formula still has a model: a "sat" leaf.
+SAT_LEAF = ([[-3, -4], [-2, 1, 3], [-2, 3, 4], [1, 2, 4]], {2, 3, 4}, (1,))
+
+# At 2=0, 4=0 the formula has no model, and 2 alone already entails it.
+SHRUNK_PROBE = (
+    [[5, -3], [5, 3, 4], [-4], [-2, -5, 3], [2, 1, -3], [-1, 4, -5], [3, 1], [5, 4, -1]],
+    {1, 3, 5},
+    (5,),
+)
+
+
+def test_sat_leaf_run_pinned(monkeypatch):
+    pq = _instance(*SAT_LEAF)
+    sol = _take_out_replayed(monkeypatch, pq)
+    assert sol.solution_clauses == []
+    # Steps include the cube probe's solver steps.
+    assert sol.steps == 13
+    assert sol.derivation == [
+        {"event": "atomic", "target": 1, "rationale": "sat", "subspace": [(1, False)]},
+        {
+            "event": "atomic",
+            "target": 1,
+            "rationale": "satisfied",
+            "subspace": [(1, True)],
+        },
+        {"event": "resolve_dsequents", "target": 1, "var": 1, "subspace": []},
+        {"event": "retired", "index": 1},
+    ]
+    assert verify_pqe(pq.problem, list(pq.targets), sol.solution_clauses)
+
+
+def test_shrunk_probe_clause_run_pinned(monkeypatch):
+    pq = _instance(*SHRUNK_PROBE)
+    sol = _take_out_replayed(monkeypatch, pq)
+    assert [list(c.literals) for c in sol.solution_clauses] == [[2]]
+    assert sol.steps == 42
+    assert sol.derivation[:3] == [
+        {"event": "solution_clause", "index": 8, "clause": [2]},
+        {
+            "event": "probe_clause",
+            "index": 8,
+            "clause": [2],
+            "decisions": [(2, False), (4, False)],
+        },
+        {
+            "event": "atomic",
+            "target": 5,
+            "rationale": "sat",
+            "subspace": [(2, True), (4, False)],
+        },
+    ]
+    assert verify_pqe(pq.problem, list(pq.targets), sol.solution_clauses)
+
+
+def test_a_budget_spent_inside_a_cube_probe_stops_the_run():
+    # 42 steps finish the run; at 20 the first probe runs out.
+    with pytest.raises(StepLimitError, match="cube probe"):
+        take_out(_instance(*SHRUNK_PROBE), PqeConfig(step_limit=20))
+
+
+def test_unmentioned_free_variables_change_nothing():
+    rng = random.Random(3131)
+    probes = 0
+    for _ in range(2000):
+        pq = random_pqe(rng, 8, 24, 2)
+        p = pq.problem
+        wide = CnfProblem(p.var_count + 16, list(p.clauses), p.quantified)
+        sol = take_out(pq)
+        got = take_out(PqeProblem(wide, pq.targets))
+        assert got.solution_clauses == sol.solution_clauses
+        assert got.steps == sol.steps
+        probes += sum(
+            ev["event"] == "probe_clause" or ev.get("rationale") == "sat"
+            for ev in sol.derivation
+        )
+    # The corpus reaches the cube probe, where naive branching would differ.
+    assert probes > 0
 
 
 def test_solution_clause_callback_sees_every_clause():

@@ -13,6 +13,13 @@ Certificates are collected in a side set P by default; a config switch
 appends them to the formula instead.  Certificate lookups always consult
 the learned clauses only — original formula clauses never serve as
 stored certificates, though an exploration may well return a copy of one.
+
+Coverage checks rest on two invariants.  Within one exploration frame the
+trail does not change after propagation, and the learned clauses are only
+ever appended to.  So a cluster's required pairs are fixed for the frame,
+and a covered pair stays covered by the same first certificate.  Each
+frame keeps a ``CoverageTable`` that tests a pair only against the
+certificates learned since it last tested it.
 """
 
 from __future__ import annotations
@@ -55,6 +62,20 @@ def specify_vicinity(
     return VicinitySpec(index, literal, tuple(bindings))
 
 
+def _walk_pairs(problem: CnfProblem, index: int, trail: Assignment):
+    """Yield the required pairs of ``required_pairs``, one at a time."""
+    seed = problem.clauses[index].literal_set
+    false_lits = trail.false_lits
+    for ci in cluster_of(problem, index):
+        c = problem.clauses[ci]
+        if trail.satisfies_clause(c):
+            continue
+        # In an unsatisfied clause a literal is unassigned unless false.
+        for lit in c:
+            if lit in seed and lit not in false_lits:
+                yield ci, lit
+
+
 def required_pairs(
     problem: CnfProblem, index: int, trail: Assignment
 ) -> list[tuple[int, int]]:
@@ -64,16 +85,7 @@ def required_pairs(
     trail and the shared literal is unassigned.  The seed clause pairs
     with each of its own unassigned literals.
     """
-    seed = problem.clauses[index]
-    pairs = []
-    for ci in cluster_of(problem, index):
-        c = problem.clauses[ci]
-        if trail.satisfies_clause(c):
-            continue
-        for lit in c:
-            if lit in seed.literal_set and not trail.is_assigned(abs(lit)):
-                pairs.append((ci, lit))
-    return pairs
+    return list(_walk_pairs(problem, index, trail))
 
 
 def certificate_for(
@@ -87,15 +99,74 @@ def certificate_for(
     return None
 
 
-def _uncovered_pair(
-    problem: CnfProblem, learned: Sequence[Clause], trail: Assignment, index: int
-) -> Optional[VicinitySpec]:
-    """The vicinity of the first required pair without a certificate."""
-    for ci, lit in required_pairs(problem, index, trail):
-        spec = specify_vicinity(problem, ci, lit, trail)
-        if certificate_for(spec, learned, trail) is None:
-            return spec
-    return None
+class _Coverage:
+    """How far a seed's required pairs are known to be covered."""
+
+    __slots__ = ("pairs", "certs", "spec", "tested")
+
+    def __init__(self, pairs):
+        self.pairs = pairs  # the pairs not yet reached, walked lazily
+        self.certs: dict[tuple[int, int], Clause] = {}  # covered pairs, in order
+        self.spec: Optional[VicinitySpec] = None  # first pair not known covered
+        self.tested = 0  # learned clauses already tested against ``spec``
+
+
+class CoverageTable:
+    """Which required pairs of each cluster the learned clauses cover.
+
+    Coverage only grows while the trail stays fixed and ``learned`` only
+    grows: a pair's required status depends on the trail and the formula
+    alone, and its first certificate stays first when clauses are
+    appended.  So each seed keeps the first pair not yet known to be
+    covered and how many learned clauses were tested against it, and a
+    later query tests that pair only against the clauses learned since.
+    Pairs and their vicinities are built only when reached, as most seeds
+    fail at their first pair.  A grown formula (``learn_to="F"``) can
+    grow clusters, so every entry is dropped when the clause count moves.
+    """
+
+    def __init__(
+        self, problem: CnfProblem, learned: Sequence[Clause], trail: Assignment
+    ):
+        self.problem = problem
+        self.learned = learned
+        self.trail = trail
+        self._size = len(problem.clauses)
+        self._entries: dict[int, _Coverage] = {}
+
+    def _entry(self, seed: int) -> _Coverage:
+        if len(self.problem.clauses) != self._size:
+            self._size = len(self.problem.clauses)
+            self._entries.clear()
+        entry = self._entries.get(seed)
+        if entry is None:
+            entry = _Coverage(_walk_pairs(self.problem, seed, self.trail))
+            self._entries[seed] = entry
+        return entry
+
+    def uncovered(self, seed: int) -> Optional[VicinitySpec]:
+        """The vicinity of the seed's first required pair without a certificate."""
+        entry = self._entry(seed)
+        learned = self.learned
+        while True:
+            if entry.spec is None:
+                pair = next(entry.pairs, None)
+                if pair is None:
+                    return None
+                entry.spec = specify_vicinity(self.problem, *pair, self.trail)
+                entry.tested = 0
+            cert = None
+            if entry.tested < len(learned):
+                cert = certificate_for(entry.spec, learned[entry.tested :], self.trail)
+                entry.tested = len(learned)
+            if cert is None:
+                return entry.spec
+            entry.certs[entry.spec.clause_index, entry.spec.literal] = cert
+            entry.spec = None
+
+    def certificates(self, seed: int) -> dict[tuple[int, int], Clause]:
+        """Each covered pair of the seed's walked prefix, with its first certificate."""
+        return self._entry(seed).certs
 
 
 def check_induction(
@@ -103,18 +174,24 @@ def check_induction(
     learned: Sequence[Clause],
     trail: Assignment,
     candidates: Optional[Sequence[int]] = None,
+    table: Optional[CoverageTable] = None,
 ) -> Optional[int]:
     """Lowest clause index whose cluster is fully certified, or None.
 
     When every required pair of some clause's cluster has a learned
     certificate falsified in its vicinity, the formula has no model in
-    the trail's subspace.  ``candidates`` restricts the scan.
+    the trail's subspace.  ``candidates`` restricts the scan.  ``table``
+    carries coverage between calls; it must hold this problem, learned
+    list and trail, and is valid only while the trail stays fixed and
+    ``learned`` only grows.  Without one, a throwaway table is used.
     """
+    if table is None:
+        table = CoverageTable(problem, learned, trail)
     indices = candidates if candidates is not None else range(len(problem.clauses))
     for i in indices:
         if trail.satisfies_clause(problem.clauses[i]):
             continue
-        if _uncovered_pair(problem, learned, trail, i) is None:
+        if table.uncovered(i) is None:
             return i
     return None
 
@@ -124,14 +201,26 @@ def build_induction_clause(
     learned: Sequence[Clause],
     trail: Assignment,
     index: int,
+    table: Optional[CoverageTable] = None,
 ) -> Clause:
     """Assemble the clause an induction step is entitled to.
 
     Three ingredients: the seed clause's falsified literals; for each
     satisfied cluster clause, the negation of its earliest satisfying
     trail literal; and for each required pair, the certificate literals
-    over variables foreign to that pair's clause.
+    over variables foreign to that pair's clause.  Certificates come from
+    ``table`` when given (see ``check_induction``).
     """
+    if table is None:
+        table = CoverageTable(problem, learned, trail)
+    missing = table.uncovered(index)
+    if missing is not None:
+        raise CnfError(
+            f"pair ({missing.clause_index}, {missing.literal}) has no "
+            "certificate; induction clause is not available"
+        )
+    certs = table.certificates(index)
+    required = set(required_pairs(problem, index, trail))
     seed = problem.clauses[index]
     lits: list[int] = []
 
@@ -147,19 +236,11 @@ def build_induction_clause(
         earliest = trail.first_true_literal(c)
         if earliest is not None:
             take(-earliest)
-        else:
-            for lit in c:
-                if lit in seed.literal_set and not trail.is_assigned(abs(lit)):
-                    spec = specify_vicinity(problem, ci, lit, trail)
-                    cert = certificate_for(spec, learned, trail)
-                    if cert is None:
-                        raise CnfError(
-                            f"pair ({ci}, {lit}) has no certificate; "
-                            "induction clause is not available"
-                        )
-                    for b in cert:
-                        if abs(b) not in c.variables():
-                            take(b)
+        for lit in c:
+            if (ci, lit) in required:
+                for b in certs[ci, lit]:
+                    if abs(b) not in c.variables():
+                        take(b)
     return Clause(lits)
 
 
@@ -263,13 +344,16 @@ class _Solver:
         )
         if primary is None:
             return ("sat", trail)
+        table = CoverageTable(self.F, self.learned, trail)
         while True:
-            spec = _uncovered_pair(self.F, self.learned, trail, primary)
+            spec = table.uncovered(primary)
             if spec is None:
                 # Certificates learned in other branches may already cover
                 # every pair of the primary cluster before anything is
                 # learned here, so the induction step applies now.
-                b_ind = build_induction_clause(self.F, self.learned, trail, primary)
+                b_ind = build_induction_clause(
+                    self.F, self.learned, trail, primary, table
+                )
                 return ("cert", resolve_to_base(b_ind, res))
             kind, payload = self._explore(trail, list(spec.bindings))
             if kind == "sat":
@@ -293,9 +377,12 @@ class _Solver:
                 self.learned,
                 trail,
                 candidates=sorted(cluster_of(self.F, spec.clause_index)),
+                table=table,
             )
             if fired is not None:
-                b_ind = build_induction_clause(self.F, self.learned, trail, fired)
+                b_ind = build_induction_clause(
+                    self.F, self.learned, trail, fired, table
+                )
                 cleaned = resolve_to_base(b_ind, res)
                 self._record(spec, cert, fired, "induct")
                 return ("cert", cleaned)

@@ -10,6 +10,7 @@ from pqesat.cnf import Assignment, Binding, Clause, CnfError, CnfProblem, parse_
 from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat
 from pqesat.solver import (
+    CoverageTable,
     SolverConfig,
     build_induction_clause,
     certificate_for,
@@ -115,6 +116,86 @@ def test_build_induction_clause():
     problem, trail, learned = _coverage_fixture()
     got = build_induction_clause(problem, learned, trail, 0)
     assert got.literals == (-1, 10, 4, -9)
+
+
+def _scan_uncovered(problem, learned, trail, index):
+    """The plain rescan the coverage table replaced, kept as the reference.
+
+    Every call walks all required pairs in order and tests each against
+    every learned clause.
+    """
+    for ci, lit in required_pairs(problem, index, trail):
+        spec = specify_vicinity(problem, ci, lit, trail)
+        if certificate_for(spec, learned, trail) is None:
+            return spec
+    return None
+
+
+def test_table_covers_a_pair_first_tested_uncovered():
+    problem, trail, learned = _coverage_fixture()
+    grown = learned[:1]
+    table = CoverageTable(problem, grown, trail)
+    # (0, 2) is covered; (0, 3) is tested against the one clause and fails.
+    assert table.uncovered(0) == specify_vicinity(problem, 0, 3, trail)
+    grown.append(learned[1])
+    assert table.uncovered(0) == specify_vicinity(problem, 2, 2, trail)
+    grown.append(learned[2])
+    assert table.uncovered(0) is None
+    assert check_induction(problem, grown, trail, table=table) == 0
+    got = build_induction_clause(problem, grown, trail, 0, table)
+    assert got.literals == (-1, 10, 4, -9)
+
+
+def test_table_is_rebuilt_when_a_learned_clause_grows_the_cluster():
+    # Under learn_to="F" a certificate joins the formula.  [3, 5] shares
+    # the seed's open literal 3, so the seed's cluster gains the required
+    # pair (6, 3), which no learned clause covers.
+    problem, trail, learned = _coverage_fixture()
+    table = CoverageTable(problem, learned, trail)
+    assert table.uncovered(0) is None
+    for c in (Clause([3, 5]), Clause([-3, 10])):
+        learned.append(c)
+        problem.add_clause(c)
+        if c == Clause([3, 5]):
+            assert table.uncovered(0) == specify_vicinity(problem, 6, 3, trail)
+        assert table.uncovered(0) == _scan_uncovered(problem, learned, trail, 0)
+    assert table.uncovered(0) is None
+    assert build_induction_clause(
+        problem, learned, trail, 0, table
+    ) == build_induction_clause(problem, learned, trail, 0)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_table_matches_the_rescan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    problem = random_cnf(rng, max_vars=n, max_clauses=3 * n)
+    n = problem.var_count
+    order = rng.sample(range(1, n + 1), n)
+    trail = Assignment(
+        [Binding(v, rng.random() < 0.5) for v in order[: rng.randint(0, n // 3)]]
+    )
+    learn_to_f = rng.random() < 0.5
+    learned = []
+    table = CoverageTable(problem, learned, trail)
+    for _ in range(3 * n):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, 3))
+        c = Clause([v if rng.random() < 0.5 else -v for v in vs])
+        learned.append(c)
+        if learn_to_f:
+            problem.add_clause(c)
+        fired = None
+        for i, clause in enumerate(problem.clauses):
+            if trail.satisfies_clause(clause):
+                continue
+            want = _scan_uncovered(problem, learned, trail, i)
+            assert table.uncovered(i) == want
+            if want is None:
+                fired = i if fired is None else fired
+                assert build_induction_clause(
+                    problem, learned, trail, i, table
+                ) == build_induction_clause(problem, learned, trail, i)
+        assert check_induction(problem, learned, trail, table=table) == fired
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ the live formula, the target included, is satisfiable at x, the target is
 redundant there; otherwise the clause x falsifies, shrunk, joins the
 solution.  No target is ever grown, and no quantified variable is branched
 on.
+
+A probe asks the induction solver about the live formula with x as its
+assumptions.  The probes of one pass share one probe formula, which gains
+each solution clause as it is added, and one certificate list: within a
+pass the live formula only gains clauses it already implies, so what one
+probe learns holds for the next.  The list is dropped when the pass's
+target closes.  ``decide_redundant`` likewise keeps one probe formula
+and certificate list for all its redundancy probes.
 """
 
 from __future__ import annotations
@@ -129,7 +137,8 @@ class PqeConfig:
     # Work budget: StepLimitError once more steps than this are taken.
     # A step is one branching node, one chained _discharge attempt or one
     # solver step of a cube probe, so a change that only saves work spends
-    # fewer.
+    # fewer.  A cube probe may spend only what is left of the budget, and
+    # a literal that the latest closing clause already drops costs none.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -147,9 +156,10 @@ class PqeSolution:
     D-sequent in ``final_dsequents``.  ``formula`` is the grown formula,
     so D-sequent clause indices stay meaningful.  ``steps`` is the work
     spent against ``step_limit``: branching nodes, chained ``_discharge``
-    attempts and the solver steps of cube probes.
-    It is a budget count, not an output; two engines that agree on every
-    other field may spend different steps.
+    attempts and the solver steps of cube probes.  Cube probes share
+    certificates within a pass, so a probe's steps depend on the probes
+    before it.  It is a budget count, not an output; two engines that agree
+    on every other field may spend different steps.
     """
 
     solution_clauses: list[Clause]
@@ -358,6 +368,10 @@ class _Engine:
         self.derivation: list[dict] = []
         self.steps = 0
         self.unsat_closed = False
+        # The pass's probe formula and the certificates its probes share,
+        # built at the pass's first cube probe and dropped when it closes.
+        self.probe_formula: Optional[CnfProblem] = None
+        self.probe_learned: list[Clause] = []
         # The branching order; decisions are always a prefix of it.
         self.order = sorted(mentioned_variables(self.F) - self.F.quantified)
 
@@ -372,6 +386,7 @@ class _Engine:
         """Record a target's final D-sequent, taking the target out."""
         self.final[d.target] = d
         self.derivation.append({"event": "retired", "index": d.target})
+        self.probe_formula = None
 
     def dsequent(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
         """A D-sequent about the current formula minus the closed targets."""
@@ -400,6 +415,8 @@ class _Engine:
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
         self.index_of[id(clause)] = idx
+        if self.probe_formula is not None:
+            self.probe_formula.add_clause(clause)
         self.emit(clause, idx, "solution_clause")
         return idx
 
@@ -487,23 +504,44 @@ class _Engine:
         the target: a ``"sat"`` D-sequent over x.  If so, h is shrunk by
         dropping each literal in turn while the entailment holds, joins
         the formula and the solution, and the target is redundant where h
-        is false.  Probe steps count against the budget.  The name is
-        kept from the variable elimination this replaced, because the
-        benchmark's tracer wraps the method by it as ``pqe.project``.
-        """
-        live = [c for i, c in enumerate(self.F.clauses) if i not in self.dead]
+        is false.  A probe that answers yes closes with a clause implied by
+        the live formula and made of h's literals, so a literal missing
+        from the latest such clause is dropped without a probe.
 
-        def entailed(lits: list[int]) -> bool:
+        All probes of a pass share one probe formula, the live formula
+        that ``_add_clause`` keeps growing, and one certificate list.
+        Within a pass the live formula only gains clauses (closed targets
+        change only between passes), so a certificate learned by one probe
+        stays implied for the next.  Probe steps count against the budget.
+        The name is kept from the variable elimination this replaced,
+        because the benchmark's tracer wraps the method by it as
+        ``pqe.project``.
+        """
+        if self.probe_formula is None:
+            live = [c for i, c in enumerate(self.F.clauses) if i not in self.dead]
+            self.probe_formula = CnfProblem(self.F.var_count, live)
+            self.probe_learned = []
+
+        def closing(lits: list[int]) -> Optional[Clause]:
             limit = self.config.step_limit - self.steps
-            return entails(self.F.var_count, live, Clause(lits), limit, "cube probe", self.tick)
+            out = probe(
+                self.probe_formula, Clause(lits), self.probe_learned, limit, "cube probe"
+            )
+            self.tick(out.steps)
+            return out.closing_clause
 
         lits = [-v if val else v for v, val in decisions]
-        if not entailed(lits):
+        closed = closing(lits)
+        if closed is None:
             return self.atomic(decisions, target, "sat")
         for lit in list(lits):
             rest = [m for m in lits if m != lit]
-            if entailed(rest):
+            if lit not in closed.literal_set:
                 lits = rest
+                continue
+            got = closing(rest)
+            if got is not None:
+                lits, closed = rest, got
         idx = self._add_clause(Clause(lits))
         self.derivation.append(
             {"event": "probe_clause", "index": idx, "clause": lits,
@@ -566,31 +604,40 @@ def bounded_solve(
     var_count: int, clauses: list[Clause], limit: int, what: str
 ) -> SolveOutcome:
     """Solve ``clauses`` in ``limit`` steps, or raise StepLimitError naming ``what``."""
-    out = solve(CnfProblem(var_count, clauses), SolverConfig(step_limit=limit))
+    return probe(CnfProblem(var_count, clauses), Clause([]), [], limit, what)
+
+
+def probe(
+    problem: CnfProblem,
+    h: Clause,
+    learned: list[Clause],
+    limit: int,
+    what: str,
+) -> SolveOutcome:
+    """Solve ``problem`` under the assumptions that falsify ``h``.
+
+    The answer is "unsat" exactly when ``problem`` entails ``h``, and then
+    the closing clause is a subset of ``h`` that ``problem`` entails too.
+    ``learned`` is the certificate list the probe shares with other probes
+    (see ``solve``).  Raises StepLimitError naming ``what`` when ``limit``
+    steps run out.
+    """
+    assumptions = [(abs(lit), lit < 0) for lit in h.literals]
+    out = solve(problem, SolverConfig(step_limit=limit), assumptions, learned)
     if out.status == "unknown":
         raise StepLimitError(f"{what} hit the step limit")
     return out
 
 
 def entails(
-    var_count: int,
-    clauses: list[Clause],
-    h: Clause,
-    limit: int,
-    what: str,
-    charge: Optional[Callable[[int], None]] = None,
+    var_count: int, clauses: list[Clause], h: Clause, limit: int, what: str
 ) -> bool:
     """Does every model of ``clauses`` satisfy ``h``?
 
-    Asks the solver, within ``limit`` steps, whether ``clauses`` plus one
-    unit per negated literal of ``h`` (in ``h``'s order) is unsatisfiable.
-    Raises StepLimitError naming ``what`` when the budget runs out;
-    otherwise ``charge``, when given, receives the solver steps spent.
+    A one-shot ``probe`` with no certificates to start from.  Raises
+    StepLimitError naming ``what`` when the ``limit`` steps run out.
     """
-    units = [Clause([-lit]) for lit in h.literals]
-    out = bounded_solve(var_count, [*clauses, *units], limit, what)
-    if charge is not None:
-        charge(out.steps)
+    out = probe(CnfProblem(var_count, list(clauses)), h, [], limit, what)
     return out.status == "unsat"
 
 
@@ -611,9 +658,13 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
         config = PqeConfig()
     base = pqe.problem
     kept = [c for i, c in enumerate(base.clauses) if i not in pqe.targets]
+    # One probe formula and certificate list serve every check: kept is fixed.
+    kept_problem = CnfProblem(base.var_count, kept)
+    learned: list[Clause] = []
 
     def check(h: Clause) -> None:
-        if not entails(base.var_count, kept, h, config.step_limit, "redundancy probe"):
+        out = probe(kept_problem, h, learned, config.step_limit, "redundancy probe")
+        if out.status != "unsat":
             raise _NotRedundant
 
     probing = replace(config, on_solution_clause=check)

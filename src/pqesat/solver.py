@@ -19,7 +19,18 @@ trail does not change after propagation, and the learned clauses are only
 ever appended to.  So a cluster's required pairs are fixed for the frame,
 and a covered pair stays covered by the same first certificate.  Each
 frame keeps a ``CoverageTable`` that tests a pair only against the
-certificates learned since it last tested it.
+certificates learned since it last tested it.  The same invariants let a
+frame's propagation start from its parent frame's counters (see
+``bcp.propagate``), counting only the clauses learned since the parent ran.
+
+``solve`` takes assumptions, in the style of MiniSat's assumption
+interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
+are the root exploration's decisions rather than unit clauses.  Under
+assumptions the closing clause of an "unsat" answer is the root
+certificate, a clause the formula implies whose literals the assumptions
+all falsify.  Every certificate is implied by the formula alone, never by
+the assumptions, so a caller may hand several calls one certificate list
+while their formula only gains clauses.
 """
 
 from __future__ import annotations
@@ -280,18 +291,23 @@ class _StepLimit(Exception):
 
 
 class _Solver:
-    def __init__(self, problem: CnfProblem, config: SolverConfig):
+    def __init__(
+        self,
+        problem: CnfProblem,
+        config: SolverConfig,
+        learned: Optional[list[Clause]] = None,
+    ):
         # Only learn_to="F" grows the formula, so only it needs a copy.
         self.F = problem.copy() if config.learn_to == "F" else problem
         self.config = config
-        self.learned: list[Clause] = []
+        self.learned: list[Clause] = [] if learned is None else learned
         self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
 
-    def run(self) -> SolveOutcome:
+    def run(self, assumptions: Sequence[tuple[int, bool]]) -> SolveOutcome:
         try:
-            kind, payload = self._explore(Assignment(), [])
+            kind, payload = self._explore(Assignment(), list(assumptions), None)
         except _StepLimit:
             return SolveOutcome(
                 "unknown", None, self.certs, self.trace, None, self.steps, self.F
@@ -303,9 +319,11 @@ class _Solver:
             return SolveOutcome(
                 "sat", model, self.certs, self.trace, None, self.steps, self.F
             )
-        if not payload.is_empty():
+        # The root certificate is falsified by the assumptions alone.
+        if not payload.literal_set <= {-v if val else v for v, val in assumptions}:
             raise AssertionError(
-                f"root exploration returned nonempty clause {payload!r}"
+                f"root exploration returned {payload!r}, which the "
+                "assumptions do not falsify"
             )
         return SolveOutcome(
             "unsat", None, self.certs, self.trace, payload, self.steps, self.F
@@ -327,22 +345,21 @@ class _Solver:
             }
         )
 
-    def _explore(self, base: Assignment, decisions: list[tuple[int, bool]]):
+    def _explore(self, base: Assignment, decisions: list[tuple[int, bool]], parent):
         self.steps += 1
         if self.steps > self.config.step_limit:
             raise _StepLimit
         side = self.learned if self.config.learn_to == "P" else ()
-        res = propagate(self.F, side, base, decisions)
+        res = propagate(self.F, side, base, decisions, parent=parent)
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
         # The first unsatisfied clause anchors every pick in this subspace;
-        # the trail no longer changes here, so it stays the first one.
-        primary = next(
-            (i for i, c in enumerate(self.F.clauses) if not trail.satisfies_clause(c)),
-            None,
-        )
-        if primary is None:
+        # the trail no longer changes here, so it stays the first one.  The
+        # counted positions ascend and cover every unsatisfied clause, so
+        # it is the first of them, unless that is a learned clause.
+        primary = next(iter(res.open_count), None)
+        if primary is None or primary >= len(self.F.clauses):
             return ("sat", trail)
         table = CoverageTable(self.F, self.learned, trail)
         while True:
@@ -355,7 +372,7 @@ class _Solver:
                     self.F, self.learned, trail, primary, table
                 )
                 return ("cert", resolve_to_base(b_ind, res))
-            kind, payload = self._explore(trail, list(spec.bindings))
+            kind, payload = self._explore(trail, list(spec.bindings), res)
             if kind == "sat":
                 self._record(spec, None, None, "sat")
                 return ("sat", payload)
@@ -389,13 +406,32 @@ class _Solver:
             self._record(spec, cert, None, "learn")
 
 
-def solve(problem: CnfProblem, config: Optional[SolverConfig] = None) -> SolveOutcome:
-    """Decide satisfiability of a CNF formula.
+def solve(
+    problem: CnfProblem,
+    config: Optional[SolverConfig] = None,
+    assumptions: Sequence[tuple[int, bool]] = (),
+    learned: Optional[list[Clause]] = None,
+) -> SolveOutcome:
+    """Decide satisfiability of a CNF formula, under optional assumptions.
 
-    Returns a SolveOutcome whose status is "sat" with a total model,
-    "unsat" with the closing empty clause and the learned certificates,
-    or "unknown" when the step limit ran out.
+    ``assumptions`` are (variable, value) pairs that the root exploration
+    takes as its decisions.  Returns a SolveOutcome whose status is "sat"
+    with a total model that agrees with the assumptions, "unsat" with the
+    closing clause and the certificates learned in this call, or
+    "unknown" when the step limit ran out.  The closing clause is the root
+    certificate: the formula implies it, and the assumptions falsify every
+    literal of it, so without assumptions it is the empty clause.
+
+    ``learned``, when given, is the caller's certificate list.  The call
+    consults it and appends to it, so several calls can share what they
+    learn.  That is sound while every call's formula implies every clause
+    already in the list, for instance when the formula only gains clauses
+    between calls: each certificate is implied by the formula it was
+    learned on, never by the assumptions.
     """
     if config is None:
         config = SolverConfig()
-    return _Solver(problem, config).run()
+    for v, _ in assumptions:
+        if not 1 <= v <= problem.var_count:
+            raise CnfError(f"assumption on variable {v} out of range")
+    return _Solver(problem, config, learned).run(assumptions)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqesat.bcp import analyze_conflict, propagate, resolve_to_base
-from pqesat.cnf import Assignment, Binding, Clause, CnfProblem
+from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, resolve
+from pqesat.oracle import implies
 
 
 def test_propagate_unit_chain():
@@ -181,6 +184,108 @@ def test_propagate_matches_the_rescan(seed):
     _assert_same_result(res, _scan_propagate(p, learned, base, decisions, skip))
 
 
+def _assert_same_counters(res, fresh):
+    assert res.counted == fresh.counted
+    assert res.formula_len == fresh.formula_len
+    # Both dicts hold the same positions, in ascending order.
+    assert list(res.open_count.items()) == list(fresh.open_count.items())
+    assert list(res.open_count) == sorted(res.open_count)
+
+
+def _unassigned_decisions(rng, n, trail, most):
+    free = [v for v in range(1, n + 1) if not trail.is_assigned(v)]
+    chosen = rng.sample(free, min(len(free), rng.randint(1, most)))
+    return [(v, rng.random() < 0.5) for v in chosen]
+
+
+@pytest.mark.parametrize("grow", ["learned", "formula", "both"])
+@pytest.mark.parametrize("seed", range(40))
+def test_carried_propagation_matches_the_rescan(seed, grow):
+    """Parent -> child chains, with clauses appended between the frames.
+
+    ``"learned"`` appends learned clauses, as the solver does under
+    learn_to="P"; ``"formula"`` appends formula clauses with no learned
+    ones, as under learn_to="F" or on a growing probe formula; ``"both"``
+    grows both, where the child cannot carry and counts from scratch.
+    Each child must match the plain rescan and, in its counters, a call
+    without a parent.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(5, 12)
+    p = CnfProblem(n, [_random_clause(rng, n) for _ in range(rng.randint(n, 3 * n))])
+    learned = [_random_clause(rng, n) for _ in range(rng.randint(0, n))]
+    if grow == "formula":
+        learned = []
+    skip = frozenset(i for i in range(len(p.clauses)) if rng.random() < 0.1)
+    res = propagate(p, learned, Assignment(), [], skip)
+    for _ in range(6):
+        if res.is_conflict:
+            break
+        for _ in range(rng.randint(0, 4)):
+            c = _random_clause(rng, n)
+            if grow != "formula" and rng.random() < 0.6:
+                learned.append(rng.choice(p.clauses) if rng.random() < 0.2 else c)
+            if grow != "learned":
+                p.add_clause(c)
+        decisions = _unassigned_decisions(rng, n, res.trail, 3)
+        if not decisions:
+            break
+        child = propagate(p, learned, res.trail, decisions, skip, parent=res)
+        want = _scan_propagate(p, learned, res.trail, decisions, skip)
+        _assert_same_result(child, want)
+        _assert_same_counters(
+            child, propagate(p, learned, res.trail, decisions, skip)
+        )
+        res = child
+
+
+def test_carried_propagation_leaves_the_parent_alone():
+    p = CnfProblem(4, [Clause([-1, 2, 3]), Clause([-2, 4]), Clause([1, 3, 4])])
+    parent = propagate(p, [], Assignment(), [])
+    before = dict(parent.open_count)
+    child = propagate(p, [], parent.trail, [(1, True), (3, False)], parent=parent)
+    assert child.trail.items() == [(1, True), (3, False), (2, True), (4, True)]
+    assert parent.open_count == before
+    assert parent.trail.items() == []
+
+
+def test_learned_positions_shift_when_the_formula_grows():
+    # The parent counted no learned clause, so both children carry its
+    # counters.  The first child indexes the learned clause at position 1;
+    # after the formula grows, the second must find it at position 2.
+    p = CnfProblem(4, [Clause([1, 2, 3])])
+    parent = propagate(p, [], Assignment(), [])
+    learned = [Clause([-4, 2])]
+    propagate(p, learned, parent.trail, [(3, False)], parent=parent)
+    p.add_clause(Clause([-1, 4]))
+    decisions = [(1, True)]
+    child = propagate(p, learned, parent.trail, decisions, parent=parent)
+    assert child.trail.items() == [(1, True), (4, True), (2, True)]
+    assert child.trail.bindings[-1].reason is learned[0]
+    _assert_same_result(child, _scan_propagate(p, learned, parent.trail, decisions))
+    _assert_same_counters(child, propagate(p, learned, parent.trail, decisions))
+
+
+def test_a_conflicting_result_cannot_be_a_parent():
+    p = CnfProblem(1, [Clause([1])])
+    res = propagate(p, [], Assignment(), [(1, False)])
+    with pytest.raises(ValueError):
+        propagate(p, [], res.trail, [], parent=res)
+
+
+def test_a_carried_decision_falsifies_the_first_clause_in_scan_order():
+    # The learned clause and the second formula clause are open at the
+    # parent; the decisions falsify both, and the formula clause wins.
+    p = CnfProblem(4, [Clause([1, 4]), Clause([2, 3])])
+    learned = [Clause([3, 2])]
+    parent = propagate(p, learned, Assignment(), [(1, False)])
+    assert list(parent.open_count) == [1, 2]
+    decisions = [(3, False), (2, False)]
+    child = propagate(p, learned, parent.trail, decisions, parent=parent)
+    assert child.conflict is p.clauses[1]
+    _assert_same_result(child, _scan_propagate(p, learned, parent.trail, decisions))
+
+
 def test_analyze_conflict_resolves_out_propagated_literals():
     # Decisions 1=0, 2=0 propagate 3 (first clause) then 4 (second),
     # falsifying the third clause; resolving that clause against the
@@ -232,3 +337,91 @@ def test_resolve_to_base_keeps_decision_literals():
     res = propagate(p, [], Assignment(), [(1, True)])
     got = resolve_to_base(Clause([-1, -2]), res)
     assert got.literal_set == {-1}
+
+
+def _walk_resolve_to_base(clause, result, steps=None):
+    """The loop the single backward walk replaced, kept as the reference.
+
+    Each round searches from the trail's end for the latest propagated
+    binding whose variable the current clause holds.
+    """
+    trail = result.trail
+    current = clause
+    while True:
+        pivot = None
+        lits = current.literal_set
+        for i in range(len(trail.bindings) - 1, result.base_len - 1, -1):
+            b = trail.bindings[i]
+            if b.decision:
+                continue
+            if b.var in lits or -b.var in lits:
+                pivot = b
+                break
+        if pivot is None:
+            break
+        current = resolve(current, pivot.reason, pivot.var)
+        if steps is not None:
+            steps.append((pivot.reason, pivot.var))
+    return Clause(current.literals)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_resolve_to_base_matches_the_restarting_walk(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    p = CnfProblem(n, [_random_clause(rng, n) for _ in range(rng.randint(n, 3 * n))])
+    learned = [_random_clause(rng, n) for _ in range(rng.randint(0, n))]
+    order = rng.sample(range(1, n + 1), n)
+    k = rng.randint(0, n // 3)
+    base = Assignment([Binding(v, rng.random() < 0.5) for v in order[:k]])
+    decisions = [(v, rng.random() < 0.5) for v in order[k : k + rng.randint(0, 4)]]
+    res = propagate(p, learned, base, decisions)
+    # The conflict clause, when there is one, and a few clauses the trail
+    # falsifies, drawn from its falsified literals.
+    clauses = [res.conflict] if res.is_conflict else []
+    false_lits = sorted(res.trail.false_lits)
+    for _ in range(3):
+        if false_lits:
+            clauses.append(Clause(rng.sample(false_lits, rng.randint(1, len(false_lits)))))
+    for c in clauses:
+        got_steps, want_steps = [], []
+        got = resolve_to_base(c, res, got_steps)
+        want = _walk_resolve_to_base(c, res, want_steps)
+        assert got.literals == want.literals
+        assert got_steps == want_steps
+
+
+@st.composite
+def _conflicts(draw):
+    """A formula, learned clauses, base and decisions whose propagation conflicts."""
+    n = draw(st.integers(2, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(lit, min_size=1, max_size=3).filter(
+        lambda ls: not any(-x in ls for x in ls)
+    ).map(Clause)
+    clauses = draw(st.lists(clause, min_size=1, max_size=3 * n))
+    learned = draw(st.lists(clause, max_size=n))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    values = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    d = draw(st.integers(0, n - k))
+    base = Assignment([Binding(v, values[i]) for i, v in enumerate(order[:k])])
+    decisions = [(v, values[k + i]) for i, v in enumerate(order[k : k + d])]
+    return CnfProblem(n, clauses), learned, base, decisions
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conflicts())
+def test_resolve_to_base_properties(case):
+    p, learned, base, decisions = case
+    res = propagate(p, learned, base, decisions)
+    if not res.is_conflict:
+        return
+    got = analyze_conflict(res)
+    context = res.trail.bindings[: res.base_len + len(decisions)]
+    # Falsified by the base plus this call's decisions.
+    assert got.literal_set <= Assignment(context).false_lits
+    propagated = {b.var for b in res.trail.bindings[res.base_len :] if not b.decision}
+    assert not any(abs(lit) in propagated for lit in got)
+    # Implied by the formula plus the learned clauses: every reason is one.
+    assert implies(CnfProblem(p.var_count, [*p.clauses, *learned]), got)

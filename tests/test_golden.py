@@ -197,7 +197,7 @@ def test_eq_check_outcomes_are_pinned():
 
 def test_eq_check_steps_are_pinned():
     assert _digest(_steps(_eq_check_runs())) == (
-        "84c19689484d41faa44c41ddf537198adc7e2f176821b39190aec740be0980ee"
+        "dd14da32e37b44c9bdbc9a8d6c43e372465f7c08bed53c91b4ab59a381049338"
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from pqesat import pqe
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_pqe
-from pqesat.oracle import enum_sat, qe_enum, verify_pqe
+from pqesat.oracle import enum_sat, implies, qe_enum, verify_pqe
 from pqesat.pqe import (
     DSequent,
     PqeConfig,
@@ -403,7 +403,7 @@ def test_shrunk_probe_clause_run_pinned(monkeypatch):
     pq = _instance(*SHRUNK_PROBE)
     sol = _take_out_replayed(monkeypatch, pq)
     assert [list(c.literals) for c in sol.solution_clauses] == [[2]]
-    assert sol.steps == 42
+    assert sol.steps == 37
     assert sol.derivation[:3] == [
         {"event": "solution_clause", "index": 8, "clause": [2]},
         {
@@ -423,7 +423,7 @@ def test_shrunk_probe_clause_run_pinned(monkeypatch):
 
 
 def test_a_budget_spent_inside_a_cube_probe_stops_the_run():
-    # 42 steps finish the run; at 20 the first probe runs out.
+    # 37 steps finish the run; at 20 the first probe runs out.
     with pytest.raises(StepLimitError, match="cube probe"):
         take_out(_instance(*SHRUNK_PROBE), PqeConfig(step_limit=20))
 
@@ -471,6 +471,74 @@ def test_take_out_random_instances_verify():
             # Each D-sequent is about the formula minus the targets
             # closed before it.
             assert d.removed == tuple(sorted(retired[:closed]))
+
+
+def _checked_probes(monkeypatch):
+    """Wrap ``pqe.probe`` so that every probe is checked as it returns.
+
+    Each answer must match a fresh probe of the formula as it
+    stands; the closing clause must lie within the probed clause and be
+    implied, and so must every certificate the probe's list holds.
+    Returns a log of (certificates before the probe, outcome) pairs.
+    """
+    log = []
+    real = pqe.probe
+
+    def checked(problem, h, learned, limit, what):
+        before = len(learned)
+        out = real(problem, h, learned, limit, what)
+        fresh = real(problem.copy(), h, [], 10**6, what)
+        assert out.status == fresh.status
+        if out.closing_clause is not None:
+            assert out.closing_clause.literal_set <= h.literal_set
+            assert implies(problem, out.closing_clause)
+        for c in learned:
+            assert implies(problem, c), c
+        log.append((before, out))
+        return out
+
+    monkeypatch.setattr(pqe, "probe", checked)
+    return log
+
+
+def _few_free_3sat(rng):
+    """Random 3-CNF on at most 12 variables with two to four free ones.
+
+    With so few free variables detection often fails at a full free
+    cube, so these instances reach the cube probe far more often than
+    ``random_pqe`` does.
+    """
+    n = rng.randint(6, 12)
+    clauses = []
+    for _ in range(round(rng.choice((2.5, 3.0, 3.5)) * n)):
+        chosen = rng.sample(range(1, n + 1), 3)
+        clauses.append(Clause([v if rng.random() < 0.5 else -v for v in chosen]))
+    free = rng.sample(range(1, n + 1), rng.randint(2, 4))
+    problem = CnfProblem(n, clauses, frozenset(range(1, n + 1)) - set(free))
+    return PqeProblem(problem, tuple(rng.sample(range(len(clauses)), rng.randint(1, 4))))
+
+
+def test_cube_probes_of_a_pass_share_one_solver(monkeypatch):
+    log = _checked_probes(monkeypatch)
+    rng = random.Random(1212)
+    for _ in range(40):
+        pq = _few_free_3sat(rng)
+        sol = take_out(pq)
+        assert verify_pqe(pq.problem, list(pq.targets), sol.solution_clauses)
+    assert len(log) > 50
+    # Later probes of a pass start from certificates learned before them.
+    assert sum(before > 0 for before, _ in log) > 20
+
+
+def test_redundancy_probes_share_one_solver(monkeypatch):
+    log = _checked_probes(monkeypatch)
+    rng = random.Random(77)
+    for _ in range(25):
+        pq = random_pqe(rng, max_vars=7)
+        kept = [c for i, c in enumerate(pq.problem.clauses) if i not in pq.targets]
+        reduced = CnfProblem(pq.problem.var_count, kept, pq.problem.quantified)
+        assert decide_redundant(pq) == (qe_enum(pq.problem) == qe_enum(reduced))
+    assert any(what.status == "unsat" for _, what in log)
 
 
 # ---------------------------------------------------------------------------

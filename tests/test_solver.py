@@ -8,7 +8,8 @@ import pytest
 
 from pqesat.cnf import Assignment, Binding, Clause, CnfError, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_cnf
-from pqesat.oracle import enum_sat
+from pqesat.oracle import enum_sat, implies
+from pqesat.pqe import entails
 from pqesat.solver import (
     CoverageTable,
     SolverConfig,
@@ -353,3 +354,95 @@ def test_induction_fires_when_a_subspace_is_already_certified(learn_to):
     assert out.steps == {"P": 54, "F": 74}[learn_to]
     assert out.closing_clause is not None
     assert out.closing_clause.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Assumptions and a shared certificate list.
+# ---------------------------------------------------------------------------
+
+
+def _falsifying(h):
+    return [(abs(lit), lit < 0) for lit in h.literals]
+
+
+def _random_3sat(rng, n, ratio):
+    clauses = []
+    for _ in range(round(ratio * n)):
+        chosen = rng.sample(range(1, n + 1), 3)
+        clauses.append(Clause([v if rng.random() < 0.5 else -v for v in chosen]))
+    return CnfProblem(n, clauses)
+
+
+def _probe_run(seed, learn_to):
+    """A run of assumption probes on one formula and one learned list.
+
+    Between probes the formula gains implied clauses: the closing clause
+    of an unsat probe, or a weakening of a formula clause.  Every answer
+    must match a fresh ``entails``, and every certificate in the shared
+    list and every closing clause must be implied by the formula, the
+    closing clause within the probed clause.  Returns the shared list.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    p = _random_3sat(rng, n, rng.choice((3.0, 3.5, 4.0)))
+    learned = []
+    for _ in range(12):
+        vs = rng.sample(range(1, n + 1), rng.randint(0, 5))
+        h = Clause([v if rng.random() < 0.5 else -v for v in vs])
+        out = solve(p, SolverConfig(learn_to=learn_to), _falsifying(h), learned)
+        assert (out.status == "unsat") == entails(n, p.clauses, h, 10**6, "probe")
+        new = [r.clause for r in out.certificates]
+        assert learned[len(learned) - len(new) :] == new
+        if out.status == "sat":
+            assert all(out.model[v] == val for v, val in _falsifying(h))
+            assert out.closing_clause is None
+        else:
+            assert out.closing_clause.literal_set <= h.literal_set
+            assert implies(p, out.closing_clause)
+        for c in learned:
+            assert implies(p, c), c
+        if out.status == "unsat" and rng.random() < 0.5:
+            p.add_clause(Clause(out.closing_clause.literals))
+        else:
+            c = rng.choice(p.clauses)
+            spare = [v for v in range(1, n + 1) if v not in c.variables()]
+            v = rng.choice(spare)
+            p.add_clause(Clause([*c.literals, v if rng.random() < 0.5 else -v]))
+    return learned
+
+
+@pytest.mark.parametrize("learn_to", ["P", "F"])
+@pytest.mark.parametrize("seed", range(30))
+def test_probes_sharing_certificates_agree_with_fresh_entailment(seed, learn_to):
+    _probe_run(seed, learn_to)
+
+
+def test_probe_runs_share_certificates():
+    # The corpus above does learn: most runs end with a nonempty list.
+    assert sum(bool(_probe_run(seed, "P")) for seed in range(30)) >= 25
+
+
+def test_assumptions_that_falsify_a_formula_clause_close_at_the_root():
+    p = CnfProblem(4, [Clause([1, 2]), Clause([-1, 3, 4]), Clause([2, -3])])
+    out = solve(p, assumptions=[(1, False), (2, False), (4, True)])
+    assert out.status == "unsat"
+    assert out.steps == 1
+    assert out.certificates == []
+    # The falsified clause itself, as a copy, over the negated assumptions.
+    assert out.closing_clause == p.clauses[0]
+    assert out.closing_clause is not p.clauses[0]
+
+
+def test_an_unsat_probe_closes_with_a_subset_of_the_probed_clause():
+    # Under 1=0 the formula forces 2 and then 3, so it entails 1 | 3;
+    # the probe of 1 | 3 | 4 closes with a clause inside it.
+    p = CnfProblem(4, [Clause([1, 2]), Clause([-2, 3])])
+    h = Clause([1, 3, 4])
+    out = solve(p, assumptions=_falsifying(h))
+    assert out.status == "unsat"
+    assert out.closing_clause.literal_set == {1, 3}
+
+
+def test_assumptions_must_name_known_variables():
+    with pytest.raises(CnfError):
+        solve(CnfProblem(2, [Clause([1, 2])]), assumptions=[(3, True)])

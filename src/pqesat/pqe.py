@@ -27,6 +27,13 @@ redundant there; otherwise the clause x falsifies, shrunk, joins the
 solution.  No target is ever grown, and no quantified variable is branched
 on.
 
+A failed detection is reused down the branch.  It depends only on the
+trail values of the clauses it read, and a child adds one decision on a
+free variable after propagation has found no live clause falsified.  So
+when the formula has not grown since and the new variable occurs in none
+of those clauses, the child takes the failure, charging the steps the
+detection spent, without detecting again (see ``_Failure``).
+
 A probe asks the induction solver about the live formula with x as its
 assumptions.  The probes of one pass share one probe formula, which gains
 each solution clause as it is added, and one certificate list: within a
@@ -139,6 +146,8 @@ class PqeConfig:
     # solver step of a cube probe, so a change that only saves work spends
     # fewer.  A cube probe may spend only what is left of the budget, and
     # a literal that the latest closing clause already drops costs none.
+    # A node that reuses its parent's failed detection is charged the
+    # _discharge attempts that detection made, as if it had run again.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -156,10 +165,12 @@ class PqeSolution:
     D-sequent in ``final_dsequents``.  ``formula`` is the grown formula,
     so D-sequent clause indices stay meaningful.  ``steps`` is the work
     spent against ``step_limit``: branching nodes, chained ``_discharge``
-    attempts and the solver steps of cube probes.  Cube probes share
-    certificates within a pass, so a probe's steps depend on the probes
-    before it.  It is a budget count, not an output; two engines that agree
-    on every other field may spend different steps.
+    attempts and the solver steps of cube probes.  A reused failed
+    detection charges the ``_discharge`` attempts it would spend if run
+    again.  Cube probes share certificates within a pass, so a probe's
+    steps depend on the probes before it.  It is a budget count, not an
+    output; two engines that agree on every other field may spend
+    different steps.
     """
 
     solution_clauses: list[Clause]
@@ -182,7 +193,7 @@ class _Detector:
     is a live view of the engine's closed targets, read rather than
     copied: targets close only between passes.
 
-    Two invariants keep failed detections cheap without changing any
+    Three invariants keep failed detections cheap without changing any
     result.  A subsumption witness lies inside the clause plus the
     falsified literals, so it shares a literal with the clause or is
     falsified whole: only the clause's occurrence lists and the falsified
@@ -193,6 +204,13 @@ class _Detector:
     non-clashing partner in ``stack``, or any such partner at the depth
     cap, fails before a single partner is discharged.  Only ``steps``
     tells the difference, one tick per ``_discharge`` not attempted.
+    Finally, a check reads other clauses only through occurrence lists
+    and ``falsified``, and ``read`` collects every index it walks.  The
+    engine detects only after propagation has found no live clause
+    falsified, so ``falsified`` then holds dead clauses alone, and a
+    failed detection depends on nothing but the formula's length and the
+    trail values of the ``read`` clauses: under a trail extended by a
+    variable none of them holds, it fails again after the same ticks.
     """
 
     def __init__(
@@ -206,6 +224,9 @@ class _Detector:
         self.trail = trail
         self.dead = dead
         self.tick = tick
+        # Every clause index a check has looked at, a superset of the
+        # clauses whose trail values decided the outcome.
+        self.read: set[int] = set()
 
     @cached_property
     def falsified(self) -> frozenset[int]:
@@ -253,6 +274,7 @@ class _Detector:
         allowed = clause.literal_set | false_lits
         occurrences = self.problem.occurrences
         candidates = self.falsified.union(*(occurrences(lit) for lit in clause))
+        self.read.update(candidates)
         for j in sorted(candidates):
             if j == index or j in stack or j in removed or j in self.dead:
                 continue
@@ -268,32 +290,34 @@ class _Detector:
         removed: frozenset[int],
         depth: int,
     ) -> Optional[tuple[dict[int, bool], frozenset[int]]]:
-        clause = self.problem.clauses[index]
-        neg_cs = frozenset(-lit for lit in clause.literal_set)
+        clauses = self.problem.clauses
+        clause = clauses[index]
         quantified = self.problem.quantified
-        false_lits = self.trail.false_lits
+        true_lits = self.trail.true_lits
+        # The negations of the clause's literals that the trail leaves
+        # open: an unsatisfied partner clashes on a second variable when
+        # it holds one of them other than -own.
+        neg_open = frozenset(-lit for lit in clause.literal_set)
+        neg_open -= self.trail.false_lits
         for own in clause:
             if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
+            clash = neg_open - {-own}
+            partners = self.problem.occurrences(-own)
+            self.read.update(partners)
             # Satisfied partners bring their bindings, clashing ones drop
             # out, and open ones wait for a discharge.
             bindings: dict[int, bool] = {}
             pending: list[int] = []
             stuck = False
-            for j in self.problem.occurrences(-own):
+            for j in partners:
                 if j == index or j in removed or j in self.dead:
                     continue
-                w = self.problem.clauses[j]
-                sat = self._satisfied(w)
-                if sat is not None:
-                    bindings.update(sat)
+                ws = clauses[j].literal_set
+                if not true_lits.isdisjoint(ws):
+                    bindings.update(self._satisfied(clauses[j]))
                     continue
-                # w is not satisfied, so its open literals are the ones
-                # the trail does not falsify.
-                if any(
-                    m != -own and m in neg_cs and m not in false_lits
-                    for m in w.literal_set
-                ):
+                if not clash.isdisjoint(ws):
                     continue
                 if j in stack or depth >= MAX_CHAIN_DEPTH:
                     # No discharge can take this partner out, so the
@@ -345,6 +369,31 @@ def atomic_dsequent(
     return DSequent(
         tuple(sorted(bindings.items())), index, len(problem.clauses), rationale
     )
+
+
+@dataclass(frozen=True)
+class _Failure:
+    """A failed detection, handed from a node to its children.
+
+    ``read`` holds every clause the detection looked at, and ``ticks`` the
+    steps it spent, when the formula had ``formula_size`` clauses.  A child
+    adds one decision on a free variable, and its propagation has found no
+    live clause falsified.  If the formula has not grown since and the new
+    variable is in none of the ``read`` clauses, every check the detection
+    made sees the same trail values and the same candidates, so a fresh
+    detection would fail again after the same ticks.
+    """
+
+    formula_size: int
+    read: AbstractSet[int]
+    ticks: int
+
+    def holds_after(self, problem: CnfProblem, v: int) -> bool:
+        return (
+            len(problem.clauses) == self.formula_size
+            and self.read.isdisjoint(problem.occurrences(v))
+            and self.read.isdisjoint(problem.occurrences(-v))
+        )
 
 
 class _Engine:
@@ -420,11 +469,18 @@ class _Engine:
         self.emit(clause, idx, "solution_clause")
         return idx
 
-    def node(self, decisions: list[tuple[int, bool]], target: int) -> DSequent:
+    def node(
+        self,
+        decisions: list[tuple[int, bool]],
+        target: int,
+        failed: Optional[_Failure] = None,
+    ) -> DSequent:
         """Cover the target with a D-sequent over this subspace.
 
         The returned subspace is a subset of ``decisions``.  The call may
         add solution clauses; only the given target is covered here.
+        ``failed`` is the parent's failed detection, reused when it still
+        holds here (see ``_Failure``).
         """
         self.tick()
         if self.unsat_closed:
@@ -433,22 +489,28 @@ class _Engine:
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
 
-        trail = Assignment(
-            [Binding(v, val, decision=True) for v, val in decisions]
-        )
-        got = _Detector(self.F, trail, dead=self.dead, tick=self.tick).detect(target)
-        if got is not None:
-            bindings, rationale = got
-            return self.atomic(bindings.items(), target, rationale)
+        if failed is not None and failed.holds_after(self.F, decisions[-1][0]):
+            self.tick(failed.ticks)
+        else:
+            trail = Assignment(
+                [Binding(v, val, decision=True) for v, val in decisions]
+            )
+            detector = _Detector(self.F, trail, dead=self.dead, tick=self.tick)
+            before = self.steps
+            got = detector.detect(target)
+            if got is not None:
+                bindings, rationale = got
+                return self.atomic(bindings.items(), target, rationale)
+            failed = _Failure(len(self.F.clauses), detector.read, self.steps - before)
         if len(decisions) == len(self.order):
             return self.project_out_remaining(decisions, target)
         v = self.order[len(decisions)]
-        left = self.node(decisions + [(v, False)], target)
+        left = self.node(decisions + [(v, False)], target, failed)
         # A left result that never mentions v covers the whole subspace
         # already; only otherwise is the other branch needed.
         if not left.binds(v):
             return left
-        right = self.node(decisions + [(v, True)], target)
+        right = self.node(decisions + [(v, True)], target, failed)
         return self._combine(left, right, v, target)
 
     def _conflict_node(self, decisions, target, res) -> DSequent:

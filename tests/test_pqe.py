@@ -5,8 +5,9 @@ import random
 import pytest
 
 from pqesat import pqe
+from pqesat.circuits import unroll
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, parse_dimacs
-from pqesat.fuzzing import random_pqe
+from pqesat.fuzzing import random_clause, random_pqe, random_transition_system
 from pqesat.oracle import enum_sat, implies, qe_enum, verify_pqe
 from pqesat.pqe import (
     DSequent,
@@ -186,6 +187,95 @@ def test_subsumption_witnesses_match_a_linear_scan():
                 hits += want is not None
     # The corpus exercises both outcomes.
     assert 0 < hits < checked
+
+class _PartnerLoopDetector(_Detector):
+    """The partner loop the set tests replaced, kept as the reference.
+
+    Each partner is classified with its own ``_satisfied`` call and a
+    per-literal clash test; everything else is ``_Detector``'s.
+    """
+
+    def _blocked(self, index, stack, removed, depth):
+        clause = self.problem.clauses[index]
+        neg_cs = frozenset(-lit for lit in clause.literal_set)
+        false_lits = self.trail.false_lits
+        for own in clause:
+            if abs(own) not in self.problem.quantified or self.trail.is_assigned(
+                abs(own)
+            ):
+                continue
+            bindings, pending, stuck = {}, [], False
+            for j in self.problem.occurrences(-own):
+                if j == index or j in removed or j in self.dead:
+                    continue
+                w = self.problem.clauses[j]
+                sat = self._satisfied(w)
+                if sat is not None:
+                    bindings.update(sat)
+                    continue
+                if any(
+                    m != -own and m in neg_cs and m not in false_lits
+                    for m in w.literal_set
+                ):
+                    continue
+                if j in stack or depth >= pqe.MAX_CHAIN_DEPTH:
+                    stuck = True
+                    break
+                pending.append(j)
+            if stuck:
+                continue
+            rm = removed
+            for j in pending:
+                if j in rm:
+                    continue
+                sub = self._discharge(j, stack | {index}, rm, depth + 1)
+                if sub is None:
+                    break
+                bindings.update(sub[0])
+                rm = sub[1] | {j}
+            else:
+                return bindings, rm
+        return None
+
+
+def _counted(cls, problem, trail, dead):
+    """A detector of class ``cls`` and the list its ticks append to."""
+    ticks = []
+    return cls(problem, trail, dead, tick=lambda: ticks.append(1)), ticks
+
+
+def test_blocked_partner_sets_match_the_partner_loop():
+    rng = random.Random(4242)
+    blocked = checked = discharged = 0
+    for _ in range(120):
+        problem = random_pqe(rng, 9, 27, 1).problem
+        n, m = problem.var_count, len(problem.clauses)
+        for _ in range(4):
+            chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
+            trail = Assignment([Binding(v, rng.random() < 0.5) for v in chosen])
+            dead = frozenset(j for j in range(m) if rng.random() < 0.1)
+            for index in range(m):
+                det, ticks = _counted(_Detector, problem, trail, dead)
+                ref, ref_ticks = _counted(_PartnerLoopDetector, problem, trail, dead)
+                got = det.detect(index)
+                assert got == ref.detect(index)
+                assert ticks == ref_ticks
+                blocked += got is not None and got[1] == "blocked"
+                # detect drops the removed set, so compare _blocked itself.
+                stack = frozenset(j for j in range(m) if rng.random() < 0.15)
+                removed = frozenset(j for j in range(m) if rng.random() < 0.15)
+                depth = rng.choice((0, 0, 3, pqe.MAX_CHAIN_DEPTH))
+                det, ticks = _counted(_Detector, problem, trail, dead)
+                ref, ref_ticks = _counted(_PartnerLoopDetector, problem, trail, dead)
+                got = det._blocked(index, stack | {index}, removed, depth)
+                assert got == ref._blocked(index, stack | {index}, removed, depth)
+                assert ticks == ref_ticks
+                checked += 1
+                discharged += len(ticks)
+    # Both outcomes occur, and chains are discharged along the way.
+    assert 0 < blocked < checked
+    assert discharged > 0
+
 
 # ---------------------------------------------------------------------------
 # Problem plumbing.
@@ -539,6 +629,234 @@ def test_redundancy_probes_share_one_solver(monkeypatch):
         reduced = CnfProblem(pq.problem.var_count, kept, pq.problem.quantified)
         assert decide_redundant(pq) == (qe_enum(pq.problem) == qe_enum(reduced))
     assert any(what.status == "unsat" for _, what in log)
+
+
+# ---------------------------------------------------------------------------
+# Reusing failed detections.
+# ---------------------------------------------------------------------------
+
+
+class _FreshDetectionEngine(pqe._Engine):
+    """The engine without reuse, kept as the reference.
+
+    Every node builds a fresh ``_Detector``.  ``at`` is the decisions of
+    the node entered last, where a StepLimitError is raised.
+    """
+
+    def node(self, decisions, target, failed=None):
+        self.at = list(decisions)
+        self.tick()
+        if self.unsat_closed:
+            return self.dsequent((), target, "conflict")
+        res = pqe.propagate(self.F, (), Assignment(), decisions, self.dead)
+        if res.is_conflict:
+            return self._conflict_node(decisions, target, res)
+        trail = Assignment([Binding(v, val) for v, val in decisions])
+        got = _Detector(self.F, trail, self.dead, self.tick).detect(target)
+        if got is not None:
+            return self.atomic(got[0].items(), target, got[1])
+        if len(decisions) == len(self.order):
+            return self.project_out_remaining(decisions, target)
+        v = self.order[len(decisions)]
+        left = self.node(decisions + [(v, False)], target)
+        if not left.binds(v):
+            return left
+        right = self.node(decisions + [(v, True)], target)
+        return self._combine(left, right, v, target)
+
+
+class _ReusingEngine(pqe._Engine):
+    """The engine as it is, noting the decisions of the node entered last."""
+
+    def node(self, decisions, target, failed=None):
+        self.at = list(decisions)
+        return super().node(decisions, target, failed)
+
+
+def _run_with(engine, pq, config=None):
+    """``take_out`` run by ``engine``: its outcome and its detections.
+
+    The outcome is the run's outputs, or the StepLimitError message with
+    the node it was raised at and the derivation so far.  Detections are
+    (decisions, result) pairs in call order; each is checked to start
+    with no live clause falsified by the decisions, which the reuse and
+    ``_Detector.falsified`` rely on.
+    """
+    engines, detections = [], []
+    detect = _Detector.detect
+
+    def checked(self, index):
+        false_lits = self.trail.false_lits
+        assert not any(
+            c.literal_set <= false_lits and j not in self.dead
+            for j, c in enumerate(self.problem.clauses)
+        )
+        got = detect(self, index)
+        detections.append((self.trail.items(), got))
+        return got
+
+    class Recorded(engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pqe, "_Engine", Recorded)
+        mp.setattr(_Detector, "detect", checked)
+        try:
+            sol = take_out(pq, config)
+        except StepLimitError as exc:
+            (run,) = engines
+            return ("limit", str(exc), run.at, run.derivation), detections
+    outcome = (
+        sol.derivation,
+        [list(c.literals) for c in sol.solution_clauses],
+        sol.final_dsequents,
+        sol.steps,
+    )
+    return outcome, detections
+
+
+def _assert_reuse_is_exact(pq, config=None):
+    """Both engines agree; returns the outcome and the two detection logs."""
+    want, fresh = _run_with(_FreshDetectionEngine, pq, config)
+    got, reusing = _run_with(_ReusingEngine, pq, config)
+    assert got == want
+    # Every detection the reusing engine makes, the reference makes too,
+    # in the same order and with the same result.
+    rest = iter(fresh)
+    assert all(d in rest for d in reusing)
+    return got, fresh, reusing
+
+
+def _reuse_instance(rng):
+    """A random instance whose detections often fail below the root.
+
+    A clause drawn with a quantified literal gets, half the time, a twin
+    with that literal negated.  The two are each other's open partners at
+    that variable, so neither can be discharged while the other is being
+    checked.
+    """
+    n = rng.randint(4, 12)
+    pool = range(1, n + 1)
+    share = rng.choice((0.3, 0.5, 0.8))
+    quantified = frozenset(rng.sample(pool, max(1, round(share * n))))
+    clauses = []
+    for _ in range(rng.randint(n // 2, 3 * n // 2)):
+        c = random_clause(rng, pool)
+        clauses.append(c)
+        own = [lit for lit in c if abs(lit) in quantified]
+        if own and rng.random() < 0.5:
+            flip = rng.choice(own)
+            clauses.append(Clause([-lit if lit == flip else lit for lit in c]))
+    targets = rng.sample(range(len(clauses)), rng.randint(1, min(4, len(clauses))))
+    return PqeProblem(CnfProblem(n, clauses, quantified), tuple(targets))
+
+
+def test_reused_detections_match_fresh_ones():
+    rng = random.Random(1414)
+    fresh_calls = reusing_calls = limited = 0
+    for _ in range(1000):
+        pq = _reuse_instance(rng)
+        outcome, fresh, reusing = _assert_reuse_is_exact(pq)
+        fresh_calls += len(fresh)
+        reusing_calls += len(reusing)
+        steps = outcome[3]
+        if steps > 1 and rng.random() < 0.3:
+            # A budget that runs out somewhere inside the run, or just not.
+            config = PqeConfig(step_limit=rng.randint(1, steps))
+            _assert_reuse_is_exact(pq, config)
+            limited += config.step_limit < steps
+    assert reusing_calls < fresh_calls
+    assert limited > 0
+
+
+def test_reused_detections_match_fresh_ones_on_diameter_runs():
+    # Full take_out runs on the benchmark's kind of diameter query.
+    rng = random.Random(606)
+    fresh_calls = reusing_calls = 0
+    for _ in range(4):
+        ts = random_transition_system(rng)
+        for k in range(1, 6):
+            u = unroll(ts, k, duplicate_init=True)
+            _, fresh, reusing = _assert_reuse_is_exact(
+                PqeProblem(u.problem, tuple(u.init_targets))
+            )
+            fresh_calls += len(fresh)
+            reusing_calls += len(reusing)
+    assert reusing_calls < fresh_calls
+
+
+# q=3 is quantified, 1 and 2 are free.  At the root the target (3 or 2)
+# fails: its partner (-3 or -1) at q is open and cannot be discharged.  At
+# 1=0 that partner is satisfied, so the target is blocked there.
+PARTNER_GAINS_A_VALUE = ([[3, 2], [-3, -1]], {3}, (0,))
+
+# At the root the target (3 or 2) fails, and its detection reads no clause
+# holding 1, so 1=0 reuses the failure.  Below it, 2=0 derives the unit
+# (2) without 1, and 2=1 derives (1 or -2).  At 1=1 the formula has grown,
+# and (2) is now a witness that subsumes the target.
+LEFT_CLAUSE_WITNESSES_RIGHT = (
+    [[3, 2], [-3, 4], [2, 4], [2, -4], [1, -2, 5], [1, -2, -5]],
+    {3, 4, 5},
+    (0,),
+)
+
+
+def test_a_child_whose_variable_was_read_detects_again():
+    pq = _instance(*PARTNER_GAINS_A_VALUE)
+    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    assert reusing[:2] == [
+        ([], None),
+        ([(1, False)], ({1: False}, "blocked")),
+    ]
+
+
+def test_a_grown_formula_refuses_reuse():
+    pq = _instance(*LEFT_CLAUSE_WITNESSES_RIGHT)
+    sol = take_out(pq)
+    assert [list(c.literals) for c in sol.solution_clauses] == [[2], [1, -2]]
+    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    assert fresh == [
+        ([], None),
+        ([(1, False)], None),
+        ([(1, True)], ({}, "subsumed")),
+    ]
+    # 1=0 took the root's failure; 1=1 detected afresh and hit.
+    assert reusing == [fresh[0], fresh[2]]
+
+
+def _capped_chain():
+    """Target (1) with links (-q or q+1) from 1 up to the chain depth cap.
+
+    The last link's partner, the clause (-cap-1 or cap+2 or x), is only
+    met where no discharge may run, and x is the one free variable.
+    """
+    top = pqe.MAX_CHAIN_DEPTH + 1
+    x = top + 2
+    clauses = [[1]] + [[-q, q + 1] for q in range(1, top)] + [[-top, top + 1, x]]
+    return _instance(clauses, set(range(1, x)), (0,)), x
+
+
+def test_a_partner_met_at_the_depth_cap_is_read():
+    pq, x = _capped_chain()
+    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    # At x=1 that partner is satisfied, and the whole chain discharges.
+    assert reusing == fresh
+    assert reusing[-1] == ([(x, True)], ({x: True}, "blocked"))
+
+
+def test_a_step_limit_inside_a_reused_detection():
+    pq = _instance(*LEFT_CLAUSE_WITNESSES_RIGHT)
+    for limit in range(1, 10):
+        _assert_reuse_is_exact(pq, PqeConfig(step_limit=limit))
+    # The root node and its two discharges take 3 steps and 1=0 a fourth,
+    # so limits 4 and 5 run out inside the failure 1=0 reuses.
+    for limit in (4, 5):
+        config = PqeConfig(step_limit=limit)
+        outcome, detections = _run_with(_ReusingEngine, pq, config)
+        assert outcome[:3] == ("limit", f"step limit {limit} exceeded", [(1, False)])
+        assert detections == [([], None)]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,7 @@ def test_subsumption_witnesses_match_a_linear_scan():
     # The corpus exercises both outcomes.
     assert 0 < hits < checked
 
+
 class _PartnerLoopDetector(_Detector):
     """The partner loop the set tests replaced, kept as the reference.
 
@@ -198,11 +199,10 @@ class _PartnerLoopDetector(_Detector):
     def _blocked(self, index, stack, removed, depth):
         clause = self.problem.clauses[index]
         neg_cs = frozenset(-lit for lit in clause.literal_set)
+        quantified = self.problem.quantified
         false_lits = self.trail.false_lits
         for own in clause:
-            if abs(own) not in self.problem.quantified or self.trail.is_assigned(
-                abs(own)
-            ):
+            if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
             bindings, pending, stuck = {}, [], False
             for j in self.problem.occurrences(-own):

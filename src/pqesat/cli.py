@@ -42,7 +42,7 @@ from .circuits import (
     parse_netlist_file,
 )
 from .cnf import Clause, CnfError, mentioned_variables, parse_dimacs_file
-from .oracle import MAX_SAT_VARS, GuardError, enum_sat, verify_pqe
+from .oracle import MAX_SAT_VARS, GuardError, bfs_reach, enum_sat, verify_pqe
 from . import fuzzing
 from .pqe import PqeConfig, PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
 from .solver import SolverConfig, solve
@@ -250,52 +250,69 @@ def cmd_propgen(args) -> int:
     return EXIT_OK
 
 
+def _fuzz_sat(rng: random.Random, args, n_vars: int) -> Optional[str]:
+    problem = fuzzing.random_cnf(rng, n_vars, args.clauses)
+    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
+    expected = "sat" if enum_sat(problem) is not None else "unsat"
+    if outcome.status == "unknown":
+        return "step limit exhausted"
+    if outcome.status != expected:
+        return f"solver={outcome.status} oracle={expected}"
+    return None
+
+
+def _fuzz_pqe(rng: random.Random, args, n_vars: int) -> Optional[str]:
+    instance = fuzzing.random_pqe(rng, n_vars, args.clauses)
+    solution = take_out(instance, PqeConfig(step_limit=args.step_limit))
+    ok = verify_pqe(instance.problem, list(instance.targets), solution.solution_clauses)
+    return None if ok else "solution check failed"
+
+
+def _fuzz_diameter(rng: random.Random, args, n_vars: int) -> Optional[str]:
+    ts = fuzzing.random_transition_system(rng)
+    k = rng.randint(1, 5)
+    got = diameter_lt(ts, k, PqeConfig(step_limit=args.step_limit))
+    # The diameter is below k exactly when k steps reach no new state.
+    expected = bfs_reach(ts, k - 1) == bfs_reach(ts, k)
+    return None if got == expected else f"k={k} diameter_lt={got} oracle={expected}"
+
+
+FUZZ_CHECKS = {"sat": _fuzz_sat, "pqe": _fuzz_pqe, "diameter": _fuzz_diameter}
+
+
 def cmd_fuzz(args) -> int:
     # The generators draw at least three variables, and pqe mode at least
-    # as many clauses as variables (capped at 10).  Sat mode checks every
-    # draw by enumeration, which stops at MAX_SAT_VARS.
-    pqe_vars = min(args.vars, 10)
-    if args.vars < 3:
+    # as many clauses as variables, at most 10 of them.  Sat mode checks
+    # every draw by enumeration, which stops at MAX_SAT_VARS.  Diameter
+    # mode draws three-bit transition systems whatever the sizes say.
+    n_vars = args.vars if args.vars is not None else (10 if args.mode == "pqe" else 12)
+    if n_vars < 3:
         print("error: --vars must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     if args.step_limit < 1:
         print("error: --step-limit must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode == "sat" and args.vars > MAX_SAT_VARS:
+    if args.mode == "sat" and n_vars > MAX_SAT_VARS:
         print(f"error: sat mode needs --vars <= {MAX_SAT_VARS}", file=sys.stderr)
         return EXIT_USAGE
-    if args.mode == "pqe" and args.clauses < pqe_vars:
-        print("error: pqe mode needs --clauses >= min(--vars, 10)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.mode == "pqe" and args.vars > pqe_vars:
-        print("note: pqe mode draws at most 10 variables", file=sys.stderr)
+    if args.mode == "pqe":
+        if args.clauses < min(n_vars, 10):
+            print("error: pqe mode needs --clauses >= min(--vars, 10)", file=sys.stderr)
+            return EXIT_USAGE
+        if n_vars > 10:
+            print("note: pqe mode draws at most 10 variables", file=sys.stderr)
+            n_vars = 10
+    check = FUZZ_CHECKS[args.mode]
     rng = random.Random(args.seed)
     discrepancies = 0
     for index in range(args.count):
-        if args.mode == "sat":
-            problem = fuzzing.random_cnf(rng, args.vars, args.clauses)
-            outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
-            expected = "sat" if enum_sat(problem) is not None else "unsat"
-            if outcome.status == "unknown":
-                discrepancies += 1
-                print(f"instance {index}: step limit exhausted")
-            elif outcome.status != expected:
-                discrepancies += 1
-                print(f"instance {index}: solver={outcome.status} oracle={expected}")
-        else:
-            instance = fuzzing.random_pqe(rng, pqe_vars, args.clauses)
-            try:
-                solution = take_out(instance, PqeConfig(step_limit=args.step_limit))
-            except StepLimitError:
-                discrepancies += 1
-                print(f"instance {index}: step limit exhausted")
-                continue
-            ok = verify_pqe(
-                instance.problem, list(instance.targets), solution.solution_clauses
-            )
-            if not ok:
-                discrepancies += 1
-                print(f"instance {index}: solution check failed")
+        try:
+            found = check(rng, args, n_vars)
+        except StepLimitError:
+            found = "step limit exhausted"
+        if found is not None:
+            discrepancies += 1
+            print(f"instance {index}: {found}")
     print(f"discrepancies: {discrepancies}")
     return EXIT_OK if discrepancies == 0 else EXIT_FAILED
 
@@ -314,7 +331,8 @@ def _add_step_limit(parser: argparse.ArgumentParser) -> None:
         help=(
             "give up (exit 30) after this many engine steps; a step is a unit "
             "of work (a PQE branching node, chained discharge attempt or solver "
-            "step of a cube probe, or a solver exploration), a budget, not an output"
+            "step of a cube probe, or a solver exploration), a budget, not an "
+            "output; a cube settled by an earlier probe's model costs no solver step"
         ),
     )
 
@@ -412,9 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random instances vs. the oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--vars", type=int, default=12)
+    p.add_argument(
+        "--vars",
+        type=int,
+        help="most variables per draw (default 12 in sat mode, 10 in pqe mode, "
+        "where 10 is also the cap; diameter mode draws three state bits)",
+    )
     p.add_argument("--clauses", type=int, default=40)
-    p.add_argument("--mode", choices=("sat", "pqe"), default="sat")
+    p.add_argument(
+        "--mode",
+        choices=tuple(FUZZ_CHECKS),
+        default="sat",
+        help="sat: solver vs. enumeration; pqe: take_out vs. the projection "
+        "oracle; diameter: diameter_lt at k in 1..5 vs. breadth-first reachability",
+    )
     _add_step_limit(p)
     p.set_defaults(func=cmd_fuzz)
 

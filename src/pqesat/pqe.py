@@ -34,6 +34,25 @@ when the formula has not grown since and the new variable occurs in none
 of those clauses, the child takes the failure, charging the steps the
 detection spent, without detecting again (see ``_Failure``).
 
+A node's propagation carries on from its parent's.  Within a pass the
+closed targets are fixed and the formula only grows, so a child starts
+from the parent's conflict-free fixpoint, pushes its one new decision and
+counts only the clauses added since (see ``bcp.propagate``).  Whether
+unit propagation reaches a conflict does not depend on the order units
+fire, so the carried result conflicts exactly when a fresh one would, and
+a node reads nothing else from it: detection runs on the decisions alone.
+A conflict is replayed from scratch over the decisions, and its analysis
+reads the replay, so every derived clause is the one it always was.
+
+A cube probe that answers "sat" leaves its model, keyed by its values on
+the free variables, for the rest of the ``take_out``.  A later cube with
+those values takes the "sat" answer from the model, with no probe, if the
+model satisfies every clause added since it was stored: closed targets
+only drop clauses, so it then satisfies the live formula.  Such a cube
+spends its node's step and no solver step.  Outputs do not change: a
+skipped probe only leaves certificates unlearned, and the shrink loop
+drops a literal exactly when the live formula entails the rest.
+
 A probe asks the induction solver about the live formula with x as its
 assumptions.  The probes of one pass share one probe formula, which gains
 each solution clause as it is added, and one certificate list: within a
@@ -49,7 +68,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Optional
 
-from .bcp import analyze_conflict, propagate
+from .bcp import PropagationResult, analyze_conflict, propagate
 from .cnf import Assignment, Binding, Clause, CnfProblem, mentioned_variables
 from .solver import SolveOutcome, SolverConfig, solve
 
@@ -147,7 +166,8 @@ class PqeConfig:
     # fewer.  A cube probe may spend only what is left of the budget, and
     # a literal that the latest closing clause already drops costs none.
     # A node that reuses its parent's failed detection is charged the
-    # _discharge attempts that detection made, as if it had run again.
+    # _discharge attempts that detection made, as if it had run again.  A
+    # cube settled by an earlier probe's model costs its node's step only.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -167,7 +187,8 @@ class PqeSolution:
     spent against ``step_limit``: branching nodes, chained ``_discharge``
     attempts and the solver steps of cube probes.  A reused failed
     detection charges the ``_discharge`` attempts it would spend if run
-    again.  Cube probes share certificates within a pass, so a probe's
+    again; a cube settled by an earlier probe's model charges no solver
+    step.  Cube probes share certificates within a pass, so a probe's
     steps depend on the probes before it.  It is a budget count, not an
     output; two engines that agree on every other field may spend
     different steps.
@@ -421,6 +442,9 @@ class _Engine:
         # built at the pass's first cube probe and dropped when it closes.
         self.probe_formula: Optional[CnfProblem] = None
         self.probe_learned: list[Clause] = []
+        # Models of "sat" cube probes, keyed by their values on ``order``,
+        # each with the formula's length when it was stored.
+        self.models: dict[tuple[bool, ...], tuple[dict[int, bool], int]] = {}
         # The branching order; decisions are always a prefix of it.
         self.order = sorted(mentioned_variables(self.F) - self.F.quantified)
 
@@ -474,18 +498,20 @@ class _Engine:
         decisions: list[tuple[int, bool]],
         target: int,
         failed: Optional[_Failure] = None,
+        up: Optional[PropagationResult] = None,
     ) -> DSequent:
         """Cover the target with a D-sequent over this subspace.
 
         The returned subspace is a subset of ``decisions``.  The call may
         add solution clauses; only the given target is covered here.
         ``failed`` is the parent's failed detection, reused when it still
-        holds here (see ``_Failure``).
+        holds here (see ``_Failure``), and ``up`` the parent's conflict-free
+        propagation, carried on from here.
         """
         self.tick()
         if self.unsat_closed:
             return self.dsequent((), target, "conflict")
-        res = propagate(self.F, (), Assignment(), decisions, self.dead)
+        res = self._propagate(decisions, up)
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
 
@@ -505,13 +531,32 @@ class _Engine:
         if len(decisions) == len(self.order):
             return self.project_out_remaining(decisions, target)
         v = self.order[len(decisions)]
-        left = self.node(decisions + [(v, False)], target, failed)
+        left = self.node(decisions + [(v, False)], target, failed, res)
         # A left result that never mentions v covers the whole subspace
         # already; only otherwise is the other branch needed.
         if not left.binds(v):
             return left
-        right = self.node(decisions + [(v, True)], target, failed)
+        right = self.node(decisions + [(v, True)], target, failed, res)
         return self._combine(left, right, v, target)
+
+    def _propagate(
+        self, decisions: list[tuple[int, bool]], up: Optional[PropagationResult]
+    ) -> PropagationResult:
+        """Propagate ``decisions`` from ``up``, the parent's fixpoint, if given.
+
+        A conflict, or a last decision ``up`` binds the other way, is
+        replayed from scratch; a decision ``up`` binds the same way adds
+        nothing.
+        """
+        if up is not None:
+            v, val = decisions[-1]
+            held = up.trail.value(v)
+            if held is None or held == val:
+                new = decisions[-1:] if held is None else ()
+                res = propagate(self.F, (), up.trail, new, self.dead, parent=up)
+                if not res.is_conflict:
+                    return res
+        return propagate(self.F, (), Assignment(), decisions, self.dead)
 
     def _conflict_node(self, decisions, target, res) -> DSequent:
         steps_log: list[tuple[Clause, int]] = []
@@ -579,6 +624,8 @@ class _Engine:
         because the benchmark's tracer wraps the method by it as
         ``pqe.project``.
         """
+        if self._stored_model(tuple(val for _, val in decisions)) is not None:
+            return self.atomic(decisions, target, "sat")
         if self.probe_formula is None:
             live = [c for i, c in enumerate(self.F.clauses) if i not in self.dead]
             self.probe_formula = CnfProblem(self.F.var_count, live)
@@ -590,6 +637,9 @@ class _Engine:
                 self.probe_formula, Clause(lits), self.probe_learned, limit, "cube probe"
             )
             self.tick(out.steps)
+            if out.model is not None:
+                key = tuple(out.model[v] for v in self.order)
+                self.models[key] = (out.model, len(self.F.clauses))
             return out.closing_clause
 
         lits = [-v if val else v for v, val in decisions]
@@ -612,6 +662,21 @@ class _Engine:
         if not lits:
             self.unsat_closed = True
         return self.dsequent(((abs(l), l < 0) for l in lits), target, "conflict")
+
+    def _stored_model(self, cube: tuple[bool, ...]) -> Optional[dict[int, bool]]:
+        """The model stored at these values on ``order``, if still valid.
+
+        It must satisfy every clause added since it was stored, or it is
+        dropped (see the module docstring).
+        """
+        stored = self.models.get(cube)
+        if stored is None:
+            return None
+        model, size = stored
+        if all(any(model[abs(l)] == (l > 0) for l in c) for c in self.F.clauses[size:]):
+            return model
+        del self.models[cube]
+        return None
 
     def _combine(self, dl: DSequent, dr: DSequent, v: int, t: int) -> DSequent:
         # node() already returned a left result that does not bind v.

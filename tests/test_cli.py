@@ -384,6 +384,46 @@ def test_fuzz_pqe_mode_notes_the_variable_cap(capsys):
     assert err == ""
 
 
+def test_fuzz_pqe_mode_default_draws_quietly(capsys):
+    code, out, err = run_cli(capsys, ["fuzz", "--mode", "pqe", "--count", "3"])
+    assert code == 0
+    assert out.splitlines()[-1] == "discrepancies: 0"
+    assert err == ""
+
+
+def test_fuzz_diameter_mode(capsys):
+    code, out, err = run_cli(
+        capsys, ["fuzz", "--mode", "diameter", "--seed", "2", "--count", "12"]
+    )
+    assert code == 0
+    assert out == "discrepancies: 0\n"
+    assert err == ""
+
+
+def test_fuzz_diameter_mode_reports_a_wrong_answer(capsys, monkeypatch):
+    real = cli.diameter_lt
+    monkeypatch.setattr(cli, "diameter_lt", lambda *a: not real(*a))
+    code, out, _ = run_cli(capsys, ["fuzz", "--mode", "diameter", "--count", "3"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "discrepancies: 3"
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "instance 0", "instance 1", "instance 2"
+    ]
+    assert all("diameter_lt=" in line and "oracle=" in line for line in lines[:3])
+
+
+def test_fuzz_diameter_mode_reports_an_exhausted_step_limit(capsys):
+    argv = ["fuzz", "--mode", "diameter", "--count", "2", "--step-limit", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "instance 0: step limit exhausted",
+        "instance 1: step limit exhausted",
+        "discrepancies: 2",
+    ]
+
+
 def test_fuzz_rejects_a_step_limit_below_one(capsys):
     for limit in ("0", "-5"):
         code, out, err = run_cli(capsys, ["fuzz", "--step-limit", limit])

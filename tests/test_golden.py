@@ -197,7 +197,7 @@ def test_eq_check_outcomes_are_pinned():
 
 def test_eq_check_steps_are_pinned():
     assert _digest(_steps(_eq_check_runs())) == (
-        "dd14da32e37b44c9bdbc9a8d6c43e372465f7c08bed53c91b4ab59a381049338"
+        "794934c9f63f9b2c01cb9594121cfe48ddd7d83170d1acabf9164df9800ee9b6"
     )
 
 
@@ -209,5 +209,5 @@ def test_interpolate_outcomes_are_pinned():
 
 def test_interpolate_steps_are_pinned():
     assert _digest(_steps(_interpolate_runs())) == (
-        "a58c81460567fe11babc3634846bbe8bf1d385984c908995dd0eb6346e5a99fd"
+        "25f9148562d56ddd8aaec510b5db5e4958d4bc240e56c58c1a382672b19bfd0d"
     )

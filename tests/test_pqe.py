@@ -493,7 +493,8 @@ def test_shrunk_probe_clause_run_pinned(monkeypatch):
     pq = _instance(*SHRUNK_PROBE)
     sol = _take_out_replayed(monkeypatch, pq)
     assert [list(c.literals) for c in sol.solution_clauses] == [[2]]
-    assert sol.steps == 37
+    # A shrink probe's model settles the cube 2=1, 4=0 without a probe.
+    assert sol.steps == 35
     assert sol.derivation[:3] == [
         {"event": "solution_clause", "index": 8, "clause": [2]},
         {
@@ -513,7 +514,7 @@ def test_shrunk_probe_clause_run_pinned(monkeypatch):
 
 
 def test_a_budget_spent_inside_a_cube_probe_stops_the_run():
-    # 37 steps finish the run; at 20 the first probe runs out.
+    # 35 steps finish the run; at 20 the first probe runs out.
     with pytest.raises(StepLimitError, match="cube probe"):
         take_out(_instance(*SHRUNK_PROBE), PqeConfig(step_limit=20))
 
@@ -636,14 +637,30 @@ def test_redundancy_probes_share_one_solver(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-class _FreshDetectionEngine(pqe._Engine):
+class _ForgetfulModels(dict):
+    """A cube model store that keeps nothing."""
+
+    def __setitem__(self, cube, stored):
+        pass
+
+
+class _NoModelReuse(pqe._Engine):
+    """The engine with every cube settled by a probe of its own."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.models = _ForgetfulModels()
+
+
+class _FreshDetectionEngine(_NoModelReuse):
     """The engine without reuse, kept as the reference.
 
-    Every node builds a fresh ``_Detector``.  ``at`` is the decisions of
-    the node entered last, where a StepLimitError is raised.
+    Every node propagates from scratch and builds a fresh ``_Detector``,
+    and every cube is probed.  ``at`` is the decisions of the node entered
+    last, where a StepLimitError is raised.
     """
 
-    def node(self, decisions, target, failed=None):
+    def node(self, decisions, target, failed=None, up=None):
         self.at = list(decisions)
         self.tick()
         if self.unsat_closed:
@@ -665,25 +682,40 @@ class _FreshDetectionEngine(pqe._Engine):
         return self._combine(left, right, v, target)
 
 
-class _ReusingEngine(pqe._Engine):
-    """The engine as it is, noting the decisions of the node entered last."""
+class _ReusingEngine(_NoModelReuse):
+    """The engine as it is but for model reuse, noting the node entered last."""
 
-    def node(self, decisions, target, failed=None):
+    def node(self, decisions, target, failed=None, up=None):
         self.at = list(decisions)
-        return super().node(decisions, target, failed)
+        return super().node(decisions, target, failed, up)
 
 
 def _run_with(engine, pq, config=None):
-    """``take_out`` run by ``engine``: its outcome and its detections.
+    """``take_out`` run by ``engine``: its outcome, detections and propagations.
 
     The outcome is the run's outputs, or the StepLimitError message with
     the node it was raised at and the derivation so far.  Detections are
     (decisions, result) pairs in call order; each is checked to start
     with no live clause falsified by the decisions, which the reuse and
-    ``_Detector.falsified`` rely on.
+    ``_Detector.falsified`` rely on.  Propagations are (node decisions,
+    carried, decisions pushed, conflict) tuples in call order; a carried
+    one is checked to conflict exactly when a fresh one from the node's
+    decisions does.
     """
-    engines, detections = [], []
+    engines, detections, propagations = [], [], []
     detect = _Detector.detect
+    propagate = pqe.propagate
+
+    def carried_checked(problem, learned, base, decisions, skip, parent=None):
+        got = propagate(problem, learned, base, decisions, skip, parent)
+        (run,) = engines
+        if parent is not None:
+            fresh = propagate(problem, learned, Assignment(), run.at, skip)
+            assert got.is_conflict == fresh.is_conflict, run.at
+        propagations.append(
+            (run.at, parent is not None, list(decisions), got.is_conflict)
+        )
+        return got
 
     def checked(self, index):
         false_lits = self.trail.false_lits
@@ -703,30 +735,36 @@ def _run_with(engine, pq, config=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pqe, "_Engine", Recorded)
         mp.setattr(_Detector, "detect", checked)
+        mp.setattr(pqe, "propagate", carried_checked)
         try:
             sol = take_out(pq, config)
         except StepLimitError as exc:
             (run,) = engines
-            return ("limit", str(exc), run.at, run.derivation), detections
+            outcome = ("limit", str(exc), run.at, run.derivation)
+            return outcome, detections, propagations
     outcome = (
         sol.derivation,
         [list(c.literals) for c in sol.solution_clauses],
         sol.final_dsequents,
         sol.steps,
     )
-    return outcome, detections
+    return outcome, detections, propagations
 
 
 def _assert_reuse_is_exact(pq, config=None):
-    """Both engines agree; returns the outcome and the two detection logs."""
-    want, fresh = _run_with(_FreshDetectionEngine, pq, config)
-    got, reusing = _run_with(_ReusingEngine, pq, config)
+    """Both engines agree.
+
+    Returns the outcome, the two detection logs and the reusing engine's
+    propagations.
+    """
+    want, fresh, _ = _run_with(_FreshDetectionEngine, pq, config)
+    got, reusing, propagations = _run_with(_ReusingEngine, pq, config)
     assert got == want
     # Every detection the reusing engine makes, the reference makes too,
     # in the same order and with the same result.
     rest = iter(fresh)
     assert all(d in rest for d in reusing)
-    return got, fresh, reusing
+    return got, fresh, reusing, propagations
 
 
 def _reuse_instance(rng):
@@ -756,11 +794,13 @@ def _reuse_instance(rng):
 def test_reused_detections_match_fresh_ones():
     rng = random.Random(1414)
     fresh_calls = reusing_calls = limited = 0
+    carried = []
     for _ in range(1000):
         pq = _reuse_instance(rng)
-        outcome, fresh, reusing = _assert_reuse_is_exact(pq)
+        outcome, fresh, reusing, propagations = _assert_reuse_is_exact(pq)
         fresh_calls += len(fresh)
         reusing_calls += len(reusing)
+        carried += [conflict for _, up, _, conflict in propagations if up]
         steps = outcome[3]
         if steps > 1 and rng.random() < 0.3:
             # A budget that runs out somewhere inside the run, or just not.
@@ -769,22 +809,27 @@ def test_reused_detections_match_fresh_ones():
             limited += config.step_limit < steps
     assert reusing_calls < fresh_calls
     assert limited > 0
+    # Carried propagations, checked against fresh ones, both ways.
+    assert carried.count(True) > 100 and carried.count(False) > 100
 
 
 def test_reused_detections_match_fresh_ones_on_diameter_runs():
     # Full take_out runs on the benchmark's kind of diameter query.
     rng = random.Random(606)
     fresh_calls = reusing_calls = 0
+    carried = []
     for _ in range(4):
         ts = random_transition_system(rng)
         for k in range(1, 6):
             u = unroll(ts, k, duplicate_init=True)
-            _, fresh, reusing = _assert_reuse_is_exact(
+            _, fresh, reusing, propagations = _assert_reuse_is_exact(
                 PqeProblem(u.problem, tuple(u.init_targets))
             )
             fresh_calls += len(fresh)
             reusing_calls += len(reusing)
+            carried += [conflict for _, up, _, conflict in propagations if up]
     assert reusing_calls < fresh_calls
+    assert carried.count(True) > 0 and carried.count(False) > 100
 
 
 # q=3 is quantified, 1 and 2 are free.  At the root the target (3 or 2)
@@ -805,7 +850,7 @@ LEFT_CLAUSE_WITNESSES_RIGHT = (
 
 def test_a_child_whose_variable_was_read_detects_again():
     pq = _instance(*PARTNER_GAINS_A_VALUE)
-    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    _, fresh, reusing, _ = _assert_reuse_is_exact(pq)
     assert reusing[:2] == [
         ([], None),
         ([(1, False)], ({1: False}, "blocked")),
@@ -816,7 +861,7 @@ def test_a_grown_formula_refuses_reuse():
     pq = _instance(*LEFT_CLAUSE_WITNESSES_RIGHT)
     sol = take_out(pq)
     assert [list(c.literals) for c in sol.solution_clauses] == [[2], [1, -2]]
-    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    _, fresh, reusing, _ = _assert_reuse_is_exact(pq)
     assert fresh == [
         ([], None),
         ([(1, False)], None),
@@ -840,7 +885,7 @@ def _capped_chain():
 
 def test_a_partner_met_at_the_depth_cap_is_read():
     pq, x = _capped_chain()
-    _, fresh, reusing = _assert_reuse_is_exact(pq)
+    _, fresh, reusing, _ = _assert_reuse_is_exact(pq)
     # At x=1 that partner is satisfied, and the whole chain discharges.
     assert reusing == fresh
     assert reusing[-1] == ([(x, True)], ({x: True}, "blocked"))
@@ -854,9 +899,164 @@ def test_a_step_limit_inside_a_reused_detection():
     # so limits 4 and 5 run out inside the failure 1=0 reuses.
     for limit in (4, 5):
         config = PqeConfig(step_limit=limit)
-        outcome, detections = _run_with(_ReusingEngine, pq, config)
+        outcome, detections, _ = _run_with(_ReusingEngine, pq, config)
         assert outcome[:3] == ("limit", f"step limit {limit} exceeded", [(1, False)])
         assert detections == [([], None)]
+
+
+# ---------------------------------------------------------------------------
+# Carrying node propagation from the parent.
+# ---------------------------------------------------------------------------
+
+# 4 is quantified and 3 the one free variable.  The target (-4) fails at the
+# root: its partner (-3 or 4) is open and cannot be discharged while the
+# target is being checked.  The root's propagation already sets 4=0, 3=0.
+FORCED_BY_THE_PARENT = ([[-4], [-3, 4]], {4}, (0,))
+
+# 1 is quantified; 2, 3 and 4 are free.  Below 2=0, 3=0 conflicts and
+# derives (3).  At 2=1 that clause, appended by the left subtree, is unit:
+# it forces 3=1, and then (1 or -3 or -2) and (-1 or -3 or -2) clash on 1.
+UNIT_FROM_THE_LEFT = (
+    [[-1, -4], [1, -3, -2], [-1, -3, -2], [1, 3], [-1, 3]],
+    {1},
+    (0,),
+)
+
+
+def test_a_decision_the_parent_forced_the_same_way_is_carried():
+    _, _, _, propagations = _assert_reuse_is_exact(_instance(*FORCED_BY_THE_PARENT))
+    # 3=0 pushes no decision and carries the root's fixpoint unchanged.
+    assert propagations[:2] == [([], False, [], False), ([(3, False)], True, [], False)]
+
+
+def test_a_decision_the_parent_forced_the_other_way_is_replayed():
+    outcome, _, _, propagations = _assert_reuse_is_exact(
+        _instance(*FORCED_BY_THE_PARENT)
+    )
+    # 3=1 contradicts the root's fixpoint: no carried call, and the fresh
+    # replay conflicts, so the conflict clause comes from its trail.
+    assert propagations[2:] == [([(3, True)], False, [(3, True)], True)]
+    assert outcome[0][2] == {
+        "event": "conflict_clause",
+        "index": 2,
+        "reused": False,
+        "clause": [-3],
+        "start": 1,
+        "steps": [[0, 4]],
+        "decisions": [(3, True)],
+    }
+
+
+def test_a_clause_from_the_left_subtree_is_unit_on_the_right():
+    outcome, _, _, propagations = _assert_reuse_is_exact(_instance(*UNIT_FROM_THE_LEFT))
+    # The carried call counts (3), index 5, and conflicts; the replay
+    # resolves through it.
+    assert propagations[-2:] == [
+        ([(2, True)], True, [(2, True)], True),
+        ([(2, True)], False, [(2, True)], True),
+    ]
+    derivation = outcome[0]
+    assert derivation[5]["steps"] == [[1, 1], [5, 3]]
+    assert [list(c) for c in outcome[1]] == [[3], [-2]]
+
+
+# ---------------------------------------------------------------------------
+# Reusing the models of cube probes.
+# ---------------------------------------------------------------------------
+
+
+class _CheckedModels(pqe._Engine):
+    """The engine, checking every stored model it reuses.
+
+    A reused model must agree with the probed cube and satisfy every live
+    clause of the formula as it stands.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reused = 0
+
+    def project_out_remaining(self, decisions, target):
+        self.cube = decisions
+        return super().project_out_remaining(decisions, target)
+
+    def _stored_model(self, cube):
+        model = super()._stored_model(cube)
+        if model is not None:
+            assert all(model[v] == val for v, val in self.cube)
+            for j, c in enumerate(self.F.clauses):
+                if j not in self.dead:
+                    assert any(model[abs(lit)] == (lit > 0) for lit in c), j
+            self.reused += 1
+        return model
+
+
+def _take_out_by(engine, pq):
+    """``take_out`` run by ``engine``, with the engine it ran on."""
+    engines = []
+
+    class Recorded(engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pqe, "_Engine", Recorded)
+        sol = take_out(pq)
+    return sol, engines[0]
+
+
+def _assert_models_reused_exactly(pq):
+    """Reuse changes no output and spends no more steps; returns the reuses."""
+    got, run = _take_out_by(_CheckedModels, pq)
+    want, _ = _take_out_by(_NoModelReuse, pq)
+    assert got.solution_clauses == want.solution_clauses
+    assert got.derivation == want.derivation
+    assert got.final_dsequents == want.final_dsequents
+    assert got.steps <= want.steps
+    return run.reused
+
+
+def test_reused_models_match_probes_on_diameter_runs():
+    # The criterion-6 corpus: its first 20 systems, k = 1..5.
+    rng = random.Random(606)
+    reused = 0
+    for _ in range(20):
+        ts = random_transition_system(rng)
+        for k in range(1, 6):
+            u = unroll(ts, k, duplicate_init=True)
+            reused += _assert_models_reused_exactly(
+                PqeProblem(u.problem, tuple(u.init_targets))
+            )
+    assert reused > 100
+
+
+def test_reused_models_match_probes_on_few_free_instances():
+    rng = random.Random(1212)
+    reused = sum(_assert_models_reused_exactly(_few_free_3sat(rng)) for _ in range(40))
+    assert reused > 20
+
+
+def test_a_model_falsified_by_a_later_clause_is_probed_again(monkeypatch):
+    # Every clause a run adds is implied by the live formula, so no run
+    # falsifies a stored model; this state is built by hand.  At 1=0, 2=1
+    # the formula has the model 3=1.
+    pq = _instance([[1, 3], [-3, 2]], {3}, (0,))
+    engine = pqe._Engine(pq, PqeConfig())
+    cube = [(1, False), (2, True)]
+    assert engine.project_out_remaining(cube, 0).rationale == "sat"
+    assert (False, True) in engine.models
+    probes = []
+    real = pqe.probe
+    monkeypatch.setattr(pqe, "probe", lambda *a: probes.append(a) or real(*a))
+    assert engine.project_out_remaining(cube, 0).rationale == "sat"
+    assert probes == []
+    # A clause the cube falsifies leaves the stored model behind.
+    engine._add_clause(Clause([1, -2]))
+    d = engine.project_out_remaining(cube, 0)
+    assert d.rationale == "conflict"
+    assert probes
+    assert engine.derivation[-1]["event"] == "probe_clause"
 
 
 # ---------------------------------------------------------------------------

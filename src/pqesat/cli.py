@@ -430,20 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random instances vs. the oracles")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument(
-        "--vars",
-        type=int,
-        help="most variables per draw (default 12 in sat mode, 10 in pqe mode, "
-        "where 10 is also the cap; diameter mode draws three state bits)",
-    )
+    p.add_argument("--vars", type=int, help="default 12, or 10 in pqe mode (its cap)")
     p.add_argument("--clauses", type=int, default=40)
-    p.add_argument(
-        "--mode",
-        choices=tuple(FUZZ_CHECKS),
-        default="sat",
-        help="sat: solver vs. enumeration; pqe: take_out vs. the projection "
-        "oracle; diameter: diameter_lt at k in 1..5 vs. breadth-first reachability",
-    )
+    p.add_argument("--mode", choices=tuple(FUZZ_CHECKS), default="sat")
     _add_step_limit(p)
     p.set_defaults(func=cmd_fuzz)
 

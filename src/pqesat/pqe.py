@@ -42,7 +42,9 @@ unit propagation reaches a conflict does not depend on the order units
 fire, so the carried result conflicts exactly when a fresh one would, and
 a node reads nothing else from it: detection runs on the decisions alone.
 A conflict is replayed from scratch over the decisions, and its analysis
-reads the replay, so every derived clause is the one it always was.
+reads the replay, so every derived clause is the one a fresh propagation
+gives.  A decision the parent's fixpoint binds the other way is replayed
+at once.
 
 A cube probe that answers "sat" leaves its model, keyed by its values on
 the free variables, for the rest of the ``take_out``.  A later cube with
@@ -542,15 +544,14 @@ class _Engine:
     def _propagate(
         self, decisions: list[tuple[int, bool]], up: Optional[PropagationResult]
     ) -> PropagationResult:
-        """Propagate ``decisions`` from ``up``, the parent's fixpoint, if given.
+        """Propagate ``decisions``, carrying on from ``up`` unless that conflicts.
 
-        A conflict, or a last decision ``up`` binds the other way, is
-        replayed from scratch; a decision ``up`` binds the same way adds
-        nothing.
+        A conflict is replayed from scratch, because its analysis reads the trail.
         """
         if up is not None:
             v, val = decisions[-1]
             held = up.trail.value(v)
+            # A decision ``up`` already binds adds nothing, or conflicts.
             if held is None or held == val:
                 new = decisions[-1:] if held is None else ()
                 res = propagate(self.F, (), up.trail, new, self.dead, parent=up)
@@ -664,10 +665,9 @@ class _Engine:
         return self.dsequent(((abs(l), l < 0) for l in lits), target, "conflict")
 
     def _stored_model(self, cube: tuple[bool, ...]) -> Optional[dict[int, bool]]:
-        """The model stored at these values on ``order``, if still valid.
+        """The model stored at these values on ``order``, if still a model.
 
-        It must satisfy every clause added since it was stored, or it is
-        dropped (see the module docstring).
+        One that a clause added since it was stored falsifies is dropped.
         """
         stored = self.models.get(cube)
         if stored is None:

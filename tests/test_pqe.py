@@ -957,7 +957,7 @@ def test_a_clause_from_the_left_subtree_is_unit_on_the_right():
     ]
     derivation = outcome[0]
     assert derivation[5]["steps"] == [[1, 1], [5, 3]]
-    assert [list(c) for c in outcome[1]] == [[3], [-2]]
+    assert outcome[1] == [[3], [-2]]
 
 
 # ---------------------------------------------------------------------------

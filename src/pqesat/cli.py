@@ -252,12 +252,20 @@ def cmd_propgen(args) -> int:
 
 def _fuzz_sat(rng: random.Random, args, n_vars: int) -> Optional[str]:
     problem = fuzzing.random_cnf(rng, n_vars, args.clauses)
-    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
     expected = "sat" if enum_sat(problem) is not None else "unsat"
-    if outcome.status == "unknown":
-        return "step limit exhausted"
-    if outcome.status != expected:
-        return f"solver={outcome.status} oracle={expected}"
+    for learn_to in ("P", "F"):
+        config = SolverConfig(learn_to=learn_to, step_limit=args.step_limit)
+        outcome = solve(problem, config)
+        if outcome.status == "unknown":
+            return "step limit exhausted"
+        if outcome.status != expected:
+            return f"learn_to={learn_to} solver={outcome.status} oracle={expected}"
+        if expected == "sat":
+            model = outcome.model
+            for c in problem.clauses:
+                if not any(model[abs(lit)] == (lit > 0) for lit in c.literals):
+                    body = " ".join(map(str, c.literals))
+                    return f"learn_to={learn_to} model falsifies clause {body}"
     return None
 
 

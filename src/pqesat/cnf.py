@@ -402,5 +402,8 @@ def cluster_of(problem: CnfProblem, index: int) -> list[int]:
     least one identical literal (same variable, same polarity) with it.
     The seed comes first, remaining members follow in index order.
     """
-    shared = {j for lit in problem.clauses[index] for j in problem.occurrences(lit)}
-    return [index] + sorted(shared - {index})
+    shared: set[int] = set()
+    for lit in problem.clauses[index].literals:
+        shared.update(problem.occurrences(lit))
+    shared.discard(index)
+    return [index, *sorted(shared)]

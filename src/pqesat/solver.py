@@ -14,14 +14,25 @@ appends them to the formula instead.  Certificate lookups always consult
 the learned clauses only — original formula clauses never serve as
 stored certificates, though an exploration may well return a copy of one.
 
-Coverage checks rest on two invariants.  Within one exploration frame the
-trail does not change after propagation, and the learned clauses are only
-ever appended to.  So a cluster's required pairs are fixed for the frame,
-and a covered pair stays covered by the same first certificate.  Each
-frame keeps a ``CoverageTable`` that tests a pair only against the
+Coverage checks rest on three invariants.  Within one exploration frame
+the trail does not change after propagation, and the learned clauses are
+only ever appended to.  So a cluster's required pairs are fixed for the
+frame, and a covered pair stays covered by the same first certificate.
+Each frame keeps a ``CoverageTable`` that tests a pair only against the
 certificates learned since it last tested it.  The same invariants let a
 frame's propagation start from its parent frame's counters (see
 ``bcp.propagate``), counting only the clauses learned since the parent ran.
+Third, at a frame's fixpoint the trail falsifies no learned clause that
+propagation reads: such a clause would have been a conflict, and a clause
+learned below the frame is passed up rather than learned when the trail
+falsifies it.  So a certificate keeps a literal its pair's vicinity
+falsifies, and a frame's ``OpenIndex`` files each learned clause under
+the least of its open literals, which a lookup reaches through the
+vicinity's literals alone.  A falsified clause (off a fixpoint, or from a
+caller's list, which ``learn_to="F"`` does not propagate) is filed under
+a key of its own.  The formula only changes by appending, under
+``learn_to="F"``, so each clause's cluster is computed once per ``solve``
+and again only when the clause count moves.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -35,24 +46,26 @@ while their formula only gains clauses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 from .bcp import analyze_conflict, propagate, resolve_to_base
 from .cnf import Assignment, Clause, CnfError, CnfProblem, cluster_of
 
 
-@dataclass(frozen=True)
-class VicinitySpec:
+class VicinitySpec(NamedTuple):
     """The branching assignment for one (clause, literal) pair.
 
     ``bindings`` satisfies the chosen literal first, then falsifies the
-    clause's other unassigned literals in clause order.
+    clause's other unassigned literals in clause order.  ``falsified``
+    holds the literals the bindings falsify.
     """
 
     clause_index: int
     literal: int
     bindings: tuple[tuple[int, bool], ...]
+    falsified: frozenset[int]
 
 
 def specify_vicinity(
@@ -66,23 +79,64 @@ def specify_vicinity(
     if trail.satisfies_clause(clause):
         raise CnfError(f"clause {index} is already satisfied")
     bindings = [(abs(literal), literal > 0)]
-    for lit in clause:
+    falsified = [-literal]
+    for lit in clause.literals:
         if lit == literal or trail.is_assigned(abs(lit)):
             continue
         bindings.append((abs(lit), lit < 0))
-    return VicinitySpec(index, literal, tuple(bindings))
+        falsified.append(lit)
+    return VicinitySpec(index, literal, tuple(bindings), frozenset(falsified))
 
 
-def _walk_pairs(problem: CnfProblem, index: int, trail: Assignment):
-    """Yield the required pairs of ``required_pairs``, one at a time."""
-    seed = problem.clauses[index].literal_set
+class _Clusters:
+    """Each clause's cluster, kept while the formula's clause count stays put.
+
+    Clauses are only ever appended, so a cluster can only change when the
+    formula grows (``learn_to="F"``); every entry is dropped then.
+    """
+
+    __slots__ = ("problem", "_size", "_members", "_ordered")
+
+    def __init__(self, problem: CnfProblem):
+        self.problem = problem
+        self._size = len(problem.clauses)
+        self._members: dict[int, list[int]] = {}
+        self._ordered: dict[int, list[int]] = {}
+
+    def of(self, index: int) -> list[int]:
+        """``cluster_of(problem, index)``: the seed first, then index order."""
+        if len(self.problem.clauses) != self._size:
+            self._size = len(self.problem.clauses)
+            self._members.clear()
+            self._ordered.clear()
+        members = self._members.get(index)
+        if members is None:
+            members = self._members[index] = cluster_of(self.problem, index)
+        return members
+
+    def ordered(self, index: int) -> list[int]:
+        """The cluster's indices in ascending order."""
+        members = self.of(index)
+        ordered = self._ordered.get(index)
+        if ordered is None:
+            ordered = self._ordered[index] = sorted(members)
+        return ordered
+
+
+def _walk_pairs(problem: CnfProblem, members: list[int], trail: Assignment):
+    """Yield the required pairs of ``required_pairs``, one at a time.
+
+    ``members`` is the cluster, seed first, as ``cluster_of`` gives it.
+    """
+    seed = problem.clauses[members[0]].literal_set
+    true_lits = trail.true_lits
     false_lits = trail.false_lits
-    for ci in cluster_of(problem, index):
+    for ci in members:
         c = problem.clauses[ci]
-        if trail.satisfies_clause(c):
+        if not true_lits.isdisjoint(c.literal_set):
             continue
         # In an unsatisfied clause a literal is unassigned unless false.
-        for lit in c:
+        for lit in c.literals:
             if lit in seed and lit not in false_lits:
                 yield ci, lit
 
@@ -96,18 +150,91 @@ def required_pairs(
     trail and the shared literal is unassigned.  The seed clause pairs
     with each of its own unassigned literals.
     """
-    return list(_walk_pairs(problem, index, trail))
+    return list(_walk_pairs(problem, cluster_of(problem, index), trail))
+
+
+class OpenIndex:
+    """A frame's learned clauses, each filed under its least open literal.
+
+    Under a fixed trail a learned clause is either satisfied, and never a
+    certificate, or the trail falsifies all its literals but a set ``u``
+    of open ones.  It is then falsified in a pair's vicinity exactly when
+    ``u`` is a subset of the literals the vicinity falsifies.  Filed under
+    ``min(u)``, a clause is reached by reading only the lists of those
+    literals, at most as many as the pair's clause is wide.  A clause the
+    trail already falsifies (``u`` empty; at a frame's fixpoint propagation
+    leaves none it reads) is filed under 0 and covers every pair.  Clauses
+    are classified in list order, only as far as a lookup needs, and every
+    list ascends.  So the lowest hit at or after a start position, over
+    the lists a lookup reads, is the first certificate a linear scan would
+    find.
+    """
+
+    __slots__ = ("learned", "trail", "opens", "lists")
+
+    def __init__(self, learned: Sequence[Clause], trail: Assignment):
+        self.learned = learned
+        self.trail = trail
+        # Per classified clause, its open literals, or None when satisfied.
+        self.opens: list[Optional[frozenset[int]]] = []
+        self.lists: dict[int, list[int]] = {}  # least open literal -> positions
+
+    def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
+        """First position from ``start`` on whose open literals ``falsified`` holds."""
+        opens = self.opens
+        lists = self.lists
+        best = len(opens)  # every filed position is below it
+        # Clauses the trail falsifies cover every pair.
+        positions = lists.get(0)
+        if positions is not None and positions[-1] >= start:
+            best = positions[bisect_left(positions, start)]
+        for key in falsified:
+            positions = lists.get(key)
+            if positions is None or positions[-1] < start:
+                continue
+            i = bisect_left(positions, start) if positions[0] < start else 0
+            for i in range(i, len(positions)):
+                p = positions[i]
+                if p >= best:
+                    break
+                if opens[p] <= falsified:
+                    best = p
+                    break
+        if best < len(opens):
+            return best
+        # Every clause classified so far has been looked at; classify on.
+        learned = self.learned
+        true_lits = self.trail.true_lits
+        false_lits = self.trail.false_lits
+        for p in range(best, len(learned)):
+            lits = learned[p].literal_set
+            if not true_lits.isdisjoint(lits):
+                opens.append(None)
+                continue
+            u = lits if lits.isdisjoint(false_lits) else lits - false_lits
+            opens.append(u)
+            lists.setdefault(min(u) if u else 0, []).append(p)
+            if p >= start and u <= falsified:
+                return p
+        return None
 
 
 def certificate_for(
-    spec: VicinitySpec, learned: Sequence[Clause], trail: Assignment
+    spec: VicinitySpec,
+    learned: Sequence[Clause],
+    trail: Assignment,
+    index: Optional[OpenIndex] = None,
+    start: int = 0,
 ) -> Optional[Clause]:
-    """First learned clause falsified in the given vicinity, if any."""
-    falsified = trail.false_lits | {-v if val else v for v, val in spec.bindings}
-    for b in learned:
-        if b.literal_set <= falsified:
-            return b
-    return None
+    """First learned clause from ``start`` on falsified in the given vicinity.
+
+    ``index`` must hold this learned list and trail; without one, a
+    throwaway index is used.  Returns None when no such clause exists.
+    """
+    if index is None:
+        index = OpenIndex(learned, trail)
+    p = index.first(spec.falsified, start)
+    return None if p is None else learned[p]
 
 
 class _Coverage:
@@ -134,14 +261,27 @@ class CoverageTable:
     Pairs and their vicinities are built only when reached, as most seeds
     fail at their first pair.  A grown formula (``learn_to="F"``) can
     grow clusters, so every entry is dropped when the clause count moves.
+
+    Lookups go through one ``OpenIndex`` per table, since the trail is
+    fixed.  At a frame's fixpoint the trail falsifies no learned clause
+    that propagation reads, so a certificate has an open literal, and the
+    least of them is one its pair's vicinity falsifies: a lookup reads
+    only the lists of those literals.  ``clusters`` may be shared by the
+    tables of one ``solve``; without it the table keeps its own.
     """
 
     def __init__(
-        self, problem: CnfProblem, learned: Sequence[Clause], trail: Assignment
+        self,
+        problem: CnfProblem,
+        learned: Sequence[Clause],
+        trail: Assignment,
+        clusters: Optional[_Clusters] = None,
     ):
         self.problem = problem
         self.learned = learned
         self.trail = trail
+        self.clusters = clusters if clusters is not None else _Clusters(problem)
+        self.index = OpenIndex(learned, trail)
         self._size = len(problem.clauses)
         self._entries: dict[int, _Coverage] = {}
 
@@ -151,7 +291,8 @@ class CoverageTable:
             self._entries.clear()
         entry = self._entries.get(seed)
         if entry is None:
-            entry = _Coverage(_walk_pairs(self.problem, seed, self.trail))
+            members = self.clusters.of(seed)
+            entry = _Coverage(_walk_pairs(self.problem, members, self.trail))
             self._entries[seed] = entry
         return entry
 
@@ -160,19 +301,21 @@ class CoverageTable:
         entry = self._entry(seed)
         learned = self.learned
         while True:
-            if entry.spec is None:
+            spec = entry.spec
+            if spec is None:
                 pair = next(entry.pairs, None)
                 if pair is None:
                     return None
-                entry.spec = specify_vicinity(self.problem, *pair, self.trail)
+                spec = entry.spec = specify_vicinity(self.problem, *pair, self.trail)
                 entry.tested = 0
-            cert = None
-            if entry.tested < len(learned):
-                cert = certificate_for(entry.spec, learned[entry.tested :], self.trail)
-                entry.tested = len(learned)
+            tested = entry.tested
+            if tested == len(learned):
+                return spec
+            entry.tested = len(learned)
+            cert = certificate_for(spec, learned, self.trail, self.index, tested)
             if cert is None:
-                return entry.spec
-            entry.certs[entry.spec.clause_index, entry.spec.literal] = cert
+                return spec
+            entry.certs[spec.clause_index, spec.literal] = cert
             entry.spec = None
 
     def certificates(self, seed: int) -> dict[tuple[int, int], Clause]:
@@ -199,10 +342,11 @@ def check_induction(
     if table is None:
         table = CoverageTable(problem, learned, trail)
     indices = candidates if candidates is not None else range(len(problem.clauses))
+    clauses = problem.clauses
+    true_lits = trail.true_lits
     for i in indices:
-        if trail.satisfies_clause(problem.clauses[i]):
-            continue
-        if table.uncovered(i) is None:
+        # A satisfied clause has no required pairs of its own.
+        if true_lits.isdisjoint(clauses[i].literal_set) and table.uncovered(i) is None:
             return i
     return None
 
@@ -242,15 +386,16 @@ def build_induction_clause(
     for lit in seed:
         if trail.falsifies_literal(lit):
             take(lit)
-    for ci in cluster_of(problem, index):
+    for ci in table.clusters.of(index):
         c = problem.clauses[ci]
         earliest = trail.first_true_literal(c)
         if earliest is not None:
             take(-earliest)
+        own = c.variables()
         for lit in c:
             if (ci, lit) in required:
                 for b in certs[ci, lit]:
-                    if abs(b) not in c.variables():
+                    if abs(b) not in own:
                         take(b)
     return Clause(lits)
 
@@ -301,6 +446,7 @@ class _Solver:
         self.F = problem.copy() if config.learn_to == "F" else problem
         self.config = config
         self.learned: list[Clause] = [] if learned is None else learned
+        self.clusters = _Clusters(self.F)
         self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
@@ -361,7 +507,7 @@ class _Solver:
         primary = next(iter(res.open_count), None)
         if primary is None or primary >= len(self.F.clauses):
             return ("sat", trail)
-        table = CoverageTable(self.F, self.learned, trail)
+        table = CoverageTable(self.F, self.learned, trail, self.clusters)
         while True:
             spec = table.uncovered(primary)
             if spec is None:
@@ -393,7 +539,7 @@ class _Solver:
                 self.F,
                 self.learned,
                 trail,
-                candidates=sorted(cluster_of(self.F, spec.clause_index)),
+                candidates=self.clusters.ordered(spec.clause_index),
                 table=table,
             )
             if fired is not None:
@@ -428,10 +574,16 @@ def solve(
     already in the list, for instance when the formula only gains clauses
     between calls: each certificate is implied by the formula it was
     learned on, never by the assumptions.
+
+    A repeated assumption is dropped; two that give one variable both
+    values raise CnfError.
     """
     if config is None:
         config = SolverConfig()
-    for v, _ in assumptions:
+    chosen: dict[int, bool] = {}
+    for v, val in assumptions:
         if not 1 <= v <= problem.var_count:
             raise CnfError(f"assumption on variable {v} out of range")
-    return _Solver(problem, config, learned).run(assumptions)
+        if chosen.setdefault(v, val) != val:
+            raise CnfError(f"contradictory assumptions on variable {v}")
+    return _Solver(problem, config, learned).run(list(chosen.items()))

@@ -339,6 +339,42 @@ def test_fuzz_sat_mode(capsys):
     assert out.splitlines()[-1] == "discrepancies: 0"
 
 
+def test_fuzz_sat_mode_checks_the_model_of_each_mode(capsys, monkeypatch):
+    # A model that flips every value of a correct one falsifies a clause
+    # of most draws; the second mode is checked too.
+    real = cli.solve
+
+    def flipped(problem, config):
+        out = real(problem, config)
+        if config.learn_to == "F" and out.model is not None:
+            out.model = {v: not val for v, val in out.model.items()}
+        return out
+
+    monkeypatch.setattr(cli, "solve", flipped)
+    code, out, _ = run_cli(capsys, ["fuzz", "--count", "30", "--seed", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert int(lines[-1].split(": ")[1]) > 0
+    assert all("learn_to=F model falsifies clause" in line for line in lines[:-1])
+
+
+def test_fuzz_sat_mode_checks_the_status_of_each_mode(capsys, monkeypatch):
+    real = cli.solve
+
+    def wrong(problem, config):
+        out = real(problem, config)
+        if config.learn_to == "F":
+            out.status = "unsat" if out.status == "sat" else "sat"
+        return out
+
+    monkeypatch.setattr(cli, "solve", wrong)
+    code, out, _ = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "discrepancies: 3"
+    assert all("learn_to=F solver=" in line for line in lines[:3])
+
+
 def test_fuzz_pqe_mode(capsys):
     code, out, _ = run_cli(
         capsys,

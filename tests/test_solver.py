@@ -6,12 +6,22 @@ import random
 
 import pytest
 
-from pqesat.cnf import Assignment, Binding, Clause, CnfError, CnfProblem, parse_dimacs
+from pqesat import solver
+from pqesat.cnf import (
+    Assignment,
+    Binding,
+    Clause,
+    CnfError,
+    CnfProblem,
+    cluster_of,
+    parse_dimacs,
+)
 from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat, implies
 from pqesat.pqe import entails
 from pqesat.solver import (
     CoverageTable,
+    OpenIndex,
     SolverConfig,
     build_induction_clause,
     certificate_for,
@@ -197,6 +207,83 @@ def test_table_matches_the_rescan(seed):
                     problem, learned, trail, i, table
                 ) == build_induction_clause(problem, learned, trail, i)
         assert check_induction(problem, learned, trail, table=table) == fired
+
+
+def _linear_certificate(spec, learned, trail, start=0):
+    """The plain scan the open-literal index replaced, kept as the reference."""
+    falsified = trail.false_lits | {-v if val else v for v, val in spec.bindings}
+    for b in learned[start:]:
+        if b.literal_set <= falsified:
+            return b
+    return None
+
+
+def _random_trail(rng, n, most):
+    order = rng.sample(range(1, n + 1), n)
+    return Assignment(
+        [Binding(v, rng.random() < 0.5) for v in order[: rng.randint(0, most)]]
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_indexed_lookup_matches_the_linear_scan(seed):
+    # Several indices over one growing list, each under its own trail.
+    # The trails are not at a fixpoint, so some learned clauses are
+    # falsified outright, and lookups start anywhere in the list.
+    rng = random.Random(seed)
+    problem = random_cnf(rng, max_vars=9, max_clauses=20)
+    n = problem.var_count
+    learned = []
+    indices = []
+    for _ in range(3):
+        trail = _random_trail(rng, n, n // 2)
+        indices.append((trail, OpenIndex(learned, trail)))
+    for _ in range(4 * n):
+        vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+        learned.append(Clause([v if rng.random() < 0.5 else -v for v in vs]))
+        for trail, index in indices:
+            seed_index = rng.randrange(len(problem.clauses))
+            for ci, lit in required_pairs(problem, seed_index, trail):
+                spec = specify_vicinity(problem, ci, lit, trail)
+                start = rng.randint(0, len(learned))
+                want = _linear_certificate(spec, learned, trail, start)
+                assert certificate_for(spec, learned, trail, index, start) is want
+                want = _linear_certificate(spec, learned, trail)
+                assert certificate_for(spec, learned, trail) is want
+
+
+def test_a_clause_falsified_by_the_trail_covers_every_later_lookup():
+    # Off a fixpoint, a learned clause can be falsified outright.  It is
+    # the first certificate of every pair once classified, and it stays
+    # one for lookups that do not classify it themselves.
+    problem, trail, _ = _coverage_fixture()
+    learned = [Clause([-1, 4]), Clause([3, 10])]
+    index = OpenIndex(learned, trail)
+    for ci, lit in required_pairs(problem, 0, trail):
+        spec = specify_vicinity(problem, ci, lit, trail)
+        assert certificate_for(spec, learned, trail, index) is learned[0]
+    spec = specify_vicinity(problem, 0, 2, trail)
+    assert certificate_for(spec, learned, trail, index, 1) is learned[1]
+
+
+def test_a_lookup_reads_the_list_of_the_least_open_literal():
+    # [3, 10] has one open literal under the trail, 3; [-6, 8, 2] has
+    # three.  Each is found through the vicinity's literals only.
+    problem, trail, _ = _coverage_fixture()
+    learned = [Clause([-6, 8, 2]), Clause([3, 10])]
+    index = OpenIndex(learned, trail)
+    later = specify_vicinity(problem, 0, 2, trail)  # falsifies -2 and 3
+    assert certificate_for(later, learned, trail, index) is learned[1]
+    assert index.lists == {-6: [0], 3: [1]}
+    spec = specify_vicinity(problem, 2, 2, trail)  # falsifies -2, -6, 8
+    assert certificate_for(spec, learned, trail, index) is None
+    spec = specify_vicinity(problem, 2, -6, trail)  # falsifies 6, 2, 8
+    assert certificate_for(spec, learned, trail, index) is None
+    # A satisfied clause (9 is true) is filed nowhere.
+    learned += [Clause([-2, 9, 6]), Clause([-2, 7, 6])]
+    spec = specify_vicinity(problem, 0, 3, trail)  # falsifies -3, 2
+    assert certificate_for(spec, learned, trail, index) is None
+    assert index.lists == {-6: [0], 3: [1], -2: [3]}
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +533,61 @@ def test_an_unsat_probe_closes_with_a_subset_of_the_probed_clause():
 def test_assumptions_must_name_known_variables():
     with pytest.raises(CnfError):
         solve(CnfProblem(2, [Clause([1, 2])]), assumptions=[(3, True)])
+
+
+def test_a_repeated_assumption_is_dropped():
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])
+    once = solve(p, assumptions=[(1, True), (2, False)])
+    twice = solve(p, assumptions=[(1, True), (2, False), (1, True)])
+    assert twice.status == once.status == "sat"
+    assert twice.model == once.model
+    assert twice.trace == once.trace
+
+
+def test_contradictory_assumptions_name_the_variable():
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])
+    with pytest.raises(CnfError, match="variable 1"):
+        solve(p, assumptions=[(1, True), (2, False), (1, False)])
+
+
+# ---------------------------------------------------------------------------
+# Each solve keeps every clause's cluster until the formula grows.
+# ---------------------------------------------------------------------------
+
+
+class _FreshClusters(solver._Clusters):
+    """Recomputes every cluster on each request: the cache's reference."""
+
+    def of(self, index):
+        return cluster_of(self.problem, index)
+
+    def ordered(self, index):
+        return sorted(cluster_of(self.problem, index))
+
+
+def _cluster_runs(seed):
+    """Statuses and traces of one learn_to="F" solve and two probes.
+
+    The probes share one learned list, and the formula gains an implied
+    clause between them.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(8, 14)
+    p = _random_3sat(rng, n, 4.26)
+    outs = [solve(p, SolverConfig(learn_to="F"))]
+    learned = []
+    for learn_to in ("P", "F"):
+        vs = rng.sample(range(1, n + 1), 3)
+        h = Clause([v if rng.random() < 0.5 else -v for v in vs])
+        outs.append(solve(p, SolverConfig(learn_to=learn_to), _falsifying(h), learned))
+        c = p.clauses[rng.randrange(len(p.clauses))]
+        v = rng.choice([v for v in range(1, n + 1) if v not in c.variables()])
+        p.add_clause(Clause([*c.literals, v]))
+    return [(out.status, out.trace) for out in outs]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cached_clusters_match_fresh_ones(seed, monkeypatch):
+    cached = _cluster_runs(seed)
+    monkeypatch.setattr(solver, "_Clusters", _FreshClusters)
+    assert _cluster_runs(seed) == cached

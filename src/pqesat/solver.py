@@ -180,7 +180,7 @@ class OpenIndex:
         self.lists: dict[int, list[int]] = {}  # least open literal -> positions
 
     def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
-        """First position from ``start`` on whose open literals ``falsified`` holds."""
+        """First position from ``start`` on whose open literals lie in ``falsified``."""
         opens = self.opens
         lists = self.lists
         best = len(opens)  # every filed position is below it
@@ -202,7 +202,8 @@ class OpenIndex:
                     break
         if best < len(opens):
             return best
-        # Every clause classified so far has been looked at; classify on.
+        # Every clause classified so far has been looked at, and ``best``
+        # is their count; classify on.
         learned = self.learned
         true_lits = self.trail.true_lits
         false_lits = self.trail.false_lits

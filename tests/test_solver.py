@@ -129,6 +129,15 @@ def test_build_induction_clause():
     assert got.literals == (-1, 10, 4, -9)
 
 
+def _linear_certificate(spec, learned, trail, start=0):
+    """The plain scan the open-literal index replaced, kept as the reference."""
+    falsified = trail.false_lits | {-v if val else v for v, val in spec.bindings}
+    for b in learned[start:]:
+        if b.literal_set <= falsified:
+            return b
+    return None
+
+
 def _scan_uncovered(problem, learned, trail, index):
     """The plain rescan the coverage table replaced, kept as the reference.
 
@@ -137,7 +146,7 @@ def _scan_uncovered(problem, learned, trail, index):
     """
     for ci, lit in required_pairs(problem, index, trail):
         spec = specify_vicinity(problem, ci, lit, trail)
-        if certificate_for(spec, learned, trail) is None:
+        if _linear_certificate(spec, learned, trail) is None:
             return spec
     return None
 
@@ -207,15 +216,6 @@ def test_table_matches_the_rescan(seed):
                     problem, learned, trail, i, table
                 ) == build_induction_clause(problem, learned, trail, i)
         assert check_induction(problem, learned, trail, table=table) == fired
-
-
-def _linear_certificate(spec, learned, trail, start=0):
-    """The plain scan the open-literal index replaced, kept as the reference."""
-    falsified = trail.false_lits | {-v if val else v for v, val in spec.bindings}
-    for b in learned[start:]:
-        if b.literal_set <= falsified:
-            return b
-    return None
 
 
 def _random_trail(rng, n, most):

@@ -242,7 +242,7 @@ def resolve_to_base(
         lits = current.literal_set
         if steps is not None:
             steps.append((b.reason, b.var))
-    return Clause(current.literals)
+    return current
 
 
 def analyze_conflict(
@@ -254,9 +254,7 @@ def analyze_conflict(
     Starting from the falsified clause, resolutions against reason clauses
     peel off everything this call propagated, so the result is falsified
     by the caller's context plus this call's decisions.  With no
-    propagated literal involved, the falsified clause itself comes back
-    as a fresh copy: the PQE engine maps clause objects to their indices
-    by identity, so a derived clause must never be a formula member.
+    propagated literal involved, the falsified clause itself comes back.
     """
     if result.conflict is None:
         raise ValueError("analyze_conflict needs a conflicting result")

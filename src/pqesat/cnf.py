@@ -9,7 +9,7 @@ quantified; the remaining variables are free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 Literal = int
@@ -89,10 +89,13 @@ class CnfProblem:
     top).  Clause indices used throughout the package are 0-based positions
     into this list.
 
-    The formula keeps an occurrence index, literal to the indices of the
-    clauses holding it, which ``occurrences`` reads.  It is built here and
-    extended by ``add_clause``, so clauses must be added through
-    ``add_clause`` and never assigned into ``clauses``.
+    The formula owns the structure derived from its clauses.  It keeps an
+    occurrence index, literal to the indices of the clauses holding it,
+    which ``occurrences`` reads, and a memo of the clusters ``cluster_of``
+    has computed.  The index is built here and extended by ``add_clause``,
+    which also drops the clusters, since a new clause can join any of
+    them.  So clauses must be added through ``add_clause`` and never
+    assigned into ``clauses``.  A ``copy`` builds its own index and memo.
     """
 
     var_count: int
@@ -115,6 +118,7 @@ class CnfProblem:
                         f"but var_count is {self.var_count}"
                     )
                 self._occ.setdefault(lit, []).append(i)
+        self._clusters: dict[int, list[int]] = {}
 
     @property
     def free_vars(self) -> frozenset[Variable]:
@@ -132,6 +136,7 @@ class CnfProblem:
         self.clauses.append(clause)
         for lit in clause:
             self._occ.setdefault(lit, []).append(index)
+        self._clusters.clear()
         return index
 
     def occurrences(self, lit: Literal) -> list[int]:
@@ -142,8 +147,7 @@ class CnfProblem:
         return CnfProblem(self.var_count, list(self.clauses), self.quantified)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """One entry of a partial assignment.
 
     ``decision`` distinguishes chosen values from propagated ones; for a
@@ -400,10 +404,15 @@ def cluster_of(problem: CnfProblem, index: int) -> list[int]:
 
     The cluster holds the seed clause plus every formula clause sharing at
     least one identical literal (same variable, same polarity) with it.
-    The seed comes first, remaining members follow in index order.
+    The seed comes first, remaining members follow in index order.  The
+    list is the formula's memo, kept until it gains a clause, so callers
+    must not modify it.
     """
-    shared: set[int] = set()
-    for lit in problem.clauses[index].literals:
-        shared.update(problem.occurrences(lit))
-    shared.discard(index)
-    return [index, *sorted(shared)]
+    members = problem._clusters.get(index)
+    if members is None:
+        shared: set[int] = set()
+        for lit in problem.clauses[index].literals:
+            shared.update(problem.occurrences(lit))
+        shared.discard(index)
+        members = problem._clusters[index] = [index, *sorted(shared)]
+    return members

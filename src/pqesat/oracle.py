@@ -148,8 +148,12 @@ def verify_pqe(
 
     The solution clauses joined with the formula minus the targets must
     have the same truth table over the free variables as the original
-    formula.  Solution clauses may only mention free variables.
+    formula.  Solution clauses may only mention free variables, and every
+    target must name a clause of the formula.
     """
+    for t in target_indices:
+        if not 0 <= t < len(problem.clauses):
+            raise CnfError(f"target index {t} out of range")
     for c in solution_clauses:
         bad = c.variables() & problem.quantified
         if bad:

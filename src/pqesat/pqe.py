@@ -421,18 +421,8 @@ class _Failure:
 
 class _Engine:
     def __init__(self, pqe: PqeProblem, config: PqeConfig):
-        base = pqe.problem
-        # Fresh clause objects so identity lookups are unambiguous even if
-        # the caller reused objects between positions.
-        self.F = CnfProblem(
-            base.var_count,
-            [Clause(c.literals) for c in base.clauses],
-            base.quantified,
-        )
+        self.F = pqe.problem.copy()
         self.config = config
-        self.index_of: dict[int, int] = {
-            id(c): i for i, c in enumerate(self.F.clauses)
-        }
         # Closed targets' final D-sequents, in closing order; dead views the keys.
         self.final: dict[int, DSequent] = {}
         self.dead = self.final.keys()
@@ -489,7 +479,6 @@ class _Engine:
 
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
-        self.index_of[id(clause)] = idx
         if self.probe_formula is not None:
             self.probe_formula.add_clause(clause)
         self.emit(clause, idx, "solution_clause")
@@ -574,8 +563,8 @@ class _Engine:
                 "index": idx,
                 "reused": twin is not None,
                 "clause": list(derived.literals),
-                "start": self.index_of[id(res.conflict)],
-                "steps": [[self.index_of[id(r)], v] for r, v in steps_log],
+                "start": self._alive_twin(res.conflict),
+                "steps": [[self._alive_twin(r), v] for r, v in steps_log],
                 "decisions": list(decisions),
             }
         )
@@ -586,19 +575,25 @@ class _Engine:
         sub = ((abs(l), l < 0) for l in derived.literals)
         return self.dsequent(sub, target, "conflict")
 
-    def _alive_twin(self, derived: Clause) -> Optional[int]:
-        """Index of a live clause with the derived clause's exact content.
+    def _alive_twin(self, clause: Clause) -> Optional[int]:
+        """Lowest index of a live clause with the given clause's exact content.
 
         A twin is on every literal's occurrence list, which is ascending,
         so the first hit is the lowest index; only the empty clause, with
         no literal, scans every index.
+
+        It also names the conflict and reason clauses of a log, because
+        propagation only ever reads the lowest live copy of a content: the
+        first falsified clause in scan order is reported, units fire from
+        a min-heap, and a later copy is satisfied by the time its turn
+        comes.
         """
-        lits = derived.literals
+        lits = clause.literals
         candidates = self.F.occurrences(lits[0]) if lits else range(len(self.F.clauses))
         for j in candidates:
             if j in self.dead:
                 continue
-            if self.F.clauses[j].literal_set == derived.literal_set:
+            if self.F.clauses[j].literal_set == clause.literal_set:
                 return j
         return None
 

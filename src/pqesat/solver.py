@@ -30,9 +30,10 @@ falsifies, and a frame's ``OpenIndex`` files each learned clause under
 the least of its open literals, which a lookup reaches through the
 vicinity's literals alone.  A falsified clause (off a fixpoint, or from a
 caller's list, which ``learn_to="F"`` does not propagate) is filed under
-a key of its own.  The formula only changes by appending, under
-``learn_to="F"``, so each clause's cluster is computed once per ``solve``
-and again only when the clause count moves.
+a key of its own.  Clusters come from the formula (``cnf.cluster_of``),
+which keeps each one until it gains a clause, so every solve on one
+formula shares them; under ``learn_to="F"`` the formula drops them as a
+certificate is appended.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -86,41 +87,6 @@ def specify_vicinity(
         bindings.append((abs(lit), lit < 0))
         falsified.append(lit)
     return VicinitySpec(index, literal, tuple(bindings), frozenset(falsified))
-
-
-class _Clusters:
-    """Each clause's cluster, kept while the formula's clause count stays put.
-
-    Clauses are only ever appended, so a cluster can only change when the
-    formula grows (``learn_to="F"``); every entry is dropped then.
-    """
-
-    __slots__ = ("problem", "_size", "_members", "_ordered")
-
-    def __init__(self, problem: CnfProblem):
-        self.problem = problem
-        self._size = len(problem.clauses)
-        self._members: dict[int, list[int]] = {}
-        self._ordered: dict[int, list[int]] = {}
-
-    def of(self, index: int) -> list[int]:
-        """``cluster_of(problem, index)``: the seed first, then index order."""
-        if len(self.problem.clauses) != self._size:
-            self._size = len(self.problem.clauses)
-            self._members.clear()
-            self._ordered.clear()
-        members = self._members.get(index)
-        if members is None:
-            members = self._members[index] = cluster_of(self.problem, index)
-        return members
-
-    def ordered(self, index: int) -> list[int]:
-        """The cluster's indices in ascending order."""
-        members = self.of(index)
-        ordered = self._ordered.get(index)
-        if ordered is None:
-            ordered = self._ordered[index] = sorted(members)
-        return ordered
 
 
 def _walk_pairs(problem: CnfProblem, members: list[int], trail: Assignment):
@@ -260,28 +226,25 @@ class CoverageTable:
     covered and how many learned clauses were tested against it, and a
     later query tests that pair only against the clauses learned since.
     Pairs and their vicinities are built only when reached, as most seeds
-    fail at their first pair.  A grown formula (``learn_to="F"``) can
-    grow clusters, so every entry is dropped when the clause count moves.
+    fail at their first pair.  Clusters come from the formula, which keeps
+    them for every solve on it.  A grown formula (``learn_to="F"``) can
+    grow clusters, and the entries also depend on the trail and the
+    learned list, so the table drops every entry when the clause count
+    moves.
 
     Lookups go through one ``OpenIndex`` per table, since the trail is
     fixed.  At a frame's fixpoint the trail falsifies no learned clause
     that propagation reads, so a certificate has an open literal, and the
     least of them is one its pair's vicinity falsifies: a lookup reads
-    only the lists of those literals.  ``clusters`` may be shared by the
-    tables of one ``solve``; without it the table keeps its own.
+    only the lists of those literals.
     """
 
     def __init__(
-        self,
-        problem: CnfProblem,
-        learned: Sequence[Clause],
-        trail: Assignment,
-        clusters: Optional[_Clusters] = None,
+        self, problem: CnfProblem, learned: Sequence[Clause], trail: Assignment
     ):
         self.problem = problem
         self.learned = learned
         self.trail = trail
-        self.clusters = clusters if clusters is not None else _Clusters(problem)
         self.index = OpenIndex(learned, trail)
         self._size = len(problem.clauses)
         self._entries: dict[int, _Coverage] = {}
@@ -292,7 +255,7 @@ class CoverageTable:
             self._entries.clear()
         entry = self._entries.get(seed)
         if entry is None:
-            members = self.clusters.of(seed)
+            members = cluster_of(self.problem, seed)
             entry = _Coverage(_walk_pairs(self.problem, members, self.trail))
             self._entries[seed] = entry
         return entry
@@ -387,7 +350,7 @@ def build_induction_clause(
     for lit in seed:
         if trail.falsifies_literal(lit):
             take(lit)
-    for ci in table.clusters.of(index):
+    for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         earliest = trail.first_true_literal(c)
         if earliest is not None:
@@ -401,8 +364,7 @@ def build_induction_clause(
     return Clause(lits)
 
 
-@dataclass(frozen=True)
-class CertRecord:
+class CertRecord(NamedTuple):
     """A certificate clause with the context it was learned in."""
 
     clause: Clause
@@ -447,7 +409,6 @@ class _Solver:
         self.F = problem.copy() if config.learn_to == "F" else problem
         self.config = config
         self.learned: list[Clause] = [] if learned is None else learned
-        self.clusters = _Clusters(self.F)
         self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
@@ -508,7 +469,7 @@ class _Solver:
         primary = next(iter(res.open_count), None)
         if primary is None or primary >= len(self.F.clauses):
             return ("sat", trail)
-        table = CoverageTable(self.F, self.learned, trail, self.clusters)
+        table = CoverageTable(self.F, self.learned, trail)
         while True:
             spec = table.uncovered(primary)
             if spec is None:
@@ -540,7 +501,7 @@ class _Solver:
                 self.F,
                 self.learned,
                 trail,
-                candidates=self.clusters.ordered(spec.clause_index),
+                candidates=sorted(cluster_of(self.F, spec.clause_index)),
                 table=table,
             )
             if fired is not None:

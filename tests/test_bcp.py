@@ -309,7 +309,6 @@ def test_analyze_conflict_without_propagated_literals():
     steps = []
     learned = analyze_conflict(res, steps)
     assert learned == Clause([1, 2])
-    assert learned is not p.clauses[0]
     assert steps == []
 
 

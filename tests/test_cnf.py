@@ -217,6 +217,25 @@ def test_cluster_seed_comes_first():
     assert cluster_of(p, 1) == [1, 0, 2]
 
 
+def test_adding_a_clause_drops_the_cluster_memo():
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])
+    assert cluster_of(p, 0) == [0]
+    assert p.add_clause(Clause([2, 3])) == 2
+    assert cluster_of(p, 0) == [0, 2]
+
+
+def test_a_copy_keeps_its_own_cluster_memo():
+    p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])
+    assert cluster_of(p, 0) == [0]
+    q = p.copy()
+    q.add_clause(Clause([1]))
+    assert cluster_of(q, 0) == [0, 2]
+    # Neither the copy's growth nor its clusters reach the original.
+    assert cluster_of(p, 0) == [0]
+    p.add_clause(Clause([2, 3]))
+    assert cluster_of(p, 0) == [0, 2]
+
+
 def _scan_cluster(problem, index):
     """The plain scan the occurrence index replaced, kept as the reference."""
     seed = problem.clauses[index]

@@ -92,6 +92,13 @@ def test_verify_pqe_accepts_a_correct_answer():
     assert not verify_pqe(p, [0], [])
 
 
+def test_verify_pqe_rejects_targets_that_name_no_clause():
+    p = CnfProblem(2, [Clause([1, 2]), Clause([-2])], frozenset({2}))
+    for bad in ([7], [-1], [0, 2]):
+        with pytest.raises(CnfError, match="out of range"):
+            verify_pqe(p, bad, [])
+
+
 def test_verify_pqe_rejects_quantified_solution_clauses():
     p = CnfProblem(2, [Clause([1, 2])], frozenset({2}))
     with pytest.raises(CnfError):

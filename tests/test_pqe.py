@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pqesat import pqe
+from pqesat.bcp import analyze_conflict
 from pqesat.circuits import unroll
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_clause, random_pqe, random_transition_system
@@ -400,6 +401,56 @@ def test_an_empty_live_clause_is_reused_as_the_conflict_twin():
     assert event["event"] == "conflict_clause"
     assert (event["index"], event["reused"], event["clause"]) == (1, True, [])
     assert len(sol.formula.clauses) == 2
+
+
+def _twinned(rng):
+    """A random instance holding equal-content copies of some of its clauses.
+
+    Each copy is a distinct object at a higher index, and the first copied
+    clause is also a target, so once it closes its copy is the live one.
+    """
+    pq = random_pqe(rng, max_vars=8)
+    base = pq.problem.clauses
+    clauses = list(base)
+    copied = rng.sample(range(len(base)), rng.randint(1, min(4, len(base))))
+    for i in copied:
+        at = next(j for j, c in enumerate(clauses) if c is base[i])
+        clauses.insert(rng.randint(at + 1, len(clauses)), Clause(base[i].literals))
+    position = {id(c): j for j, c in enumerate(clauses)}
+    targets = [position[id(base[t])] for t in (copied[0], *pq.targets)]
+    problem = CnfProblem(pq.problem.var_count, clauses, pq.problem.quantified)
+    return PqeProblem(problem, tuple(targets))
+
+
+def test_logged_clause_indices_name_the_clauses_propagation_read(monkeypatch):
+    """Every ``start`` and step index is the position of the very clause object
+    propagation reported as the conflict or used as the reason."""
+    read = []
+
+    def recording(res, steps=None):
+        derived = analyze_conflict(res, steps)
+        read.append((res.conflict, [] if steps is None else list(steps)))
+        return derived
+
+    monkeypatch.setattr(pqe, "analyze_conflict", recording)
+    rng = random.Random(17)
+    twins_read = 0
+    for _ in range(300):
+        pq = _twinned(rng)
+        read.clear()
+        sol = take_out(pq)
+        events = [e for e in sol.derivation if e["event"] == "conflict_clause"]
+        assert len(events) == len(read)
+        clauses = sol.formula.clauses
+        for event, (conflict, steps) in zip(events, read):
+            assert clauses[event["start"]] is conflict
+            assert len(event["steps"]) == len(steps)
+            for (j, v), (reason, pivot) in zip(event["steps"], steps):
+                assert clauses[j] is reason and v == pivot
+            named = [event["start"], *(j for j, _ in event["steps"])]
+            twins_read += sum(clauses.count(clauses[j]) > 1 for j in named)
+    # The corpus does read clauses that have an equal-content copy.
+    assert twins_read > 100
 
 
 def test_three_target_regression_closes_each_target():

@@ -515,9 +515,8 @@ def test_assumptions_that_falsify_a_formula_clause_close_at_the_root():
     assert out.status == "unsat"
     assert out.steps == 1
     assert out.certificates == []
-    # The falsified clause itself, as a copy, over the negated assumptions.
+    # The falsified clause itself, over the negated assumptions.
     assert out.closing_clause == p.clauses[0]
-    assert out.closing_clause is not p.clauses[0]
 
 
 def test_an_unsat_probe_closes_with_a_subset_of_the_probed_clause():
@@ -551,18 +550,19 @@ def test_contradictory_assumptions_name_the_variable():
 
 
 # ---------------------------------------------------------------------------
-# Each solve keeps every clause's cluster until the formula grows.
+# The formula keeps every clause's cluster until it grows.
 # ---------------------------------------------------------------------------
 
 
-class _FreshClusters(solver._Clusters):
-    """Recomputes every cluster on each request: the cache's reference."""
-
-    def of(self, index):
-        return cluster_of(self.problem, index)
-
-    def ordered(self, index):
-        return sorted(cluster_of(self.problem, index))
+def _fresh_cluster_of(problem, index):
+    """Each cluster computed by a scan of the whole formula: the memo's reference."""
+    seed = problem.clauses[index].literal_set
+    shared = [
+        j
+        for j, c in enumerate(problem.clauses)
+        if j != index and not seed.isdisjoint(c.literal_set)
+    ]
+    return [index, *shared]
 
 
 def _cluster_runs(seed):
@@ -589,5 +589,5 @@ def _cluster_runs(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_cached_clusters_match_fresh_ones(seed, monkeypatch):
     cached = _cluster_runs(seed)
-    monkeypatch.setattr(solver, "_Clusters", _FreshClusters)
+    monkeypatch.setattr(solver, "cluster_of", _fresh_cluster_of)
     assert _cluster_runs(seed) == cached

@@ -16,7 +16,7 @@ from typing import Optional
 from .circuits import Netlist, TransitionSystem, tseitin_encode, unroll
 from .cnf import Clause, CnfProblem, mentioned_variables
 from .oracle import implies
-from .pqe import PqeConfig, PqeProblem, bounded_solve, decide_redundant, entails, take_out
+from .pqe import PqeConfig, PqeProblem, decide_redundant, probe, take_out
 from .solver import solve  # noqa: F401  bench/spans.py wraps apps.solve by name
 
 
@@ -106,9 +106,9 @@ def interpolate(
     clauses = list(inst.a.clauses) + list(inst.b.clauses)
     problem = CnfProblem(n, clauses, quantified)
     sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), config)
-    a = inst.a
+    what = "interpolant probe"
     implied = all(
-        entails(a.var_count, a.clauses, c, config.step_limit, "interpolant probe")
+        probe(inst.a, c, [], config.step_limit, what).status == "unsat"
         for c in sol.solution_clauses
     )
     status = "interpolant" if implied else "candidate_only"
@@ -168,7 +168,7 @@ def eq_check(
     for label, f, w in (("m1", f1, map1.outputs[0]), ("m2", f2, map2.outputs[0])):
         what = f"constant probe of the {label} circuit"
         for value, h in ((0, Clause([-w])), (1, Clause([w]))):
-            if entails(f.var_count, f.clauses, h, config.step_limit, what):
+            if probe(f, h, [], config.step_limit, what).status == "unsat":
                 constant = f"{label} is constant {value}"
                 return EqCheckResult("constant_circuit", constant=constant)
 
@@ -204,8 +204,8 @@ def eq_check(
         return EqCheckResult("equivalent", solution=sol.solution_clauses,
                              steps=sol.steps)
 
-    miter = body + [Clause([w1, w2]), Clause([-w1, -w2])]
-    outcome = bounded_solve(var_count, miter, config.step_limit, "miter call")
+    miter = CnfProblem(var_count, body + [Clause([w1, w2]), Clause([-w1, -w2])])
+    outcome = probe(miter, Clause([]), [], config.step_limit, "miter call")
     if outcome.status != "sat":
         raise AssertionError("solution refutes equality but the miter is unsat")
     witness = {name: outcome.model[v] for name, v in zip(inst.m1.inputs, v1)}

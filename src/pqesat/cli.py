@@ -13,9 +13,10 @@ One executable, one subcommand per engine or oracle:
   enumeration oracles.
 
 Exit codes follow SAT-competition practice where a verdict is involved:
-10 satisfiable, 20 unsatisfiable, 30 unknown (step limit or oracle size
-guard).  Usage errors exit 2, unreadable or malformed input files exit 3,
-and a failed verification exits 1.
+10 satisfiable, 20 unsatisfiable, 30 unknown (step limit, oracle size
+guard, or an instance deeper than Python's recursion limit).  Usage
+errors exit 2, unreadable or malformed input files exit 3, and a failed
+verification exits 1.
 """
 
 from __future__ import annotations
@@ -460,6 +461,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except RecursionError:
+        # The solver recurses once per nested exploration.
+        limit = sys.getrecursionlimit()
+        print(f"error: instance too deep for the recursion limit ({limit})",
+              file=sys.stderr)
         return EXIT_UNKNOWN
     except StepLimitError:
         print("s UNKNOWN")

@@ -722,13 +722,6 @@ def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution
     )
 
 
-def bounded_solve(
-    var_count: int, clauses: list[Clause], limit: int, what: str
-) -> SolveOutcome:
-    """Solve ``clauses`` in ``limit`` steps, or raise StepLimitError naming ``what``."""
-    return probe(CnfProblem(var_count, clauses), Clause([]), [], limit, what)
-
-
 def probe(
     problem: CnfProblem,
     h: Clause,
@@ -751,18 +744,6 @@ def probe(
     return out
 
 
-def entails(
-    var_count: int, clauses: list[Clause], h: Clause, limit: int, what: str
-) -> bool:
-    """Does every model of ``clauses`` satisfy ``h``?
-
-    A one-shot ``probe`` with no certificates to start from.  Raises
-    StepLimitError naming ``what`` when the ``limit`` steps run out.
-    """
-    out = probe(CnfProblem(var_count, list(clauses)), h, [], limit, what)
-    return out.status == "unsat"
-
-
 class _NotRedundant(Exception):
     pass
 
@@ -774,7 +755,8 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     the formula minus the targets: a clause not already implied there
     witnesses that removing the targets loses models, so the answer is
     False the moment one appears.  If take_out finishes without such a
-    clause, the targets were redundant to begin with.
+    clause, the targets were redundant to begin with.  The caller's
+    ``on_solution_clause`` sees each clause before it is checked.
     """
     if config is None:
         config = PqeConfig()
@@ -785,6 +767,8 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     learned: list[Clause] = []
 
     def check(h: Clause) -> None:
+        if config.on_solution_clause is not None:
+            config.on_solution_clause(h)
         out = probe(kept_problem, h, learned, config.step_limit, "redundancy probe")
         if out.status != "unsat":
             raise _NotRedundant

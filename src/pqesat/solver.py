@@ -26,14 +26,11 @@ Third, at a frame's fixpoint the trail falsifies no learned clause that
 propagation reads: such a clause would have been a conflict, and a clause
 learned below the frame is passed up rather than learned when the trail
 falsifies it.  So a certificate keeps a literal its pair's vicinity
-falsifies, and a frame's ``OpenIndex`` files each learned clause under
-the least of its open literals, which a lookup reaches through the
-vicinity's literals alone.  A falsified clause (off a fixpoint, or from a
-caller's list, which ``learn_to="F"`` does not propagate) is filed under
-a key of its own.  Clusters come from the formula (``cnf.cluster_of``),
-which keeps each one until it gains a clause, so every solve on one
-formula shares them; under ``learn_to="F"`` the formula drops them as a
-certificate is appended.
+falsifies, and the frame's table reaches it through the vicinity's
+literals alone (see ``CoverageTable``).  Clusters come from the formula
+(``cnf.cluster_of``), which keeps each one until it gains a clause, so
+every solve on one formula shares them; under ``learn_to="F"`` the
+formula drops them as a certificate is appended.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -119,31 +116,73 @@ def required_pairs(
     return list(_walk_pairs(problem, cluster_of(problem, index), trail))
 
 
-class OpenIndex:
-    """A frame's learned clauses, each filed under its least open literal.
+def certificate_for(
+    spec: VicinitySpec, table: CoverageTable, start: int = 0
+) -> Optional[Clause]:
+    """First learned clause of ``table`` from ``start`` on falsified in the vicinity.
 
-    Under a fixed trail a learned clause is either satisfied, and never a
+    Returns None when no such clause exists.  A function rather than a
+    method, so that the benchmark's tracer (``bench/spans.py``) counts
+    lookups by this name.
+    """
+    p = table.first(spec.falsified, start)
+    return None if p is None else table.learned[p]
+
+
+class _Coverage:
+    """How far a seed's required pairs are known to be covered."""
+
+    __slots__ = ("pairs", "certs", "spec", "tested")
+
+    def __init__(self, pairs):
+        self.pairs = pairs  # the pairs not yet reached, walked lazily
+        self.certs: dict[tuple[int, int], Clause] = {}  # covered pairs, in order
+        self.spec: Optional[VicinitySpec] = None  # first pair not known covered
+        self.tested = 0  # learned clauses already tested against ``spec``
+
+
+class CoverageTable:
+    """A frame's induction state: which required pairs the learned clauses cover.
+
+    Coverage only grows while the trail stays fixed and ``learned`` only
+    grows: a pair's required status depends on the trail and the formula
+    alone, and its first certificate stays first when clauses are
+    appended.  So each seed keeps the first pair not yet known to be
+    covered and how many learned clauses were tested against it, and a
+    later query tests that pair only against the clauses learned since.
+    Pairs and their vicinities are built only when reached, as most seeds
+    fail at their first pair.  Clusters come from the formula, which keeps
+    them for every solve on it.  A grown formula (``learn_to="F"``) can
+    grow clusters, and the entries also depend on the trail and the
+    learned list, so the table drops every entry when the clause count
+    moves.
+
+    Lookups file each learned clause under its least open literal.  Under
+    the fixed trail a learned clause is either satisfied, and never a
     certificate, or the trail falsifies all its literals but a set ``u``
     of open ones.  It is then falsified in a pair's vicinity exactly when
     ``u`` is a subset of the literals the vicinity falsifies.  Filed under
     ``min(u)``, a clause is reached by reading only the lists of those
     literals, at most as many as the pair's clause is wide.  A clause the
-    trail already falsifies (``u`` empty; at a frame's fixpoint propagation
-    leaves none it reads) is filed under 0 and covers every pair.  Clauses
-    are classified in list order, only as far as a lookup needs, and every
-    list ascends.  So the lowest hit at or after a start position, over
-    the lists a lookup reads, is the first certificate a linear scan would
-    find.
+    trail already falsifies (``u`` empty: off a fixpoint, or from a
+    caller's list, which ``learn_to="F"`` does not propagate) is filed
+    under 0 and covers every pair.  Clauses are classified in list order,
+    only as far as a lookup needs, and every list ascends.  So the lowest
+    hit at or after a start position, over the lists a lookup reads, is
+    the first certificate a linear scan would find.
     """
 
-    __slots__ = ("learned", "trail", "opens", "lists")
-
-    def __init__(self, learned: Sequence[Clause], trail: Assignment):
+    def __init__(
+        self, problem: CnfProblem, learned: Sequence[Clause], trail: Assignment
+    ):
+        self.problem = problem
         self.learned = learned
         self.trail = trail
-        # Per classified clause, its open literals, or None when satisfied.
+        # Per classified learned clause, its open literals, or None when satisfied.
         self.opens: list[Optional[frozenset[int]]] = []
         self.lists: dict[int, list[int]] = {}  # least open literal -> positions
+        self._size = len(problem.clauses)
+        self._entries: dict[int, _Coverage] = {}
 
     def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
         """First position from ``start`` on whose open literals lie in ``falsified``."""
@@ -185,70 +224,6 @@ class OpenIndex:
                 return p
         return None
 
-
-def certificate_for(
-    spec: VicinitySpec,
-    learned: Sequence[Clause],
-    trail: Assignment,
-    index: Optional[OpenIndex] = None,
-    start: int = 0,
-) -> Optional[Clause]:
-    """First learned clause from ``start`` on falsified in the given vicinity.
-
-    ``index`` must hold this learned list and trail; without one, a
-    throwaway index is used.  Returns None when no such clause exists.
-    """
-    if index is None:
-        index = OpenIndex(learned, trail)
-    p = index.first(spec.falsified, start)
-    return None if p is None else learned[p]
-
-
-class _Coverage:
-    """How far a seed's required pairs are known to be covered."""
-
-    __slots__ = ("pairs", "certs", "spec", "tested")
-
-    def __init__(self, pairs):
-        self.pairs = pairs  # the pairs not yet reached, walked lazily
-        self.certs: dict[tuple[int, int], Clause] = {}  # covered pairs, in order
-        self.spec: Optional[VicinitySpec] = None  # first pair not known covered
-        self.tested = 0  # learned clauses already tested against ``spec``
-
-
-class CoverageTable:
-    """Which required pairs of each cluster the learned clauses cover.
-
-    Coverage only grows while the trail stays fixed and ``learned`` only
-    grows: a pair's required status depends on the trail and the formula
-    alone, and its first certificate stays first when clauses are
-    appended.  So each seed keeps the first pair not yet known to be
-    covered and how many learned clauses were tested against it, and a
-    later query tests that pair only against the clauses learned since.
-    Pairs and their vicinities are built only when reached, as most seeds
-    fail at their first pair.  Clusters come from the formula, which keeps
-    them for every solve on it.  A grown formula (``learn_to="F"``) can
-    grow clusters, and the entries also depend on the trail and the
-    learned list, so the table drops every entry when the clause count
-    moves.
-
-    Lookups go through one ``OpenIndex`` per table, since the trail is
-    fixed.  At a frame's fixpoint the trail falsifies no learned clause
-    that propagation reads, so a certificate has an open literal, and the
-    least of them is one its pair's vicinity falsifies: a lookup reads
-    only the lists of those literals.
-    """
-
-    def __init__(
-        self, problem: CnfProblem, learned: Sequence[Clause], trail: Assignment
-    ):
-        self.problem = problem
-        self.learned = learned
-        self.trail = trail
-        self.index = OpenIndex(learned, trail)
-        self._size = len(problem.clauses)
-        self._entries: dict[int, _Coverage] = {}
-
     def _entry(self, seed: int) -> _Coverage:
         if len(self.problem.clauses) != self._size:
             self._size = len(self.problem.clauses)
@@ -276,7 +251,7 @@ class CoverageTable:
             if tested == len(learned):
                 return spec
             entry.tested = len(learned)
-            cert = certificate_for(spec, learned, self.trail, self.index, tested)
+            cert = certificate_for(spec, self, tested)
             if cert is None:
                 return spec
             entry.certs[spec.clause_index, spec.literal] = cert
@@ -288,26 +263,17 @@ class CoverageTable:
 
 
 def check_induction(
-    problem: CnfProblem,
-    learned: Sequence[Clause],
-    trail: Assignment,
-    candidates: Optional[Sequence[int]] = None,
-    table: Optional[CoverageTable] = None,
+    table: CoverageTable, candidates: Optional[Sequence[int]] = None
 ) -> Optional[int]:
     """Lowest clause index whose cluster is fully certified, or None.
 
     When every required pair of some clause's cluster has a learned
     certificate falsified in its vicinity, the formula has no model in
-    the trail's subspace.  ``candidates`` restricts the scan.  ``table``
-    carries coverage between calls; it must hold this problem, learned
-    list and trail, and is valid only while the trail stays fixed and
-    ``learned`` only grows.  Without one, a throwaway table is used.
+    the trail's subspace.  ``candidates`` restricts the scan.
     """
-    if table is None:
-        table = CoverageTable(problem, learned, trail)
-    indices = candidates if candidates is not None else range(len(problem.clauses))
-    clauses = problem.clauses
-    true_lits = trail.true_lits
+    clauses = table.problem.clauses
+    indices = candidates if candidates is not None else range(len(clauses))
+    true_lits = table.trail.true_lits
     for i in indices:
         # A satisfied clause has no required pairs of its own.
         if true_lits.isdisjoint(clauses[i].literal_set) and table.uncovered(i) is None:
@@ -315,29 +281,22 @@ def check_induction(
     return None
 
 
-def build_induction_clause(
-    problem: CnfProblem,
-    learned: Sequence[Clause],
-    trail: Assignment,
-    index: int,
-    table: Optional[CoverageTable] = None,
-) -> Clause:
+def build_induction_clause(table: CoverageTable, index: int) -> Clause:
     """Assemble the clause an induction step is entitled to.
 
     Three ingredients: the seed clause's falsified literals; for each
     satisfied cluster clause, the negation of its earliest satisfying
     trail literal; and for each required pair, the certificate literals
-    over variables foreign to that pair's clause.  Certificates come from
-    ``table`` when given (see ``check_induction``).
+    over variables foreign to that pair's clause.
     """
-    if table is None:
-        table = CoverageTable(problem, learned, trail)
     missing = table.uncovered(index)
     if missing is not None:
         raise CnfError(
             f"pair ({missing.clause_index}, {missing.literal}) has no "
             "certificate; induction clause is not available"
         )
+    problem = table.problem
+    trail = table.trail
     certs = table.certificates(index)
     required = set(required_pairs(problem, index, trail))
     seed = problem.clauses[index]
@@ -476,9 +435,7 @@ class _Solver:
                 # Certificates learned in other branches may already cover
                 # every pair of the primary cluster before anything is
                 # learned here, so the induction step applies now.
-                b_ind = build_induction_clause(
-                    self.F, self.learned, trail, primary, table
-                )
+                b_ind = build_induction_clause(table, primary)
                 return ("cert", resolve_to_base(b_ind, res))
             kind, payload = self._explore(trail, list(spec.bindings), res)
             if kind == "sat":
@@ -498,16 +455,10 @@ class _Solver:
                 CertRecord(cert, spec.clause_index, spec.literal, spec.bindings)
             )
             fired = check_induction(
-                self.F,
-                self.learned,
-                trail,
-                candidates=sorted(cluster_of(self.F, spec.clause_index)),
-                table=table,
+                table, sorted(cluster_of(self.F, spec.clause_index))
             )
             if fired is not None:
-                b_ind = build_induction_clause(
-                    self.F, self.learned, trail, fired, table
-                )
+                b_ind = build_induction_clause(table, fired)
                 cleaned = resolve_to_base(b_ind, res)
                 self._record(spec, cert, fired, "induct")
                 return ("cert", cleaned)

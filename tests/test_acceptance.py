@@ -36,7 +36,7 @@ from pqesat.fuzzing import (
 )
 from pqesat.oracle import bfs_reach, enum_sat, implies, qe_enum, verify_pqe
 from pqesat.pqe import PqeProblem, take_out
-from pqesat.solver import build_induction_clause, solve
+from pqesat.solver import CoverageTable, build_induction_clause, solve
 
 from oracle_helpers import check_dsequent, extension_holds
 
@@ -173,7 +173,7 @@ def test_criterion_3_worked_micro_examples():
         Clause([2, 4]),
         Clause([4, -6, 8]),
     ]
-    got = build_induction_clause(formula, side, trail, 0)
+    got = build_induction_clause(CoverageTable(formula, side, trail), 0)
     assert got.literals == (-1, 10, 4, -9)
     print(
         "PASS criterion-3: cluster [0,1,2,3], learned set pins the cluster "

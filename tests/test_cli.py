@@ -205,6 +205,22 @@ def test_oracle_guard_exits_30(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_instance_deeper_than_the_recursion_limit_exits_30(tmp_path, capsys):
+    # The solver explores one nested frame per disjoint pair (i | j)(-i | -j).
+    pairs = sys.getrecursionlimit() + 100
+    lines = [f"p cnf {2 * pairs} {2 * pairs}"]
+    for k in range(pairs):
+        lines += [f"{2 * k + 1} {2 * k + 2} 0", f"-{2 * k + 1} -{2 * k + 2} 0"]
+    f = tmp_path / "deep.cnf"
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["sat", str(f)])
+    assert code == 30
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: instance too deep for the recursion limit ({sys.getrecursionlimit()})"
+    ]
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -590,11 +590,15 @@ def test_unmentioned_free_variables_change_nothing():
 
 
 def test_solution_clause_callback_sees_every_clause():
-    p = parse_dimacs(UNIT_EXTRACTION)
-    seen = []
-    config = PqeConfig(on_solution_clause=seen.append)
-    sol = take_out(PqeProblem(p, (0,)), config)
-    assert seen == sol.solution_clauses
+    # decide_redundant stops at the first clause the rest of the formula
+    # does not imply, here the only one, and still passes it on.
+    want = take_out(PqeProblem(parse_dimacs(UNIT_EXTRACTION), (0,))).solution_clauses
+    assert want == [Clause([2])]
+    for run in (take_out, decide_redundant):
+        seen = []
+        config = PqeConfig(on_solution_clause=seen.append)
+        run(PqeProblem(parse_dimacs(UNIT_EXTRACTION), (0,)), config)
+        assert seen == want, run.__name__
 
 
 def test_take_out_random_instances_verify():

@@ -18,10 +18,8 @@ from pqesat.cnf import (
 )
 from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat, implies
-from pqesat.pqe import entails
 from pqesat.solver import (
     CoverageTable,
-    OpenIndex,
     SolverConfig,
     build_induction_clause,
     certificate_for,
@@ -99,10 +97,11 @@ def test_required_pairs():
 
 def test_certificate_for_each_required_pair():
     problem, trail, learned = _coverage_fixture()
+    table = CoverageTable(problem, learned, trail)
     found = {}
     for ci, lit in required_pairs(problem, 0, trail):
         spec = specify_vicinity(problem, ci, lit, trail)
-        found[(ci, lit)] = certificate_for(spec, learned, trail)
+        found[(ci, lit)] = certificate_for(spec, table)
     assert found[(0, 2)] is learned[0]
     assert found[(0, 3)] is learned[1]
     assert found[(2, 2)] is learned[2]
@@ -111,21 +110,23 @@ def test_certificate_for_each_required_pair():
 def test_certificate_for_returns_none_when_nothing_is_falsified():
     problem, trail, _ = _coverage_fixture()
     spec = specify_vicinity(problem, 0, 2, trail)
-    assert certificate_for(spec, [Clause([2, 3])], trail) is None
+    table = CoverageTable(problem, [Clause([2, 3])], trail)
+    assert certificate_for(spec, table) is None
 
 
 def test_check_induction_fires_only_with_full_coverage():
     problem, trail, learned = _coverage_fixture()
-    assert check_induction(problem, learned, trail) == 0
-    assert check_induction(problem, learned[:2], trail) is None
-    assert check_induction(problem, learned, trail, candidates=[1]) is None
+    assert check_induction(CoverageTable(problem, learned, trail)) == 0
+    assert check_induction(CoverageTable(problem, learned[:2], trail)) is None
+    table = CoverageTable(problem, learned, trail)
+    assert check_induction(table, candidates=[1]) is None
 
 
 def test_build_induction_clause():
     # Seed's falsified literal, the certificates' foreign variables, and
     # the negated earliest satisfier of the satisfied cluster clause.
     problem, trail, learned = _coverage_fixture()
-    got = build_induction_clause(problem, learned, trail, 0)
+    got = build_induction_clause(CoverageTable(problem, learned, trail), 0)
     assert got.literals == (-1, 10, 4, -9)
 
 
@@ -161,8 +162,8 @@ def test_table_covers_a_pair_first_tested_uncovered():
     assert table.uncovered(0) == specify_vicinity(problem, 2, 2, trail)
     grown.append(learned[2])
     assert table.uncovered(0) is None
-    assert check_induction(problem, grown, trail, table=table) == 0
-    got = build_induction_clause(problem, grown, trail, 0, table)
+    assert check_induction(table) == 0
+    got = build_induction_clause(table, 0)
     assert got.literals == (-1, 10, 4, -9)
 
 
@@ -180,9 +181,8 @@ def test_table_is_rebuilt_when_a_learned_clause_grows_the_cluster():
             assert table.uncovered(0) == specify_vicinity(problem, 6, 3, trail)
         assert table.uncovered(0) == _scan_uncovered(problem, learned, trail, 0)
     assert table.uncovered(0) is None
-    assert build_induction_clause(
-        problem, learned, trail, 0, table
-    ) == build_induction_clause(problem, learned, trail, 0)
+    fresh = CoverageTable(problem, learned, trail)
+    assert build_induction_clause(table, 0) == build_induction_clause(fresh, 0)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -212,10 +212,10 @@ def test_table_matches_the_rescan(seed):
             assert table.uncovered(i) == want
             if want is None:
                 fired = i if fired is None else fired
-                assert build_induction_clause(
-                    problem, learned, trail, i, table
-                ) == build_induction_clause(problem, learned, trail, i)
-        assert check_induction(problem, learned, trail, table=table) == fired
+                fresh = CoverageTable(problem, learned, trail)
+                got = build_induction_clause(table, i)
+                assert got == build_induction_clause(fresh, i)
+        assert check_induction(table) == fired
 
 
 def _random_trail(rng, n, most):
@@ -227,29 +227,30 @@ def _random_trail(rng, n, most):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_indexed_lookup_matches_the_linear_scan(seed):
-    # Several indices over one growing list, each under its own trail.
+    # Several tables over one growing list, each under its own trail.
     # The trails are not at a fixpoint, so some learned clauses are
     # falsified outright, and lookups start anywhere in the list.
     rng = random.Random(seed)
     problem = random_cnf(rng, max_vars=9, max_clauses=20)
     n = problem.var_count
     learned = []
-    indices = []
+    tables = []
     for _ in range(3):
         trail = _random_trail(rng, n, n // 2)
-        indices.append((trail, OpenIndex(learned, trail)))
+        tables.append((trail, CoverageTable(problem, learned, trail)))
     for _ in range(4 * n):
         vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
         learned.append(Clause([v if rng.random() < 0.5 else -v for v in vs]))
-        for trail, index in indices:
+        for trail, table in tables:
             seed_index = rng.randrange(len(problem.clauses))
             for ci, lit in required_pairs(problem, seed_index, trail):
                 spec = specify_vicinity(problem, ci, lit, trail)
                 start = rng.randint(0, len(learned))
                 want = _linear_certificate(spec, learned, trail, start)
-                assert certificate_for(spec, learned, trail, index, start) is want
+                assert certificate_for(spec, table, start) is want
                 want = _linear_certificate(spec, learned, trail)
-                assert certificate_for(spec, learned, trail) is want
+                fresh = CoverageTable(problem, learned, trail)
+                assert certificate_for(spec, fresh) is want
 
 
 def test_a_clause_falsified_by_the_trail_covers_every_later_lookup():
@@ -258,12 +259,12 @@ def test_a_clause_falsified_by_the_trail_covers_every_later_lookup():
     # one for lookups that do not classify it themselves.
     problem, trail, _ = _coverage_fixture()
     learned = [Clause([-1, 4]), Clause([3, 10])]
-    index = OpenIndex(learned, trail)
+    table = CoverageTable(problem, learned, trail)
     for ci, lit in required_pairs(problem, 0, trail):
         spec = specify_vicinity(problem, ci, lit, trail)
-        assert certificate_for(spec, learned, trail, index) is learned[0]
+        assert certificate_for(spec, table) is learned[0]
     spec = specify_vicinity(problem, 0, 2, trail)
-    assert certificate_for(spec, learned, trail, index, 1) is learned[1]
+    assert certificate_for(spec, table, 1) is learned[1]
 
 
 def test_a_lookup_reads_the_list_of_the_least_open_literal():
@@ -271,19 +272,19 @@ def test_a_lookup_reads_the_list_of_the_least_open_literal():
     # three.  Each is found through the vicinity's literals only.
     problem, trail, _ = _coverage_fixture()
     learned = [Clause([-6, 8, 2]), Clause([3, 10])]
-    index = OpenIndex(learned, trail)
+    table = CoverageTable(problem, learned, trail)
     later = specify_vicinity(problem, 0, 2, trail)  # falsifies -2 and 3
-    assert certificate_for(later, learned, trail, index) is learned[1]
-    assert index.lists == {-6: [0], 3: [1]}
+    assert certificate_for(later, table) is learned[1]
+    assert table.lists == {-6: [0], 3: [1]}
     spec = specify_vicinity(problem, 2, 2, trail)  # falsifies -2, -6, 8
-    assert certificate_for(spec, learned, trail, index) is None
+    assert certificate_for(spec, table) is None
     spec = specify_vicinity(problem, 2, -6, trail)  # falsifies 6, 2, 8
-    assert certificate_for(spec, learned, trail, index) is None
+    assert certificate_for(spec, table) is None
     # A satisfied clause (9 is true) is filed nowhere.
     learned += [Clause([-2, 9, 6]), Clause([-2, 7, 6])]
     spec = specify_vicinity(problem, 0, 3, trail)  # falsifies -3, 2
-    assert certificate_for(spec, learned, trail, index) is None
-    assert index.lists == {-6: [0], 3: [1], -2: [3]}
+    assert certificate_for(spec, table) is None
+    assert table.lists == {-6: [0], 3: [1], -2: [3]}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +466,7 @@ def _probe_run(seed, learn_to):
 
     Between probes the formula gains implied clauses: the closing clause
     of an unsat probe, or a weakening of a formula clause.  Every answer
-    must match a fresh ``entails``, and every certificate in the shared
+    must match the exact ``implies``, and every certificate in the shared
     list and every closing clause must be implied by the formula, the
     closing clause within the probed clause.  Returns the shared list.
     """
@@ -477,7 +478,7 @@ def _probe_run(seed, learn_to):
         vs = rng.sample(range(1, n + 1), rng.randint(0, 5))
         h = Clause([v if rng.random() < 0.5 else -v for v in vs])
         out = solve(p, SolverConfig(learn_to=learn_to), _falsifying(h), learned)
-        assert (out.status == "unsat") == entails(n, p.clauses, h, 10**6, "probe")
+        assert (out.status == "unsat") == implies(p, h)
         new = [r.clause for r in out.certificates]
         assert learned[len(learned) - len(new) :] == new
         if out.status == "sat":

@@ -56,27 +56,23 @@ def diameter_lt(
 
 @dataclass
 class InterpolationInstance:
-    """A conjunction split A and B with a declared shared variable set.
+    """A conjunction split A and B.
 
-    Both sides use one global variable numbering.  ``shared`` must be
-    exactly the variables mentioned by both sides; A's private variables
-    and B's private variables end up quantified.
+    Both sides use one global variable numbering.  ``shared`` holds the
+    variables mentioned by both sides; A's private variables and B's
+    private variables end up quantified.
     """
 
     a: CnfProblem
     b: CnfProblem
-    shared: frozenset[int]
 
     def __post_init__(self):
-        self.shared = frozenset(self.shared)
         if self.a.quantified or self.b.quantified:
             raise AppError("interpolation sides must be quantifier-free")
-        overlap = mentioned_variables(self.a) & mentioned_variables(self.b)
-        if overlap != self.shared:
-            raise AppError(
-                f"shared set {sorted(self.shared)} does not match the "
-                f"variables common to both sides {sorted(overlap)}"
-            )
+
+    @property
+    def shared(self) -> frozenset[int]:
+        return mentioned_variables(self.a) & mentioned_variables(self.b)
 
 
 @dataclass

@@ -18,17 +18,19 @@ they join the heap.  A heap entry satisfied after it was pushed is
 skipped when popped.  Formula clauses are found through the formula's
 occurrence index, learned ones through a ``_LearnedIndex``.
 
-A call may start from a parent's result instead of counting every
-clause.  At the parent's fixpoint no counted clause is unit or
-falsified, so the child copies the parent's counters, applies its own
-decisions through their occurrence lists, and counts from scratch only
-the clauses appended since the parent ran: learned clauses, or formula
-clauses when the formula grew.  Every clause that is unit or falsified
-after the decisions is then a touched one or a newly counted one, so
-the scan-order rule above still picks the same clause.  The learned
-index is shared down the chain of results and grows as learned clauses
-are appended; it is rebuilt when the formula's clause count changes,
-because that shifts every learned scan position.
+A call may start from an earlier conflict-free result, its parent,
+instead of an assignment: the parent's trail is the base, and its
+counters are carried instead of counting every clause.  At the parent's
+fixpoint no counted clause is unit or falsified, so the child copies the
+parent's counters, applies its own decisions through their occurrence
+lists, and counts from scratch only the clauses appended since the
+parent ran: learned clauses, or formula clauses when the formula grew.
+Every clause that is unit or falsified after the decisions is then a
+touched one or a newly counted one, so the scan-order rule above still
+picks the same clause.  The learned index is shared down the chain of
+results and grows as learned clauses are appended; it is rebuilt when
+the formula's clause count changes, because that shifts every learned
+scan position.
 """
 
 from __future__ import annotations
@@ -96,29 +98,33 @@ class PropagationResult:
 def propagate(
     problem: CnfProblem,
     learned: Sequence[Clause],
-    base: Assignment,
+    start: Assignment | PropagationResult,
     decisions: Sequence[tuple[int, bool]],
     skip: AbstractSet[int] = frozenset(),
-    parent: Optional[PropagationResult] = None,
 ) -> PropagationResult:
-    """Extend ``base`` with ``decisions`` and run unit propagation.
+    """Extend ``start`` with ``decisions`` and run unit propagation.
 
-    ``base`` itself is not modified.  Clauses of the problem are consulted
-    first (in index order), then the learned clauses.  Problem clauses
-    whose indices are in ``skip`` are ignored as if absent.
+    ``start`` is an assignment to count from, or a conflict-free result
+    to carry on from, whose trail is then the base.  It is not modified.
+    Clauses of the problem are consulted first (in index order), then the
+    learned clauses.  Problem clauses whose indices are in ``skip`` are
+    ignored as if absent.
 
-    ``parent``, when given, is a conflict-free result whose trail is
-    ``base``, computed on the same problem, skip set and learned list;
-    either may have grown since.  Its counters are copied, not changed.
-    A parent that counted learned clauses before the formula grew cannot
-    be carried, and the call counts from scratch.
+    A result to carry on from must have been computed on the same problem,
+    skip set and learned list; either may have grown since.  Its counters
+    are copied, not changed.  One that counted learned clauses before the
+    formula grew cannot be carried, and the call counts from scratch.
     """
-    if parent is not None and parent.is_conflict:
-        raise ValueError("a conflicting result has no fixpoint to start from")
+    if isinstance(start, PropagationResult):
+        if start.is_conflict:
+            raise ValueError("a conflicting result has no fixpoint to start from")
+        parent, base = start, start.trail
+    else:
+        parent, base = None, start
     trail = base.copy()
     base_len = len(base)
     for v, val in decisions:
-        trail.push(Binding(v, val, decision=True))
+        trail.push(Binding(v, val))
 
     true_lits = trail.true_lits
     false_lits = trail.false_lits
@@ -129,11 +135,11 @@ def propagate(
         parent.formula_len == n or parent.counted == parent.formula_len
     ):
         open_count = dict(parent.open_count)
-        start = parent.counted
+        counted = parent.counted
         index = parent.index
     else:
         open_count = {}
-        start = 0
+        counted = 0
         index = _LearnedIndex()
     learned_occ = index.update(n, learned)
 
@@ -165,8 +171,8 @@ def propagate(
 
     # Clauses appended since the parent counted come after every carried
     # position, so ``units`` stays ascending.
-    appended = chain(clauses[start:], learned[max(start - n, 0) :])
-    for pos, c in enumerate(appended, start):
+    appended = chain(clauses[counted:], learned[max(counted - n, 0) :])
+    for pos, c in enumerate(appended, counted):
         if pos < n and pos in skip:
             continue
         cs = c.literal_set
@@ -189,7 +195,7 @@ def propagate(
         for lit in reason.literals:
             if lit not in false_lits:
                 break
-        trail.push(Binding(abs(lit), lit > 0, decision=False, reason=reason))
+        trail.push(Binding(abs(lit), lit > 0, reason))
         for p in occ(lit):
             open_count.pop(p, None)
         for p in learned_occ.get(lit, ()):
@@ -236,7 +242,7 @@ def resolve_to_base(
     bindings = result.trail.bindings
     for i in range(len(bindings) - 1, result.base_len - 1, -1):
         b = bindings[i]
-        if b.decision or (b.var not in lits and -b.var not in lits):
+        if b.reason is None or (b.var not in lits and -b.var not in lits):
             continue
         current = resolve(current, b.reason, b.var)
         lits = current.literal_set

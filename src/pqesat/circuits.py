@@ -252,10 +252,9 @@ class TransitionSystem:
     have further inputs, which act as free nondeterministic choices) and
     must compute every next-state bit as a gate named by an output
     ``next_1..next_n``.  ``init`` is a formula over variables 1..n, bit i
-    being variable i.
+    being variable i, so its variable count is the number of state bits.
     """
 
-    state_bits: int
     init: CnfProblem
     trans: Netlist
 
@@ -263,16 +262,12 @@ class TransitionSystem:
         n = self.state_bits
         if n < 1:
             raise CircuitError("a transition system needs at least one state bit")
-        if self.init.var_count != n:
-            raise CircuitError(
-                f"init formula ranges over {self.init.var_count} variables, "
-                f"expected the {n} state bits"
-            )
         if self.init.quantified:
             raise CircuitError("init formula must not quantify anything")
         if list(self.trans.outputs) != next_output_names(n):
             raise CircuitError(
-                f"transition netlist must output exactly next_1..next_{n}"
+                f"init has {n} state bits, so the transition netlist must "
+                f"output exactly next_1..next_{n}"
             )
         have = set(self.trans.inputs)
         missing = [s for s in state_input_names(n) if s not in have]
@@ -284,6 +279,10 @@ class TransitionSystem:
                 raise CircuitError(
                     f"output {name!r} must be a gate, not an input passthrough"
                 )
+
+    @property
+    def state_bits(self) -> int:
+        return self.init.var_count
 
     def state_names(self) -> list[str]:
         return state_input_names(self.state_bits)
@@ -336,7 +335,7 @@ def add_stutter(ts: TransitionSystem) -> TransitionSystem:
     trans = Netlist(
         list(ts.trans.inputs) + ["stutter_sel"], gates, next_output_names(n)
     )
-    return TransitionSystem(n, ts.init.copy(), trans)
+    return TransitionSystem(ts.init.copy(), trans)
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .circuits import (
     add_stutter,
     parse_netlist_file,
 )
-from .cnf import Clause, CnfError, mentioned_variables, parse_dimacs_file
+from .cnf import Clause, CnfError, parse_dimacs_file
 from .oracle import MAX_SAT_VARS, GuardError, bfs_reach, enum_sat, verify_pqe
 from . import fuzzing
 from .pqe import PqeConfig, PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
@@ -58,7 +58,7 @@ EXIT_UNKNOWN = 30
 
 
 def _clause_line(clause: Clause) -> str:
-    return " ".join(str(lit) for lit in clause) + " 0"
+    return " ".join([*map(str, clause), "0"])
 
 
 def _model_line(model: dict[int, bool]) -> str:
@@ -199,7 +199,7 @@ def cmd_verify_pqe(args) -> int:
 def cmd_diameter(args) -> int:
     netlist = parse_netlist_file(args.netlist)
     init = parse_dimacs_file(args.init)
-    ts = TransitionSystem(len(netlist.outputs), init, netlist)
+    ts = TransitionSystem(init, netlist)
     if not args.no_stutter:
         ts = add_stutter(ts)
     if diameter_lt(ts, args.k, _pqe_config(args)):
@@ -212,9 +212,7 @@ def cmd_diameter(args) -> int:
 def cmd_interp(args) -> int:
     side_a = parse_dimacs_file(args.a)
     side_b = parse_dimacs_file(args.b)
-    shared = mentioned_variables(side_a) & mentioned_variables(side_b)
-    instance = InterpolationInstance(side_a, side_b, shared)
-    result = interpolate(instance, _pqe_config(args))
+    result = interpolate(InterpolationInstance(side_a, side_b), _pqe_config(args))
     print(f"status: {result.status}")
     if not result.candidate:
         print("c empty candidate: equivalent to true")
@@ -300,6 +298,9 @@ def cmd_fuzz(args) -> int:
         return EXIT_USAGE
     if args.step_limit < 1:
         print("error: --step-limit must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == "sat" and n_vars > MAX_SAT_VARS:
         print(f"error: sat mode needs --vars <= {MAX_SAT_VARS}", file=sys.stderr)

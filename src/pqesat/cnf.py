@@ -150,13 +150,12 @@ class CnfProblem:
 class Binding(NamedTuple):
     """One entry of a partial assignment.
 
-    ``decision`` distinguishes chosen values from propagated ones; for a
-    propagated binding, ``reason`` is the clause that became unit.
+    A propagated binding's ``reason`` is the clause that became unit; a
+    binding without a reason is a decision.
     """
 
     var: Variable
     value: bool
-    decision: bool = True
     reason: Optional[Clause] = None
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .apps import EqCheckInstance, InterpolationInstance
 from .circuits import GATE_OPS, Gate, Netlist, TransitionSystem, add_stutter
-from .cnf import Clause, CnfProblem, mentioned_variables
+from .cnf import Clause, CnfProblem
 from .pqe import PqeProblem
 
 
@@ -80,8 +80,8 @@ def random_netlist(
     rng: random.Random, n_inputs: int = 3, n_gates: int = 5, n_outputs: int = 1
 ) -> Netlist:
     """A random circuit; outputs are the last gates, so they have depth."""
-    if n_inputs < 2 or n_gates < n_outputs:
-        raise ValueError("need at least two inputs and one gate per output")
+    if n_inputs < 2 or not 1 <= n_outputs <= n_gates:
+        raise ValueError("need at least two inputs and from 1 to n_gates outputs")
     inputs = [f"v{i}" for i in range(1, n_inputs + 1)]
     signals = list(inputs)
     gates: list[Gate] = []
@@ -212,7 +212,7 @@ def random_transition_system(
         for i in range(1, bits + 1)
         if rng.random() < 0.8
     ]
-    ts = TransitionSystem(bits, CnfProblem(bits, init_clauses), trans)
+    ts = TransitionSystem(CnfProblem(bits, init_clauses), trans)
     return add_stutter(ts) if stutter else ts
 
 
@@ -228,7 +228,5 @@ def random_interp_split(
     b_vars = range(nx + 1, n + 1)
     a = CnfProblem(n, [random_clause(rng, a_vars) for _ in range(rng.randint(2, 8))])
     b = CnfProblem(n, [random_clause(rng, b_vars) for _ in range(rng.randint(2, 8))])
-    shared = mentioned_variables(a) & mentioned_variables(b)
-    if not shared:
-        return None
-    return InterpolationInstance(a, b, shared)
+    inst = InterpolationInstance(a, b)
+    return inst if inst.shared else None

@@ -28,16 +28,16 @@ def _bit(var_count: int, v: int) -> int:
     return 1 << (var_count - v)
 
 
-def _clause_masks(problem: CnfProblem) -> list[tuple[int, int]]:
+def _clause_masks(var_count: int, clauses: list[Clause]) -> list[tuple[int, int]]:
     masks = []
-    for c in problem.clauses:
+    for c in clauses:
         pos = 0
         neg = 0
         for lit in c:
             if lit > 0:
-                pos |= _bit(problem.var_count, lit)
+                pos |= _bit(var_count, lit)
             else:
-                neg |= _bit(problem.var_count, -lit)
+                neg |= _bit(var_count, -lit)
         masks.append((pos, neg))
     return masks
 
@@ -58,7 +58,7 @@ def enum_sat(problem: CnfProblem) -> dict[int, bool] | None:
     n = problem.var_count
     if n > MAX_SAT_VARS:
         raise GuardError(f"enum_sat limited to {MAX_SAT_VARS} variables, got {n}")
-    masks = _clause_masks(problem)
+    masks = _clause_masks(n, problem.clauses)
     full = (1 << n) - 1
     for m in range(1 << n):
         if _mask_satisfies(m, full, masks):
@@ -74,14 +74,8 @@ def implies(problem: CnfProblem, clause: Clause) -> bool:
     for lit in clause:
         if abs(lit) > n:
             raise CnfError(f"clause variable {abs(lit)} out of range")
-    masks = _clause_masks(problem)
-    cpos = 0
-    cneg = 0
-    for lit in clause:
-        if lit > 0:
-            cpos |= _bit(n, lit)
-        else:
-            cneg |= _bit(n, -lit)
+    masks = _clause_masks(n, problem.clauses)
+    [(cpos, cneg)] = _clause_masks(n, [clause])
     full = (1 << n) - 1
     for m in range(1 << n):
         if (m & cpos) or (~m & full & cneg):
@@ -97,11 +91,6 @@ class TruthTable:
 
     variables: tuple[int, ...]
     rows: dict[tuple[int, ...], int]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruthTable):
-            return NotImplemented
-        return self.variables == other.variables and self.rows == other.rows
 
 
 def qe_enum(problem: CnfProblem) -> TruthTable:
@@ -119,7 +108,7 @@ def qe_enum(problem: CnfProblem) -> TruthTable:
             f"quantified variables, got {len(free)}/{len(quant)}"
         )
     n = problem.var_count
-    masks = _clause_masks(problem)
+    masks = _clause_masks(n, problem.clauses)
     full = (1 << n) - 1
     quant_masks = [
         sum(_bit(n, v) for j, v in enumerate(quant) if qm & (1 << j))
@@ -180,7 +169,7 @@ def bfs_reach(ts: TransitionSystem, k: int) -> set[tuple[int, ...]]:
         raise GuardError(f"bfs_reach limited to {MAX_REACH_BITS} state bits, got {n}")
     free_inputs = ts.free_input_names()
     init_states = set()
-    masks = _clause_masks(ts.init)
+    masks = _clause_masks(n, ts.init.clauses)
     full = (1 << n) - 1
     for m in range(1 << n):
         if _mask_satisfies(m, full, masks):

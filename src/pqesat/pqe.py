@@ -509,9 +509,7 @@ class _Engine:
         if failed is not None and failed.holds_after(self.F, decisions[-1][0]):
             self.tick(failed.ticks)
         else:
-            trail = Assignment(
-                [Binding(v, val, decision=True) for v, val in decisions]
-            )
+            trail = Assignment([Binding(v, val) for v, val in decisions])
             detector = _Detector(self.F, trail, dead=self.dead, tick=self.tick)
             before = self.steps
             got = detector.detect(target)
@@ -543,7 +541,7 @@ class _Engine:
             # A decision ``up`` already binds adds nothing, or conflicts.
             if held is None or held == val:
                 new = decisions[-1:] if held is None else ()
-                res = propagate(self.F, (), up.trail, new, self.dead, parent=up)
+                res = propagate(self.F, (), up, new, self.dead)
                 if not res.is_conflict:
                     return res
         return propagate(self.F, (), Assignment(), decisions, self.dead)

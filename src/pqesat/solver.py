@@ -373,27 +373,25 @@ class _Solver:
         self.steps = 0
 
     def run(self, assumptions: Sequence[tuple[int, bool]]) -> SolveOutcome:
+        model = closing = None
         try:
-            kind, payload = self._explore(Assignment(), list(assumptions), None)
+            kind, payload = self._explore(Assignment(), list(assumptions))
         except _StepLimit:
-            return SolveOutcome(
-                "unknown", None, self.certs, self.trace, None, self.steps, self.F
-            )
+            kind = "unknown"
         if kind == "sat":
             model = {
                 v: v in payload.true_lits for v in range(1, self.F.var_count + 1)
             }
-            return SolveOutcome(
-                "sat", model, self.certs, self.trace, None, self.steps, self.F
-            )
-        # The root certificate is falsified by the assumptions alone.
-        if not payload.literal_set <= {-v if val else v for v, val in assumptions}:
-            raise AssertionError(
-                f"root exploration returned {payload!r}, which the "
-                "assumptions do not falsify"
-            )
+        elif kind == "cert":
+            kind, closing = "unsat", payload
+            # The root certificate is falsified by the assumptions alone.
+            if not closing.literal_set <= {-v if val else v for v, val in assumptions}:
+                raise AssertionError(
+                    f"root exploration returned {closing!r}, which the "
+                    "assumptions do not falsify"
+                )
         return SolveOutcome(
-            "unsat", None, self.certs, self.trace, payload, self.steps, self.F
+            kind, model, self.certs, self.trace, closing, self.steps, self.F
         )
 
     def _record(self, spec, certificate, induction, action):
@@ -412,12 +410,12 @@ class _Solver:
             }
         )
 
-    def _explore(self, base: Assignment, decisions: list[tuple[int, bool]], parent):
+    def _explore(self, start, decisions: list[tuple[int, bool]]):
         self.steps += 1
         if self.steps > self.config.step_limit:
             raise _StepLimit
         side = self.learned if self.config.learn_to == "P" else ()
-        res = propagate(self.F, side, base, decisions, parent=parent)
+        res = propagate(self.F, side, start, decisions)
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
@@ -437,7 +435,7 @@ class _Solver:
                 # learned here, so the induction step applies now.
                 b_ind = build_induction_clause(table, primary)
                 return ("cert", resolve_to_base(b_ind, res))
-            kind, payload = self._explore(trail, list(spec.bindings), res)
+            kind, payload = self._explore(res, list(spec.bindings))
             if kind == "sat":
                 self._record(spec, None, None, "sat")
                 return ("sat", payload)

@@ -234,7 +234,6 @@ def test_criterion_5_extraction_agrees_with_enumeration():
 def test_criterion_6_diameter_agrees_with_reachability():
     started = time.perf_counter()
     counter = TransitionSystem(
-        2,
         CnfProblem(2, [Clause([-1]), Clause([-2])]),
         Netlist(
             ["s_1", "s_2"],

@@ -45,9 +45,7 @@ def _counter() -> TransitionSystem:
         ],
         ["next_1", "next_2"],
     )
-    return TransitionSystem(
-        2, CnfProblem(2, [Clause([-1]), Clause([-2])]), trans
-    )
+    return TransitionSystem(CnfProblem(2, [Clause([-1]), Clause([-2])]), trans)
 
 
 def test_diameter_of_the_two_bit_counter():
@@ -80,7 +78,7 @@ def test_diameter_matches_breadth_first_search_on_fresh_systems():
 
 def test_diameter_of_a_toggle():
     trans = Netlist(["s_1"], [Gate("next_1", "NOT", ("s_1",))], ["next_1"])
-    ts = add_stutter(TransitionSystem(1, CnfProblem(1, [Clause([-1])]), trans))
+    ts = add_stutter(TransitionSystem(CnfProblem(1, [Clause([-1])]), trans))
     assert not diameter_lt(ts, 1)
     assert diameter_lt(ts, 2)
 
@@ -98,12 +96,9 @@ def test_diameter_needs_a_positive_bound():
 def test_instance_validates_the_shared_set():
     a = CnfProblem(3, [Clause([1, 2])])
     b = CnfProblem(3, [Clause([2, 3])])
+    assert InterpolationInstance(a, b).shared == {2}
     with pytest.raises(AppError):
-        InterpolationInstance(a, b, frozenset({3}))
-    with pytest.raises(AppError):
-        InterpolationInstance(
-            CnfProblem(3, [Clause([1, 2])], frozenset({1})), b, frozenset({2})
-        )
+        InterpolationInstance(CnfProblem(3, [Clause([1, 2])], frozenset({1})), b)
 
 
 def test_refuted_conjunction_collapses_to_the_empty_clause():
@@ -111,7 +106,7 @@ def test_refuted_conjunction_collapses_to_the_empty_clause():
     # statement; A alone does not imply it, so it is not an interpolant.
     a = CnfProblem(2, [Clause([1]), Clause([-1, 2])])
     b = CnfProblem(2, [Clause([-2])])
-    inst = InterpolationInstance(a, b, frozenset({2}))
+    inst = InterpolationInstance(a, b)
     res = interpolate(inst)
     assert res.status == "candidate_only"
     assert res.candidate == [Clause([])]
@@ -124,7 +119,7 @@ def test_quantifier_free_a_clauses_pass_through():
     # (vacuously) implied by it, making the pair an interpolant.
     a = CnfProblem(2, [Clause([1]), Clause([-1])])
     b = CnfProblem(2, [Clause([1, 2])])
-    inst = InterpolationInstance(a, b, frozenset({1}))
+    inst = InterpolationInstance(a, b)
     res = interpolate(inst)
     assert res.status == "interpolant"
     assert res.candidate == [Clause([1]), Clause([-1])]
@@ -144,7 +139,8 @@ def test_interpolant_over_shared_variables():
             Clause([2, -5, 3]),
         ],
     )
-    inst = InterpolationInstance(a, b, frozenset({2, 3}))
+    inst = InterpolationInstance(a, b)
+    assert inst.shared == {2, 3}
     res = interpolate(inst)
     assert res.status == "interpolant"
     assert [list(c.literals) for c in res.candidate] == [[2], [3, -2]]
@@ -170,7 +166,7 @@ def test_candidate_can_lean_on_b():
         ],
     )
     b = CnfProblem(8, [Clause([-6]), Clause([5, 8])])
-    inst = InterpolationInstance(a, b, frozenset({5, 6}))
+    inst = InterpolationInstance(a, b)
     res = interpolate(inst)
     assert res.status == "candidate_only"
     assert [list(c.literals) for c in res.candidate] == [[5]]
@@ -183,7 +179,7 @@ def test_interpolant_status_holds_beyond_the_enumeration_guard():
     # the status comes from solver probes, so the size does not matter.
     a = CnfProblem(26, [Clause([1]), Clause([-1, 2])])
     b = CnfProblem(26, [Clause([-2, 26])])
-    res = interpolate(InterpolationInstance(a, b, frozenset({2})))
+    res = interpolate(InterpolationInstance(a, b))
     assert res.status == "interpolant"
     assert res.candidate == [Clause([2])]
 

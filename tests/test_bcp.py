@@ -16,7 +16,7 @@ def test_propagate_unit_chain():
     res = propagate(p, [], Assignment(), [])
     assert not res.is_conflict
     assert res.trail.items() == [(1, True), (2, True), (3, True)]
-    assert [b.decision for b in res.trail.bindings] == [False, False, False]
+    assert [b.reason is None for b in res.trail.bindings] == [False, False, False]
     assert res.trail.bindings[1].reason is p.clauses[1]
 
 
@@ -122,7 +122,7 @@ def _scan_propagate(problem, learned, base, decisions, skip=frozenset()):
     """
     trail = base.copy()
     for v, val in decisions:
-        trail.push(Binding(v, val, decision=True))
+        trail.push(Binding(v, val))
     scan = [c for i, c in enumerate(problem.clauses) if i not in skip]
     scan += learned
     while True:
@@ -138,7 +138,7 @@ def _scan_propagate(problem, learned, base, decisions, skip=frozenset()):
         if unit is None:
             return trail, len(base), None
         reason, lit = unit
-        trail.push(Binding(abs(lit), lit > 0, decision=False, reason=reason))
+        trail.push(Binding(abs(lit), lit > 0, reason))
 
 
 def _assert_same_result(res, want):
@@ -147,7 +147,6 @@ def _assert_same_result(res, want):
     assert res.conflict is conflict
     assert res.trail.items() == trail.items()
     for got, ref in zip(res.trail.bindings, trail.bindings):
-        assert got.decision == ref.decision
         assert got.reason is ref.reason
 
 
@@ -176,9 +175,12 @@ def test_propagate_matches_the_rescan(seed):
     skip = {i for i in range(len(clauses)) if rng.random() < 0.2}
     order = rng.sample(range(1, n + 1), n)
     k = rng.randint(0, n // 3)
-    base = Assignment(
-        [Binding(v, rng.random() < 0.5, rng.random() < 0.5) for v in order[:k]]
-    )
+    base = Assignment()
+    for v in order[:k]:
+        val = rng.random() < 0.5
+        # A base binding may carry a reason, as a propagated one does.
+        reason = Clause([v if val else -v]) if rng.random() < 0.5 else None
+        base.push(Binding(v, val, reason))
     decisions = [(v, rng.random() < 0.5) for v in order[k : k + rng.randint(0, 4)]]
     res = propagate(p, learned, base, decisions, skip)
     _assert_same_result(res, _scan_propagate(p, learned, base, decisions, skip))
@@ -230,7 +232,7 @@ def test_carried_propagation_matches_the_rescan(seed, grow):
         decisions = _unassigned_decisions(rng, n, res.trail, 3)
         if not decisions:
             break
-        child = propagate(p, learned, res.trail, decisions, skip, parent=res)
+        child = propagate(p, learned, res, decisions, skip)
         want = _scan_propagate(p, learned, res.trail, decisions, skip)
         _assert_same_result(child, want)
         _assert_same_counters(
@@ -243,7 +245,7 @@ def test_carried_propagation_leaves_the_parent_alone():
     p = CnfProblem(4, [Clause([-1, 2, 3]), Clause([-2, 4]), Clause([1, 3, 4])])
     parent = propagate(p, [], Assignment(), [])
     before = dict(parent.open_count)
-    child = propagate(p, [], parent.trail, [(1, True), (3, False)], parent=parent)
+    child = propagate(p, [], parent, [(1, True), (3, False)])
     assert child.trail.items() == [(1, True), (3, False), (2, True), (4, True)]
     assert parent.open_count == before
     assert parent.trail.items() == []
@@ -256,10 +258,10 @@ def test_learned_positions_shift_when_the_formula_grows():
     p = CnfProblem(4, [Clause([1, 2, 3])])
     parent = propagate(p, [], Assignment(), [])
     learned = [Clause([-4, 2])]
-    propagate(p, learned, parent.trail, [(3, False)], parent=parent)
+    propagate(p, learned, parent, [(3, False)])
     p.add_clause(Clause([-1, 4]))
     decisions = [(1, True)]
-    child = propagate(p, learned, parent.trail, decisions, parent=parent)
+    child = propagate(p, learned, parent, decisions)
     assert child.trail.items() == [(1, True), (4, True), (2, True)]
     assert child.trail.bindings[-1].reason is learned[0]
     _assert_same_result(child, _scan_propagate(p, learned, parent.trail, decisions))
@@ -270,7 +272,7 @@ def test_a_conflicting_result_cannot_be_a_parent():
     p = CnfProblem(1, [Clause([1])])
     res = propagate(p, [], Assignment(), [(1, False)])
     with pytest.raises(ValueError):
-        propagate(p, [], res.trail, [], parent=res)
+        propagate(p, [], res, [])
 
 
 def test_a_carried_decision_falsifies_the_first_clause_in_scan_order():
@@ -281,7 +283,7 @@ def test_a_carried_decision_falsifies_the_first_clause_in_scan_order():
     parent = propagate(p, learned, Assignment(), [(1, False)])
     assert list(parent.open_count) == [1, 2]
     decisions = [(3, False), (2, False)]
-    child = propagate(p, learned, parent.trail, decisions, parent=parent)
+    child = propagate(p, learned, parent, decisions)
     assert child.conflict is p.clauses[1]
     _assert_same_result(child, _scan_propagate(p, learned, parent.trail, decisions))
 
@@ -351,7 +353,7 @@ def _walk_resolve_to_base(clause, result, steps=None):
         lits = current.literal_set
         for i in range(len(trail.bindings) - 1, result.base_len - 1, -1):
             b = trail.bindings[i]
-            if b.decision:
+            if b.reason is None:
                 continue
             if b.var in lits or -b.var in lits:
                 pivot = b
@@ -420,7 +422,7 @@ def test_resolve_to_base_properties(case):
     context = res.trail.bindings[: res.base_len + len(decisions)]
     # Falsified by the base plus this call's decisions.
     assert got.literal_set <= Assignment(context).false_lits
-    propagated = {b.var for b in res.trail.bindings[res.base_len :] if not b.decision}
+    propagated = {b.var for b in res.trail.bindings[res.base_len :] if b.reason is not None}
     assert not any(abs(lit) in propagated for lit in got)
     # Implied by the formula plus the learned clauses: every reason is one.
     assert implies(CnfProblem(p.var_count, [*p.clauses, *learned]), got)

@@ -130,7 +130,7 @@ def test_tseitin_models_are_exactly_the_executions():
 
 def _toggle() -> TransitionSystem:
     trans = Netlist(["s_1"], [Gate("next_1", "NOT", ("s_1",))], ["next_1"])
-    return TransitionSystem(1, CnfProblem(1, [Clause([-1])]), trans)
+    return TransitionSystem(CnfProblem(1, [Clause([-1])]), trans)
 
 
 def _counter() -> TransitionSystem:
@@ -143,28 +143,23 @@ def _counter() -> TransitionSystem:
         ],
         ["next_1", "next_2"],
     )
-    return TransitionSystem(
-        2, CnfProblem(2, [Clause([-1]), Clause([-2])]), trans
-    )
+    return TransitionSystem(CnfProblem(2, [Clause([-1]), Clause([-2])]), trans)
 
 
 def test_transition_system_validation():
     trans = Netlist(["s_1"], [Gate("next_1", "NOT", ("s_1",))], ["next_1"])
+    assert TransitionSystem(CnfProblem(1, []), trans).state_bits == 1
     with pytest.raises(CircuitError):
-        TransitionSystem(1, CnfProblem(2, []), trans)  # wrong init width
+        TransitionSystem(CnfProblem(2, []), trans)  # no next_2 for init's bit 2
+    with pytest.raises(CircuitError):
+        TransitionSystem(CnfProblem(1, [], frozenset({1})), trans)  # quantified init
     with pytest.raises(CircuitError):
         TransitionSystem(
-            1, CnfProblem(1, [], frozenset({1})), trans
-        )  # quantified init
-    with pytest.raises(CircuitError):
-        TransitionSystem(
-            1,
             CnfProblem(1, []),
             Netlist(["s_1"], [Gate("g", "NOT", ("s_1",))], ["g"]),
         )  # outputs must be named next_1..next_n
     with pytest.raises(CircuitError):
         TransitionSystem(
-            1,
             CnfProblem(1, []),
             Netlist(["x"], [Gate("next_1", "NOT", ("x",))], ["next_1"]),
         )  # state input s_1 missing
@@ -182,7 +177,7 @@ def test_next_state_reads_free_inputs():
     trans = Netlist(
         ["s_1", "u"], [Gate("next_1", "XOR", ("s_1", "u"))], ["next_1"]
     )
-    ts = TransitionSystem(1, CnfProblem(1, []), trans)
+    ts = TransitionSystem(CnfProblem(1, []), trans)
     assert next_state(ts, (0,), {"u": True}) == (1,)
     assert next_state(ts, (0,), {"u": False}) == (0,)
 
@@ -204,7 +199,7 @@ def test_add_stutter_rejects_name_collisions():
         [Gate("next_1", "OR", ("s_1", "stutter_sel"))],
         ["next_1"],
     )
-    ts = TransitionSystem(1, CnfProblem(1, []), trans)
+    ts = TransitionSystem(CnfProblem(1, []), trans)
     with pytest.raises(CircuitError):
         add_stutter(ts)
 

@@ -129,6 +129,14 @@ def test_pqe_flag_overrides_the_comment(tmp_path, capsys):
     assert out == "c empty solution: the targets were already redundant\n"
 
 
+def test_pqe_prints_the_empty_clause_as_a_bare_zero(tmp_path, capsys):
+    f = tmp_path / "f.cnf"
+    f.write_text("p cnf 1 2\ne 1 0\n1 0\n-1 0\n")
+    code, out, _ = run_cli(capsys, ["pqe", str(f), "--targets", "1"])
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_pqe_without_targets_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "f.cnf"
     f.write_text("p cnf 2 1\ne 2 0\n1 2 0\n")
@@ -299,6 +307,19 @@ def test_diameter_cli(tmp_path, capsys):
     )
     assert code == 0
     assert out == "diameter < 4: yes\n"
+
+
+def test_diameter_cli_rejects_an_init_wider_than_the_netlist(tmp_path, capsys):
+    netlist = tmp_path / "counter.net"
+    netlist.write_text(COUNTER_NETLIST)
+    init = tmp_path / "init.cnf"
+    init.write_text("p cnf 3 1\n-3 0\n")
+    code, out, err = run_cli(
+        capsys, ["diameter", str(netlist), str(init), "--k", "2"]
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_interp_cli(tmp_path, capsys):
@@ -482,6 +503,15 @@ def test_fuzz_rejects_a_step_limit_below_one(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "--step-limit" in err
+
+
+def test_fuzz_rejects_a_count_below_one(capsys):
+    for count in ("0", "-5"):
+        code, out, err = run_cli(capsys, ["fuzz", "--count", count])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "--count" in err
 
 
 def test_fuzz_sat_mode_reports_an_exhausted_step_limit(capsys):

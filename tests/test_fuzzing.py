@@ -8,6 +8,8 @@ generator makes shows up here as a changed digest.
 import hashlib
 import random
 
+import pytest
+
 from pqesat.circuits import TransitionSystem, format_netlist
 from pqesat.cnf import format_dimacs
 from pqesat.fuzzing import (
@@ -95,3 +97,8 @@ def test_one_bit_transition_systems_are_drawn():
             ts = random_transition_system(random.Random(seed), bits)
             assert isinstance(ts, TransitionSystem)
             assert ts.state_bits == bits
+
+
+def test_random_netlist_needs_an_output():
+    with pytest.raises(ValueError):
+        random_netlist(random.Random(1), 3, 4, n_outputs=0)

@@ -112,7 +112,7 @@ def _toggle_system() -> TransitionSystem:
         [Gate("next_1", "NOT", ("s_1",))],
         ["next_1"],
     )
-    return TransitionSystem(1, CnfProblem(1, [Clause([-1])]), trans)
+    return TransitionSystem(CnfProblem(1, [Clause([-1])]), trans)
 
 
 def test_bfs_reach_step_by_step():
@@ -129,7 +129,7 @@ def test_bfs_reach_free_inputs_are_nondeterministic():
         [Gate("next_1", "XOR", ("s_1", "u"))],
         ["next_1"],
     )
-    ts = TransitionSystem(1, CnfProblem(1, [Clause([-1])]), trans)
+    ts = TransitionSystem(CnfProblem(1, [Clause([-1])]), trans)
     assert bfs_reach(ts, 1) == {(0,), (1,)}
 
 
@@ -139,6 +139,6 @@ def test_bfs_reach_guard():
         [Gate(f"next_{i}", "NOT", (f"s_{i}",)) for i in range(1, 14)],
         [f"next_{i}" for i in range(1, 14)],
     )
-    ts = TransitionSystem(13, CnfProblem(13, []), trans)
+    ts = TransitionSystem(CnfProblem(13, []), trans)
     with pytest.raises(GuardError):
         bfs_reach(ts, 1)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pqesat import pqe
-from pqesat.bcp import analyze_conflict
+from pqesat.bcp import PropagationResult, analyze_conflict
 from pqesat.circuits import unroll
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, parse_dimacs
 from pqesat.fuzzing import random_clause, random_pqe, random_transition_system
@@ -761,15 +761,14 @@ def _run_with(engine, pq, config=None):
     detect = _Detector.detect
     propagate = pqe.propagate
 
-    def carried_checked(problem, learned, base, decisions, skip, parent=None):
-        got = propagate(problem, learned, base, decisions, skip, parent)
+    def carried_checked(problem, learned, start, decisions, skip):
+        got = propagate(problem, learned, start, decisions, skip)
         (run,) = engines
-        if parent is not None:
+        carried = isinstance(start, PropagationResult)
+        if carried:
             fresh = propagate(problem, learned, Assignment(), run.at, skip)
             assert got.is_conflict == fresh.is_conflict, run.at
-        propagations.append(
-            (run.at, parent is not None, list(decisions), got.is_conflict)
-        )
+        propagations.append((run.at, carried, list(decisions), got.is_conflict))
         return got
 
     def checked(self, index):

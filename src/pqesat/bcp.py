@@ -24,13 +24,13 @@ counters are carried instead of counting every clause.  At the parent's
 fixpoint no counted clause is unit or falsified, so the child copies the
 parent's counters, applies its own decisions through their occurrence
 lists, and counts from scratch only the clauses appended since the
-parent ran: learned clauses, or formula clauses when the formula grew.
-Every clause that is unit or falsified after the decisions is then a
-touched one or a newly counted one, so the scan-order rule above still
-picks the same clause.  The learned index is shared down the chain of
-results and grows as learned clauses are appended; it is rebuilt when
-the formula's clause count changes, because that shifts every learned
-scan position.
+parent ran: learned clauses, or formula clauses when the formula grew,
+as a PQE formula does when it gains solution clauses.  Every clause
+that is unit or falsified after the decisions is then a touched one or
+a newly counted one, so the scan-order rule above still picks the same
+clause.  The learned index is shared down the chain of results and
+grows as learned clauses are appended; it is rebuilt when the formula's
+clause count changes, because that shifts every learned scan position.
 """
 
 from __future__ import annotations

@@ -136,8 +136,7 @@ def _pqe_config(args) -> PqeConfig:
 
 def cmd_sat(args) -> int:
     problem = parse_dimacs_file(args.file)
-    config = SolverConfig(learn_to=args.learn_to, step_limit=args.step_limit)
-    outcome = solve(problem, config)
+    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as handle:
             for record in outcome.trace:
@@ -252,19 +251,16 @@ def cmd_propgen(args) -> int:
 def _fuzz_sat(rng: random.Random, args, n_vars: int) -> Optional[str]:
     problem = fuzzing.random_cnf(rng, n_vars, args.clauses)
     expected = "sat" if enum_sat(problem) is not None else "unsat"
-    for learn_to in ("P", "F"):
-        config = SolverConfig(learn_to=learn_to, step_limit=args.step_limit)
-        outcome = solve(problem, config)
-        if outcome.status == "unknown":
-            return "step limit exhausted"
-        if outcome.status != expected:
-            return f"learn_to={learn_to} solver={outcome.status} oracle={expected}"
-        if expected == "sat":
-            model = outcome.model
-            for c in problem.clauses:
-                if not any(model[abs(lit)] == (lit > 0) for lit in c.literals):
-                    body = " ".join(map(str, c.literals))
-                    return f"learn_to={learn_to} model falsifies clause {body}"
+    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
+    if outcome.status == "unknown":
+        return "step limit exhausted"
+    if outcome.status != expected:
+        return f"solver={outcome.status} oracle={expected}"
+    if expected == "sat":
+        model = outcome.model
+        for c in problem.clauses:
+            if not any(model[abs(lit)] == (lit > 0) for lit in c.literals):
+                return f"model falsifies clause {' '.join(map(str, c.literals))}"
     return None
 
 
@@ -301,6 +297,9 @@ def cmd_fuzz(args) -> int:
         return EXIT_USAGE
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.clauses < 1:
+        print("error: --clauses must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == "sat" and n_vars > MAX_SAT_VARS:
         print(f"error: sat mode needs --vars <= {MAX_SAT_VARS}", file=sys.stderr)
@@ -367,13 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="solve a DIMACS file with the induction solver")
     p.add_argument("file")
     p.add_argument("--trace", help="write the per-iteration JSON Lines trace here")
-    p.add_argument(
-        "--learn-to",
-        dest="learn_to",
-        choices=("P", "F"),
-        default="P",
-        help="where learned clauses go: the proof set P or the formula F",
-    )
     _add_step_limit(p)
     p.set_defaults(func=cmd_sat)
 

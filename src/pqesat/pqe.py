@@ -170,6 +170,8 @@ class PqeConfig:
     # A node that reuses its parent's failed detection is charged the
     # _discharge attempts that detection made, as if it had run again.  A
     # cube settled by an earlier probe's model costs its node's step only.
+    # Under decide_redundant each redundancy probe gets a budget of
+    # step_limit of its own, not charged to the take_out steps.
     step_limit: int = 10**6
     # Invoked with every clause over free variables only that the engine
     # adds (the future solution clauses), the moment it is added.
@@ -755,6 +757,9 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     False the moment one appears.  If take_out finishes without such a
     clause, the targets were redundant to begin with.  The caller's
     ``on_solution_clause`` sees each clause before it is checked.
+
+    Each redundancy probe gets a budget of ``config.step_limit`` solver
+    steps of its own; its steps are not charged to the take_out steps.
     """
     if config is None:
         config = PqeConfig()

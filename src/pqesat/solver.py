@@ -9,10 +9,10 @@ clause's cluster is covered by a certificate falsified in the matching
 vicinity, an induction step produces a clause refuting the whole current
 subspace without visiting the remaining branches.
 
-Certificates are collected in a side set P by default; a config switch
-appends them to the formula instead.  Certificate lookups always consult
-the learned clauses only — original formula clauses never serve as
-stored certificates, though an exploration may well return a copy of one.
+Certificates are collected in a side set P, and a solve never adds a
+clause to its formula.  Certificate lookups consult the learned clauses
+only — original formula clauses never serve as stored certificates,
+though an exploration may well return a copy of one.
 
 Coverage checks rest on three invariants.  Within one exploration frame
 the trail does not change after propagation, and the learned clauses are
@@ -29,8 +29,7 @@ falsifies it.  So a certificate keeps a literal its pair's vicinity
 falsifies, and the frame's table reaches it through the vicinity's
 literals alone (see ``CoverageTable``).  Clusters come from the formula
 (``cnf.cluster_of``), which keeps each one until it gains a clause, so
-every solve on one formula shares them; under ``learn_to="F"`` the
-formula drops them as a certificate is appended.
+every solve on one formula shares them.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -145,17 +144,13 @@ class CoverageTable:
     """A frame's induction state: which required pairs the learned clauses cover.
 
     Coverage only grows while the trail stays fixed and ``learned`` only
-    grows: a pair's required status depends on the trail and the formula
-    alone, and its first certificate stays first when clauses are
-    appended.  So each seed keeps the first pair not yet known to be
-    covered and how many learned clauses were tested against it, and a
-    later query tests that pair only against the clauses learned since.
-    Pairs and their vicinities are built only when reached, as most seeds
-    fail at their first pair.  Clusters come from the formula, which keeps
-    them for every solve on it.  A grown formula (``learn_to="F"``) can
-    grow clusters, and the entries also depend on the trail and the
-    learned list, so the table drops every entry when the clause count
-    moves.
+    grows: a solve never grows its formula, so the clusters and their
+    required pairs are fixed for a frame, and a pair's first certificate
+    stays first when clauses are learned.  So each seed keeps the first
+    pair not yet known to be covered and how many learned clauses were
+    tested against it, and a later query tests that pair only against the
+    clauses learned since.  Pairs and their vicinities are built only when
+    reached, as most seeds fail at their first pair.
 
     Lookups file each learned clause under its least open literal.  Under
     the fixed trail a learned clause is either satisfied, and never a
@@ -164,12 +159,12 @@ class CoverageTable:
     ``u`` is a subset of the literals the vicinity falsifies.  Filed under
     ``min(u)``, a clause is reached by reading only the lists of those
     literals, at most as many as the pair's clause is wide.  A clause the
-    trail already falsifies (``u`` empty: off a fixpoint, or from a
-    caller's list, which ``learn_to="F"`` does not propagate) is filed
-    under 0 and covers every pair.  Clauses are classified in list order,
-    only as far as a lookup needs, and every list ascends.  So the lowest
-    hit at or after a start position, over the lists a lookup reads, is
-    the first certificate a linear scan would find.
+    trail already falsifies (``u`` empty, which only a table built off a
+    propagation fixpoint meets) is filed under 0 and covers every pair.
+    Clauses are classified in list order, only as far as a lookup needs,
+    and every list ascends.  So the lowest hit at or after a start
+    position, over the lists a lookup reads, is the first certificate a
+    linear scan would find.
     """
 
     def __init__(
@@ -181,7 +176,6 @@ class CoverageTable:
         # Per classified learned clause, its open literals, or None when satisfied.
         self.opens: list[Optional[frozenset[int]]] = []
         self.lists: dict[int, list[int]] = {}  # least open literal -> positions
-        self._size = len(problem.clauses)
         self._entries: dict[int, _Coverage] = {}
 
     def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
@@ -225,9 +219,6 @@ class CoverageTable:
         return None
 
     def _entry(self, seed: int) -> _Coverage:
-        if len(self.problem.clauses) != self._size:
-            self._size = len(self.problem.clauses)
-            self._entries.clear()
         entry = self._entries.get(seed)
         if entry is None:
             members = cluster_of(self.problem, seed)
@@ -334,12 +325,7 @@ class CertRecord(NamedTuple):
 
 @dataclass
 class SolverConfig:
-    learn_to: str = "P"  # "P": side set; "F": append to the formula
     step_limit: int = 10**6
-
-    def __post_init__(self):
-        if self.learn_to not in ("P", "F"):
-            raise ValueError(f"learn_to must be 'P' or 'F', not {self.learn_to!r}")
 
 
 @dataclass
@@ -350,7 +336,6 @@ class SolveOutcome:
     trace: list[dict] = field(default_factory=list)
     closing_clause: Optional[Clause] = None
     steps: int = 0
-    problem: Optional[CnfProblem] = None  # final formula (grown under learn_to="F")
 
 
 class _StepLimit(Exception):
@@ -358,16 +343,10 @@ class _StepLimit(Exception):
 
 
 class _Solver:
-    def __init__(
-        self,
-        problem: CnfProblem,
-        config: SolverConfig,
-        learned: Optional[list[Clause]] = None,
-    ):
-        # Only learn_to="F" grows the formula, so only it needs a copy.
-        self.F = problem.copy() if config.learn_to == "F" else problem
-        self.config = config
-        self.learned: list[Clause] = [] if learned is None else learned
+    def __init__(self, problem: CnfProblem, step_limit: int, learned: list[Clause]):
+        self.F = problem
+        self.step_limit = step_limit
+        self.learned = learned
         self.certs: list[CertRecord] = []
         self.trace: list[dict] = []
         self.steps = 0
@@ -390,9 +369,7 @@ class _Solver:
                     f"root exploration returned {closing!r}, which the "
                     "assumptions do not falsify"
                 )
-        return SolveOutcome(
-            kind, model, self.certs, self.trace, closing, self.steps, self.F
-        )
+        return SolveOutcome(kind, model, self.certs, self.trace, closing, self.steps)
 
     def _record(self, spec, certificate, induction, action):
         self.trace.append(
@@ -412,10 +389,9 @@ class _Solver:
 
     def _explore(self, start, decisions: list[tuple[int, bool]]):
         self.steps += 1
-        if self.steps > self.config.step_limit:
+        if self.steps > self.step_limit:
             raise _StepLimit
-        side = self.learned if self.config.learn_to == "P" else ()
-        res = propagate(self.F, side, start, decisions)
+        res = propagate(self.F, self.learned, start, decisions)
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
@@ -447,8 +423,6 @@ class _Solver:
                 self._record(spec, cleaned, None, "return")
                 return ("cert", cleaned)
             self.learned.append(cert)
-            if self.config.learn_to == "F":
-                self.F.add_clause(cert)
             self.certs.append(
                 CertRecord(cert, spec.clause_index, spec.literal, spec.bindings)
             )
@@ -479,15 +453,18 @@ def solve(
     certificate: the formula implies it, and the assumptions falsify every
     literal of it, so without assumptions it is the empty clause.
 
-    ``learned``, when given, is the caller's certificate list.  The call
-    consults it and appends to it, so several calls can share what they
-    learn.  That is sound while every call's formula implies every clause
-    already in the list, for instance when the formula only gains clauses
-    between calls: each certificate is implied by the formula it was
-    learned on, never by the assumptions.
+    Certificates go to a learned list, never to ``problem``, which the
+    call leaves as it found it.  ``learned``, when given, is the caller's
+    certificate list.  The call consults it and appends to it, so several
+    calls can share what they learn.  That is sound while every call's
+    formula implies every clause already in the list, for instance when
+    the formula only gains clauses between calls: each certificate is
+    implied by the formula it was learned on, never by the assumptions.
 
     A repeated assumption is dropped; two that give one variable both
-    values raise CnfError.
+    values raise CnfError.  Each nested exploration is one level of
+    Python recursion, so an instance that needs more nested explorations
+    than ``sys.getrecursionlimit()`` allows raises RecursionError.
     """
     if config is None:
         config = SolverConfig()
@@ -497,4 +474,6 @@ def solve(
             raise CnfError(f"assumption on variable {v} out of range")
         if chosen.setdefault(v, val) != val:
             raise CnfError(f"contradictory assumptions on variable {v}")
-    return _Solver(problem, config, learned).run(list(chosen.items()))
+    if learned is None:
+        learned = []
+    return _Solver(problem, config.step_limit, learned).run(list(chosen.items()))

@@ -23,8 +23,12 @@ from pqesat.circuits import (
     tseitin_encode,
 )
 from pqesat.cnf import Clause, CnfProblem
-from pqesat.fuzzing import random_interp_split, random_transition_system
-from pqesat.oracle import bfs_reach, enum_sat, implies
+from pqesat.fuzzing import (
+    random_interp_split,
+    random_netlist,
+    random_transition_system,
+)
+from pqesat.oracle import bfs_reach, enum_sat, implies, verify_pqe
 from pqesat.pqe import PqeConfig, StepLimitError
 
 from oracle_helpers import extension_holds, projected_models
@@ -307,6 +311,37 @@ def test_prop_gen_with_a_quantified_input():
     res = prop_gen(COMPARATOR, quantified_inputs=frozenset({"a"}))
     assert sorted(res.problem.quantified) == [1, 3]
     assert res.properties == []
+
+
+def test_prop_gen_on_random_circuits():
+    # Every encoding clause with a quantified variable is taken out in
+    # turn, on seeded circuits; half the draws also hide some inputs.
+    rng = random.Random(5)
+    runs = checked = 0
+    for draw in range(40):
+        n_gates = rng.randint(2, 6)
+        nl = random_netlist(
+            rng, rng.randint(2, 4), n_gates, rng.randint(1, min(2, n_gates))
+        )
+        hidden = frozenset()
+        if draw % 2:
+            hidden = frozenset(rng.sample(nl.inputs, rng.randint(1, len(nl.inputs))))
+        encoded, vmap = tseitin_encode(nl)
+        quantified = set(vmap.internal) | {vmap.var_of[x] for x in hidden}
+        for target, clause in enumerate(encoded.clauses):
+            if not clause.variables() & quantified:
+                continue
+            res = prop_gen(nl, hidden, target)
+            assert res.problem.quantified == quantified
+            for c in res.properties:
+                assert implies(res.problem, c), (draw, target, c)
+                assert not c.variables() & quantified
+            assert verify_pqe(res.problem, [target], res.properties)
+            runs += 1
+            checked += len(res.properties)
+    # The corpus exercises the engine: many runs, and many of them find
+    # properties rather than a redundant target.
+    assert runs >= 300 and checked >= 100
 
 
 def test_prop_gen_validates_arguments():

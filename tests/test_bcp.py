@@ -205,10 +205,10 @@ def _unassigned_decisions(rng, n, trail, most):
 def test_carried_propagation_matches_the_rescan(seed, grow):
     """Parent -> child chains, with clauses appended between the frames.
 
-    ``"learned"`` appends learned clauses, as the solver does under
-    learn_to="P"; ``"formula"`` appends formula clauses with no learned
-    ones, as under learn_to="F" or on a growing probe formula; ``"both"``
-    grows both, where the child cannot carry and counts from scratch.
+    ``"learned"`` appends learned clauses, as the solver does;
+    ``"formula"`` appends formula clauses with no learned ones, as a PQE
+    formula grows; ``"both"`` grows both, where the child cannot carry
+    and counts from scratch.
     Each child must match the plain rescan and, in its counters, a call
     without a parent.
     """

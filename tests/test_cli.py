@@ -236,6 +236,14 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_sat_takes_no_option_to_learn_into_the_formula(capsys):
+    # Certificates always go to the proof set; the formula never grows.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sat", str(EXAMPLES / "appendix_e.cnf"), "--learn-to", "F"])
+    assert exc.value.code == 2
+    assert "--learn-to" in capsys.readouterr().err
+
+
 def test_pqe_check_both_verdicts(tmp_path, capsys):
     f = tmp_path / "two.cnf"
     f.write_text(TWO_CLAUSES)
@@ -376,14 +384,14 @@ def test_fuzz_sat_mode(capsys):
     assert out.splitlines()[-1] == "discrepancies: 0"
 
 
-def test_fuzz_sat_mode_checks_the_model_of_each_mode(capsys, monkeypatch):
+def test_fuzz_sat_mode_checks_the_model(capsys, monkeypatch):
     # A model that flips every value of a correct one falsifies a clause
-    # of most draws; the second mode is checked too.
+    # of most draws.
     real = cli.solve
 
     def flipped(problem, config):
         out = real(problem, config)
-        if config.learn_to == "F" and out.model is not None:
+        if out.model is not None:
             out.model = {v: not val for v, val in out.model.items()}
         return out
 
@@ -392,16 +400,15 @@ def test_fuzz_sat_mode_checks_the_model_of_each_mode(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert int(lines[-1].split(": ")[1]) > 0
-    assert all("learn_to=F model falsifies clause" in line for line in lines[:-1])
+    assert all(": model falsifies clause " in line for line in lines[:-1])
 
 
-def test_fuzz_sat_mode_checks_the_status_of_each_mode(capsys, monkeypatch):
+def test_fuzz_sat_mode_checks_the_status(capsys, monkeypatch):
     real = cli.solve
 
     def wrong(problem, config):
         out = real(problem, config)
-        if config.learn_to == "F":
-            out.status = "unsat" if out.status == "sat" else "sat"
+        out.status = "unsat" if out.status == "sat" else "sat"
         return out
 
     monkeypatch.setattr(cli, "solve", wrong)
@@ -409,7 +416,7 @@ def test_fuzz_sat_mode_checks_the_status_of_each_mode(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert lines[-1] == "discrepancies: 3"
-    assert all("learn_to=F solver=" in line for line in lines[:3])
+    assert all(": solver=" in line for line in lines[:3])
 
 
 def test_fuzz_pqe_mode(capsys):
@@ -512,6 +519,16 @@ def test_fuzz_rejects_a_count_below_one(capsys):
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "--count" in err
+
+
+def test_fuzz_rejects_a_clause_count_below_one(capsys):
+    for clauses in ("0", "-3"):
+        argv = ["fuzz", "--clauses", clauses, "--count", "5"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "--clauses" in err
 
 
 def test_fuzz_sat_mode_reports_an_exhausted_step_limit(capsys):

@@ -16,8 +16,6 @@ import hashlib
 import json
 import random
 
-import pytest
-
 from pqesat.apps import EqCheckInstance, diameter_lt, eq_check, interpolate
 from pqesat.cnf import Clause, CnfProblem
 from pqesat.fuzzing import (
@@ -29,7 +27,7 @@ from pqesat.fuzzing import (
     random_transition_system,
 )
 from pqesat.pqe import take_out
-from pqesat.solver import SolverConfig, solve
+from pqesat.solver import solve
 
 
 def _digest(records) -> str:
@@ -48,11 +46,11 @@ def _random_3sat(rng: random.Random, n: int) -> CnfProblem:
     return CnfProblem(n, clauses)
 
 
-def _solver_records(learn_to: str, seed: int, count: int, smallest: int):
+def _solver_records(seed: int, count: int, smallest: int):
     rng = random.Random(seed)
     for i in range(count):
         cnf = _random_3sat(rng, smallest + i % 3)
-        out = solve(cnf, SolverConfig(learn_to=learn_to))
+        out = solve(cnf)
         yield [
             out.status,
             out.steps,
@@ -146,29 +144,18 @@ def _steps(runs):
     return [steps for _, steps in runs]
 
 
-@pytest.mark.parametrize(
-    "learn_to, digest",
-    [
-        ("P", "abd65a8b8f634221ec988569ef62177de63770f8daea92026f85d28996a9b2b9"),
-        ("F", "3333f37520c26afeeb2842fc8df5dbf91e558027205e9fc471be19426c99cc98"),
-    ],
-)
-def test_solver_outcomes_are_pinned(learn_to, digest):
-    assert _digest(_solver_records(learn_to, 4260, 24, 12)) == digest
+def test_solver_outcomes_are_pinned():
+    assert _digest(_solver_records(4260, 24, 12)) == (
+        "abd65a8b8f634221ec988569ef62177de63770f8daea92026f85d28996a9b2b9"
+    )
 
 
 # The benchmark's sat3 size, n in 20-22: clusters are larger there and most
 # induction candidates fail at their first required pair, unlike at n = 12-14.
-# learn_to="F" runs slower, so it pins fewer instances.
-@pytest.mark.parametrize(
-    "learn_to, count, digest",
-    [
-        ("P", 20, "86c23256c245f0baf189b76bc39e0aac274c14bf5525da095d12a60a1c720b1c"),
-        ("F", 5, "b595c21c536bb4914be9e623680619d8f7b34657671d27a3df0d13f0c2bffc58"),
-    ],
-)
-def test_solver_outcomes_at_benchmark_size_are_pinned(learn_to, count, digest):
-    assert _digest(_solver_records(learn_to, 2022, count, 20)) == digest
+def test_solver_outcomes_at_benchmark_size_are_pinned():
+    assert _digest(_solver_records(2022, 20, 20)) == (
+        "86c23256c245f0baf189b76bc39e0aac274c14bf5525da095d12a60a1c720b1c"
+    )
 
 
 def test_take_out_outcomes_are_pinned():

@@ -167,24 +167,6 @@ def test_table_covers_a_pair_first_tested_uncovered():
     assert got.literals == (-1, 10, 4, -9)
 
 
-def test_table_is_rebuilt_when_a_learned_clause_grows_the_cluster():
-    # Under learn_to="F" a certificate joins the formula.  [3, 5] shares
-    # the seed's open literal 3, so the seed's cluster gains the required
-    # pair (6, 3), which no learned clause covers.
-    problem, trail, learned = _coverage_fixture()
-    table = CoverageTable(problem, learned, trail)
-    assert table.uncovered(0) is None
-    for c in (Clause([3, 5]), Clause([-3, 10])):
-        learned.append(c)
-        problem.add_clause(c)
-        if c == Clause([3, 5]):
-            assert table.uncovered(0) == specify_vicinity(problem, 6, 3, trail)
-        assert table.uncovered(0) == _scan_uncovered(problem, learned, trail, 0)
-    assert table.uncovered(0) is None
-    fresh = CoverageTable(problem, learned, trail)
-    assert build_induction_clause(table, 0) == build_induction_clause(fresh, 0)
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_table_matches_the_rescan(seed):
     rng = random.Random(seed)
@@ -195,15 +177,12 @@ def test_table_matches_the_rescan(seed):
     trail = Assignment(
         [Binding(v, rng.random() < 0.5) for v in order[: rng.randint(0, n // 3)]]
     )
-    learn_to_f = rng.random() < 0.5
+    rng.random()  # a spare draw; it keeps each seed's learned clauses
     learned = []
     table = CoverageTable(problem, learned, trail)
     for _ in range(3 * n):
         vs = rng.sample(range(1, n + 1), rng.randint(1, 3))
-        c = Clause([v if rng.random() < 0.5 else -v for v in vs])
-        learned.append(c)
-        if learn_to_f:
-            problem.add_clause(c)
+        learned.append(Clause([v if rng.random() < 0.5 else -v for v in vs]))
         fired = None
         for i, clause in enumerate(problem.clauses):
             if trail.satisfies_clause(clause):
@@ -338,11 +317,6 @@ def test_solve_respects_step_limit():
     assert out.model is None
 
 
-def test_solver_config_validates_learn_to():
-    with pytest.raises(ValueError):
-        SolverConfig(learn_to="Q")
-
-
 NINE = CnfProblem(
     6,
     [
@@ -387,25 +361,6 @@ def test_nine_clause_trace_is_stable():
     assert [json.loads(json.dumps(r)) for r in out.trace] == golden
 
 
-def test_nine_clause_learning_into_the_formula():
-    out = solve(NINE.copy(), SolverConfig(learn_to="F"))
-    assert out.status == "unsat"
-    grown = out.problem
-    assert len(grown.clauses) == len(NINE.clauses) + len(out.certificates)
-    for c in [r.clause for r in out.certificates]:
-        assert c in grown.clauses
-
-
-def test_learning_into_the_formula_leaves_the_callers_formula_alone():
-    p = parse_dimacs(INDUCTION_ON_ENTRY)
-    size = len(p.clauses)
-    out = solve(p, SolverConfig(learn_to="F"))
-    assert out.status == "unsat"
-    assert out.problem is not p
-    assert len(p.clauses) == size
-    assert len(out.problem.clauses) == size + len(out.certificates)
-
-
 def test_solve_agrees_with_enumeration_on_random_formulas():
     rng = random.Random(1234)
     for _ in range(25):
@@ -433,13 +388,12 @@ p cnf 18 35
 """
 
 
-@pytest.mark.parametrize("learn_to", ["P", "F"])
-def test_induction_fires_when_a_subspace_is_already_certified(learn_to):
+def test_induction_fires_when_a_subspace_is_already_certified():
     p = parse_dimacs(INDUCTION_ON_ENTRY)
     assert enum_sat(p) is None
-    out = solve(p, SolverConfig(learn_to=learn_to))
+    out = solve(p)
     assert out.status == "unsat"
-    assert out.steps == {"P": 54, "F": 74}[learn_to]
+    assert out.steps == 54
     assert out.closing_clause is not None
     assert out.closing_clause.is_empty()
 
@@ -461,7 +415,7 @@ def _random_3sat(rng, n, ratio):
     return CnfProblem(n, clauses)
 
 
-def _probe_run(seed, learn_to):
+def _probe_run(seed):
     """A run of assumption probes on one formula and one learned list.
 
     Between probes the formula gains implied clauses: the closing clause
@@ -477,7 +431,7 @@ def _probe_run(seed, learn_to):
     for _ in range(12):
         vs = rng.sample(range(1, n + 1), rng.randint(0, 5))
         h = Clause([v if rng.random() < 0.5 else -v for v in vs])
-        out = solve(p, SolverConfig(learn_to=learn_to), _falsifying(h), learned)
+        out = solve(p, assumptions=_falsifying(h), learned=learned)
         assert (out.status == "unsat") == implies(p, h)
         new = [r.clause for r in out.certificates]
         assert learned[len(learned) - len(new) :] == new
@@ -499,15 +453,28 @@ def _probe_run(seed, learn_to):
     return learned
 
 
-@pytest.mark.parametrize("learn_to", ["P", "F"])
 @pytest.mark.parametrize("seed", range(30))
-def test_probes_sharing_certificates_agree_with_fresh_entailment(seed, learn_to):
-    _probe_run(seed, learn_to)
+def test_probes_sharing_certificates_agree_with_fresh_entailment(seed):
+    _probe_run(seed)
 
 
 def test_probe_runs_share_certificates():
     # The corpus above does learn: most runs end with a nonempty list.
-    assert sum(bool(_probe_run(seed, "P")) for seed in range(30)) >= 25
+    assert sum(bool(_probe_run(seed)) for seed in range(30)) >= 25
+
+
+def test_solve_leaves_the_callers_formula_alone():
+    # Certificates go to the learned list only: the formula's clause list
+    # is the same object with the same length after every probe.
+    p = parse_dimacs(INDUCTION_ON_ENTRY)
+    clauses = p.clauses
+    size = len(clauses)
+    learned = []
+    for h in (Clause([]), Clause([14, -2]), Clause([-7, 15, 3])):
+        solve(p, assumptions=_falsifying(h), learned=learned)
+        assert p.clauses is clauses
+        assert len(clauses) == size
+    assert learned
 
 
 def test_assumptions_that_falsify_a_formula_clause_close_at_the_root():
@@ -567,7 +534,7 @@ def _fresh_cluster_of(problem, index):
 
 
 def _cluster_runs(seed):
-    """Statuses and traces of one learn_to="F" solve and two probes.
+    """Statuses and traces of one solve and two probes.
 
     The probes share one learned list, and the formula gains an implied
     clause between them.
@@ -575,12 +542,12 @@ def _cluster_runs(seed):
     rng = random.Random(seed)
     n = rng.randint(8, 14)
     p = _random_3sat(rng, n, 4.26)
-    outs = [solve(p, SolverConfig(learn_to="F"))]
+    outs = [solve(p)]
     learned = []
-    for learn_to in ("P", "F"):
+    for _ in range(2):
         vs = rng.sample(range(1, n + 1), 3)
         h = Clause([v if rng.random() < 0.5 else -v for v in vs])
-        outs.append(solve(p, SolverConfig(learn_to=learn_to), _falsifying(h), learned))
+        outs.append(solve(p, assumptions=_falsifying(h), learned=learned))
         c = p.clauses[rng.randrange(len(p.clauses))]
         v = rng.choice([v for v in range(1, n + 1) if v not in c.variables()])
         p.add_clause(Clause([*c.literals, v]))

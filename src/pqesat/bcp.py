@@ -31,6 +31,9 @@ a newly counted one, so the scan-order rule above still picks the same
 clause.  The learned index is shared down the chain of results and
 grows as learned clauses are appended; it is rebuilt when the formula's
 clause count changes, because that shifts every learned scan position.
+
+Conflict analysis walks the trail once, latest binding first, and edits
+one ordered literal set instead of building a clause per resolution.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import AbstractSet, Optional, Sequence
 
-from .cnf import Assignment, Binding, Clause, CnfProblem, resolve
+from .cnf import Assignment, Binding, Clause, CnfProblem, ResolutionError
 
 
 class _LearnedIndex:
@@ -235,20 +238,34 @@ def resolve_to_base(
     A reason's other literals were all falsified before the binding it
     forced, so a resolution only brings in literals bound earlier on the
     trail.  One walk from the trail's end down to ``base_len`` therefore
-    meets every pivot, latest first.
+    meets every pivot, latest first.  It edits one ordered literal set,
+    in the order ``cnf.resolve`` gives, and keeps its check: a reason
+    that lacks the pivot's opposite literal, or clashes on a second
+    variable, raises ``ResolutionError``.  With nothing resolved, the
+    input clause itself comes back.
     """
-    current = clause
-    lits = current.literal_set
+    lits = dict.fromkeys(clause.literals)
     bindings = result.trail.bindings
+    resolved = False
     for i in range(len(bindings) - 1, result.base_len - 1, -1):
-        b = bindings[i]
-        if b.reason is None or (b.var not in lits and -b.var not in lits):
+        v, _, reason = bindings[i]
+        if reason is None:
             continue
-        current = resolve(current, b.reason, b.var)
-        lits = current.literal_set
+        pivot = v if v in lits else -v if -v in lits else None
+        if pivot is None:
+            continue
+        if -pivot not in reason.literal_set:
+            raise ResolutionError(f"cannot resolve on {v}: {reason!r} lacks {-pivot}")
+        del lits[pivot]
+        for lit in reason.literals:
+            if -lit in lits:
+                raise ResolutionError(f"cannot resolve on {v}: second clash at {lit}")
+            if lit != -pivot:
+                lits.setdefault(lit)
+        resolved = True
         if steps is not None:
-            steps.append((b.reason, b.var))
-    return current
+            steps.append((reason, v))
+    return Clause(lits) if resolved else clause
 
 
 def analyze_conflict(

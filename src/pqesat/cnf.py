@@ -350,7 +350,10 @@ def resolve(c1: Clause, c2: Clause, v: Variable) -> Clause:
     """Resolve two clauses on variable v.
 
     Requires that v is the only clashing variable between the two clauses;
-    anything else raises ResolutionError.
+    anything else raises ResolutionError.  This is the plain reference
+    that the tests, and a future proof checker, resolve with;
+    ``bcp.resolve_to_base`` makes the same resolutions and the same check
+    in one walk without building the intermediate clauses.
     """
     clashes = [
         abs(lit) for lit in c1 if -lit in c2.literal_set

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqesat.bcp import analyze_conflict, propagate, resolve_to_base
-from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, resolve
+import pqesat.bcp
+import pqesat.solver
+from pqesat.apps import diameter_lt
+from pqesat.bcp import PropagationResult, analyze_conflict, propagate, resolve_to_base
+from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, ResolutionError, resolve
+from pqesat.fuzzing import random_transition_system
+from pqesat.solver import solve
 from pqesat.oracle import implies
 
 
@@ -390,6 +395,58 @@ def test_resolve_to_base_matches_the_restarting_walk(seed):
         want = _walk_resolve_to_base(c, res, want_steps)
         assert got.literals == want.literals
         assert got_steps == want_steps
+
+
+@pytest.mark.parametrize(
+    "clause, reason",
+    [
+        # The reason of 2 also holds 3, whose negation the clause holds.
+        (Clause([-2, -3]), Clause([2, 3])),
+        # The clause and the reason both hold -2, so they do not clash on 2.
+        (Clause([-2, 1]), Clause([-2, 4])),
+    ],
+)
+def test_resolve_to_base_keeps_the_clash_check(clause, reason):
+    res = PropagationResult(Assignment([Binding(2, True, reason)]), 0, None)
+    with pytest.raises(ResolutionError):
+        resolve(clause, reason, 2)
+    with pytest.raises(ResolutionError):
+        resolve_to_base(clause, res)
+
+
+def test_resolve_to_base_matches_the_walk_inside_solve_and_diameter(monkeypatch):
+    """Every call made by ``solve`` on 3-SAT near ratio 4.26 and by a few
+    criterion-6 diameter queries agrees with the reference walk."""
+    calls = []
+
+    def checked(clause, result, steps=None):
+        log = [] if steps is None else steps
+        first = len(log)
+        got = resolve_to_base(clause, result, log)
+        want_steps = []
+        want = _walk_resolve_to_base(clause, result, want_steps)
+        assert got.literals == want.literals
+        assert log[first:] == want_steps
+        if not want_steps:
+            assert got is clause
+        calls.append(len(want_steps))
+        return got
+
+    monkeypatch.setattr(pqesat.bcp, "resolve_to_base", checked)
+    monkeypatch.setattr(pqesat.solver, "resolve_to_base", checked)
+    rng = random.Random(426)
+    for _ in range(10):
+        clauses = []
+        for _ in range(round(4.26 * 20)):
+            chosen = rng.sample(range(1, 21), 3)
+            clauses.append(Clause([v if rng.random() < 0.5 else -v for v in chosen]))
+        solve(CnfProblem(20, clauses))
+    rng = random.Random(606)
+    for _ in range(5):
+        system = random_transition_system(rng)
+        for k in range(1, 6):
+            diameter_lt(system, k)
+    assert any(calls) and not all(calls)
 
 
 @st.composite

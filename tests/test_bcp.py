@@ -12,8 +12,8 @@ from pqesat.apps import diameter_lt
 from pqesat.bcp import PropagationResult, analyze_conflict, propagate, resolve_to_base
 from pqesat.cnf import Assignment, Binding, Clause, CnfProblem, ResolutionError, resolve
 from pqesat.fuzzing import random_transition_system
-from pqesat.solver import solve
 from pqesat.oracle import implies
+from pqesat.solver import solve
 
 
 def test_propagate_unit_chain():

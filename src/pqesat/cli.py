@@ -280,14 +280,43 @@ def _fuzz_diameter(rng: random.Random, args, n_vars: int) -> Optional[str]:
     return None if got == expected else f"k={k} diameter_lt={got} oracle={expected}"
 
 
-FUZZ_CHECKS = {"sat": _fuzz_sat, "pqe": _fuzz_pqe, "diameter": _fuzz_diameter}
+def _fuzz_eqcheck(rng: random.Random, args, n_vars: int) -> Optional[str]:
+    inst = fuzzing.random_eq_pair(rng)
+    if rng.random() < 0.5:
+        inst = EqCheckInstance(inst.m1, fuzzing.distinct_mutant(rng, inst.m1))
+    got = eq_check(inst, PqeConfig(step_limit=args.step_limit))
+    tables = [fuzzing.netlist_truth_table(m) for m in (inst.m1, inst.m2)]
+    # eq_check rules out a constant first circuit before the second.
+    for label, table in zip(("m1", "m2"), tables):
+        if len(set(table)) == 1:
+            want = f"{label} is constant {int(table[0][0])}"
+            if (got.verdict, got.constant) != ("constant_circuit", want):
+                return f"verdict={got.verdict} ({got.constant}) oracle={want}"
+            return None
+    want = "equivalent" if tables[0] == tables[1] else "inequivalent"
+    if got.verdict != want:
+        return f"verdict={got.verdict} oracle={want}"
+    if want == "inequivalent":
+        vector = {name: got.witness[name] for name in inst.m1.inputs}
+        if inst.m1.output_values(vector) == inst.m2.output_values(vector):
+            return f"witness {vector} gives equal outputs"
+    return None
+
+
+FUZZ_CHECKS = {
+    "sat": _fuzz_sat,
+    "pqe": _fuzz_pqe,
+    "diameter": _fuzz_diameter,
+    "eqcheck": _fuzz_eqcheck,
+}
 
 
 def cmd_fuzz(args) -> int:
     # The generators draw at least three variables, and pqe mode at least
     # as many clauses as variables, at most 10 of them.  Sat mode checks
     # every draw by enumeration, which stops at MAX_SAT_VARS.  Diameter
-    # mode draws three-bit transition systems whatever the sizes say.
+    # mode draws three-bit transition systems and eqcheck mode three-input
+    # circuits, whatever the sizes say.
     n_vars = args.vars if args.vars is not None else (10 if args.mode == "pqe" else 12)
     if n_vars < 3:
         print("error: --vars must be at least 3", file=sys.stderr)

@@ -94,8 +94,13 @@ class CnfProblem:
     which ``occurrences`` reads, and a memo of the clusters ``cluster_of``
     has computed.  The index is built here and extended by ``add_clause``,
     which also drops the clusters, since a new clause can join any of
-    them.  So clauses must be added through ``add_clause`` and never
-    assigned into ``clauses``.  A ``copy`` builds its own index and memo.
+    them.  A second index, ``least_literal_index``, files each clause
+    once, under its least literal; it is built at its first read, so a
+    formula that only the solver reads never pays for it, and then
+    extended by ``add_clause`` too.  So clauses must be added through
+    ``add_clause`` and never assigned into ``clauses``.  A ``copy`` builds
+    its own occurrence index and memo, and its own least-literal index
+    when that is first read.
     """
 
     var_count: int
@@ -119,6 +124,7 @@ class CnfProblem:
                     )
                 self._occ.setdefault(lit, []).append(i)
         self._clusters: dict[int, list[int]] = {}
+        self._least: Optional[dict[Literal, list[int]]] = None
 
     @property
     def free_vars(self) -> frozenset[Variable]:
@@ -136,12 +142,27 @@ class CnfProblem:
         self.clauses.append(clause)
         for lit in clause:
             self._occ.setdefault(lit, []).append(index)
+        if self._least is not None:
+            self._least.setdefault(min(clause.literals, default=0), []).append(index)
         self._clusters.clear()
         return index
 
     def occurrences(self, lit: Literal) -> list[int]:
         """Indices of the clauses holding the literal, in index order."""
         return self._occ.get(lit, [])
+
+    def least_literal_index(self) -> dict[Literal, list[int]]:
+        """Each clause's index filed under its least literal, in index order.
+
+        Every clause is filed once, the empty clause under 0, so a clause
+        made only of literals from a set is filed under one of them or
+        under 0.  Callers must not modify the lists.
+        """
+        if self._least is None:
+            self._least = {}
+            for i, c in enumerate(self.clauses):
+                self._least.setdefault(min(c.literals, default=0), []).append(i)
+        return self._least
 
     def copy(self) -> "CnfProblem":
         return CnfProblem(self.var_count, list(self.clauses), self.quantified)

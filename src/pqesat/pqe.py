@@ -27,12 +27,14 @@ redundant there; otherwise the clause x falsifies, shrunk, joins the
 solution.  No target is ever grown, and no quantified variable is branched
 on.
 
-A failed detection is reused down the branch.  It depends only on the
-trail values of the clauses it read, and a child adds one decision on a
-free variable after propagation has found no live clause falsified.  So
-when the formula has not grown since and the new variable occurs in none
-of those clauses, the child takes the failure, charging the steps the
-detection spent, without detecting again (see ``_Failure``).
+Detections are reused across a pass, and so is every discharge inside
+one.  Within a pass the closed targets are fixed, and a node detects only
+after propagation has found no live clause falsified.  A result then
+depends only on the decisions' values on the clauses of the occurrence
+lists it walked.  So each result is kept, with the steps it spent and the
+free variables of those clauses, until the formula grows or the target
+closes.  Any later node whose decisions agree on those variables takes
+it, charging the same steps, without detecting again (see ``_Memo``).
 
 A node's propagation carries on from its parent's.  Within a pass the
 closed targets are fixed and the formula only grows, so a child starts
@@ -67,7 +69,6 @@ and certificate list for all its redundancy probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import PropagationResult, analyze_conflict, propagate
@@ -167,8 +168,8 @@ class PqeConfig:
     # solver step of a cube probe, so a change that only saves work spends
     # fewer.  A cube probe may spend only what is left of the budget, and
     # a literal that the latest closing clause already drops costs none.
-    # A node that reuses its parent's failed detection is charged the
-    # _discharge attempts that detection made, as if it had run again.  A
+    # A detection or discharge taken from an earlier node of the pass is
+    # charged the _discharge attempts it made there, as if it ran again.  A
     # cube settled by an earlier probe's model costs its node's step only.
     # Under decide_redundant each redundancy probe gets a budget of
     # step_limit of its own, not charged to the take_out steps.
@@ -189,13 +190,13 @@ class PqeSolution:
     D-sequent in ``final_dsequents``.  ``formula`` is the grown formula,
     so D-sequent clause indices stay meaningful.  ``steps`` is the work
     spent against ``step_limit``: branching nodes, chained ``_discharge``
-    attempts and the solver steps of cube probes.  A reused failed
-    detection charges the ``_discharge`` attempts it would spend if run
-    again; a cube settled by an earlier probe's model charges no solver
-    step.  Cube probes share certificates within a pass, so a probe's
-    steps depend on the probes before it.  It is a budget count, not an
-    output; two engines that agree on every other field may spend
-    different steps.
+    attempts and the solver steps of cube probes.  A detection or
+    discharge reused from an earlier node of the pass charges the
+    ``_discharge`` attempts it made there; a cube settled by an earlier
+    probe's model charges no solver step.  Cube probes share certificates
+    within a pass, so a probe's steps depend on the probes before it.  It
+    is a budget count, not an output; two engines that agree on every
+    other field may spend different steps.
     """
 
     solution_clauses: list[Clause]
@@ -203,6 +204,88 @@ class PqeSolution:
     derivation: list[dict]
     formula: CnfProblem
     steps: int
+
+
+class _Memo:
+    """The detection results of one ``take_out`` pass, with what they read.
+
+    Entries are filed under a ``_Detector._discharge`` call's arguments
+    ``(index, stack, removed, depth)``, or under the target for a whole
+    detection.  Each holds the result, the ticks the call spent and a
+    dependency mask: an int with one bit per variable of ``order``, the
+    OR of the bits of every clause on the occurrence lists the call
+    walked, nested calls included.  An entry holds at a trail that
+    agrees with the trail it was made at on every masked variable, both
+    on which are assigned and on their values.
+
+    Within a pass that is exact, for three reasons.  Engine trails hold
+    only decisions on ``order``, made in its sequence, so two trails that
+    agree on the masked variables give every walked clause the same
+    values and the same earliest satisfied literal.  The dead clauses are
+    fixed, and the engine clears the memo whenever the formula grows, so
+    every list and every skip is the same.  And the engine detects only
+    when no live clause is falsified, so a subsumption witness, a live
+    clause inside the checked clause plus the falsified literals, shares
+    a literal with the checked clause: a candidate off that clause's own
+    lists fails under both trails.  So the call returns the same result
+    after the same ticks.
+    """
+
+    def __init__(self, problem: CnfProblem, order: Iterable[int]):
+        self.problem = problem
+        self.bits = {v: 1 << i for i, v in enumerate(order)}
+        # Each literal's occurrence list's bits.  Lists only grow, so the
+        # clauses added since the last clear are ORed in at the next.
+        self.list_masks: dict[int, int] = {}
+        self.size = 0
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every entry; the engine calls it when the formula grows and
+        when a target closes."""
+        bits = self.bits
+        clauses = self.problem.clauses
+        for c in clauses[self.size:]:
+            mask = 0
+            for lit in c.literals:
+                mask |= bits.get(abs(lit), 0)
+            if mask:
+                for lit in c.literals:
+                    self.list_masks[lit] = self.list_masks.get(lit, 0) | mask
+        self.size = len(clauses)
+        self.entries: dict[object, list[tuple]] = {}
+
+    def state(self, trail: Iterable[tuple[int, bool]]) -> tuple[int, int]:
+        """The masks of the variables a trail assigns, and of those it sets true."""
+        assigned = true = 0
+        for v, val in trail:
+            bit = self.bits.get(v, 0)
+            assigned |= bit
+            if val:
+                true |= bit
+        return assigned, true
+
+    def lists_mask(self, index: int) -> int:
+        """The bits of the clauses on the clause's own literals' lists."""
+        mask = 0
+        for lit in self.problem.clauses[index].literals:
+            mask |= self.list_masks.get(lit, 0)
+        return mask
+
+    def get(self, key: object, state: tuple[int, int]) -> Optional[tuple]:
+        """``(result, ticks, mask)`` of an entry that holds at ``state``."""
+        assigned, true = state
+        for mask, was_assigned, was_true, hit in self.entries.get(key, ()):
+            if assigned & mask == was_assigned and true & mask == was_true:
+                return hit
+        return None
+
+    def put(
+        self, key: object, result, ticks: int, mask: int, state: tuple[int, int]
+    ) -> None:
+        hit = (result, ticks, mask)
+        entry = (mask, state[0] & mask, state[1] & mask, hit)
+        self.entries.setdefault(key, []).append(entry)
 
 
 class _Detector:
@@ -218,24 +301,24 @@ class _Detector:
     is a live view of the engine's closed targets, read rather than
     copied: targets close only between passes.
 
-    Three invariants keep failed detections cheap without changing any
-    result.  A subsumption witness lies inside the clause plus the
-    falsified literals, so it shares a literal with the clause or is
-    falsified whole: only the clause's occurrence lists and the falsified
-    clauses are candidates, walked in index order so the first witness is
-    the one a scan of the whole formula finds.  And no discharge ever puts
-    a ``stack`` member into ``removed``, while at ``MAX_CHAIN_DEPTH`` no
+    Three invariants keep detections cheap without changing any result.
+    A subsumption witness lies inside the clause plus the falsified
+    literals, so the formula's least-literal index files it under one of
+    those literals, or under 0 if it is empty: only those lists are
+    candidates, walked in index order so the first witness is the one a
+    scan of the whole formula finds.  And no discharge ever puts a
+    ``stack`` member into ``removed``, while at ``MAX_CHAIN_DEPTH`` no
     discharge runs at all: so a blocked check whose literal has an open,
     non-clashing partner in ``stack``, or any such partner at the depth
     cap, fails before a single partner is discharged.  Only ``steps``
     tells the difference, one tick per ``_discharge`` not attempted.
-    Finally, a check reads other clauses only through occurrence lists
-    and ``falsified``, and ``read`` collects every index it walks.  The
-    engine detects only after propagation has found no live clause
-    falsified, so ``falsified`` then holds dead clauses alone, and a
-    failed detection depends on nothing but the formula's length and the
-    trail values of the ``read`` clauses: under a trail extended by a
-    variable none of them holds, it fails again after the same ticks.
+    Finally, a check reads other clauses only through occurrence lists,
+    and ``mask`` collects the bits of the lists it walks (see ``_Memo``).
+    Every ``_discharge`` result goes into ``memo`` with that mask and the
+    ticks it spent, and a later call with the same arguments, at a trail
+    that agrees on the mask, takes it and charges the same ticks.  A
+    detector built without the engine's memo keeps one of its own, which
+    serves its one trail.
     """
 
     def __init__(
@@ -243,33 +326,23 @@ class _Detector:
         problem: CnfProblem,
         trail: Assignment,
         dead: AbstractSet[int],
-        tick: Optional[Callable[[], None]] = None,
+        tick: Optional[Callable[[int], None]] = None,
+        memo: Optional[_Memo] = None,
     ):
         self.problem = problem
         self.trail = trail
         self.dead = dead
         self.tick = tick
-        # Every clause index a check has looked at, a superset of the
-        # clauses whose trail values decided the outcome.
-        self.read: set[int] = set()
-
-    @cached_property
-    def falsified(self) -> frozenset[int]:
-        """The clauses the trail falsifies whole, the empty clause among them.
-
-        The trail never changes, so they are found once, and only for a
-        detection that gets as far as a subsumption check.
-        """
-        false_lits = self.trail.false_lits
-        return frozenset(
-            j
-            for j, c in enumerate(self.problem.clauses)
-            if c.literal_set <= false_lits
-        )
+        self.memo = memo if memo is not None else _Memo(problem, ())
+        self.state = self.memo.state(trail.items())
+        self.mask = 0
+        self.ticks = 0
 
     def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
         clause = self.problem.clauses[index]
         stack = frozenset([index])
+        # Every check reads the clause's own values; its lists hold it.
+        self.mask |= self.memo.lists_mask(index)
         got = self._satisfied(clause)
         if got is not None:
             return got, "satisfied"
@@ -293,13 +366,14 @@ class _Detector:
         false_lits = self.trail.false_lits
         # Every literal of a witness must appear in the clause being
         # checked or be falsified by the trail, and none may be satisfied.
-        # So a witness shares a literal with the clause or is falsified
-        # whole; walking those candidates in index order finds the same
+        # So a witness is filed under one of those literals, or under 0 if
+        # it is empty; walking those lists in index order finds the same
         # first witness as a scan of the whole formula.
         allowed = clause.literal_set | false_lits
-        occurrences = self.problem.occurrences
-        candidates = self.falsified.union(*(occurrences(lit) for lit in clause))
-        self.read.update(candidates)
+        filed = self.problem.least_literal_index()
+        candidates = set(filed.get(0, ()))
+        for lit in allowed:
+            candidates.update(filed.get(lit, ()))
         for j in sorted(candidates):
             if j == index or j in stack or j in removed or j in self.dead:
                 continue
@@ -324,12 +398,13 @@ class _Detector:
         # it holds one of them other than -own.
         neg_open = frozenset(-lit for lit in clause.literal_set)
         neg_open -= self.trail.false_lits
+        list_masks = self.memo.list_masks
         for own in clause:
             if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
             clash = neg_open - {-own}
             partners = self.problem.occurrences(-own)
-            self.read.update(partners)
+            self.mask |= list_masks.get(-own, 0)
             # Satisfied partners bring their bindings, clashing ones drop
             # out, and open ones wait for a discharge.
             bindings: dict[int, bool] = {}
@@ -365,16 +440,33 @@ class _Detector:
                 return bindings, rm
         return None
 
+    def _charge(self, n: int) -> None:
+        self.ticks += n
+        if self.tick is not None:
+            self.tick(n)
+
     def _discharge(
         self, index: int, stack: frozenset[int], removed: frozenset[int], depth: int
     ) -> Optional[tuple[dict[int, bool], frozenset[int]]]:
-        if self.tick is not None:
-            self.tick()
         # Only _blocked calls this, for a partner it found unsatisfied.
-        got = self._subsumed(index, stack, removed)
-        if got is not None:
-            return got, removed
-        return self._blocked(index, stack, removed, depth)
+        key = (index, stack, removed, depth)
+        hit = self.memo.get(key, self.state)
+        if hit is not None:
+            got, ticks, mask = hit
+            self.mask |= mask
+            self._charge(ticks)
+            return got
+        outer, self.mask = self.mask, self.memo.lists_mask(index)
+        before = self.ticks
+        self._charge(1)
+        witness = self._subsumed(index, stack, removed)
+        if witness is not None:
+            got = witness, removed
+        else:
+            got = self._blocked(index, stack, removed, depth)
+        self.memo.put(key, got, self.ticks - before, self.mask, self.state)
+        self.mask |= outer
+        return got
 
 
 def atomic_dsequent(
@@ -394,31 +486,6 @@ def atomic_dsequent(
     return DSequent(
         tuple(sorted(bindings.items())), index, len(problem.clauses), rationale
     )
-
-
-@dataclass(frozen=True)
-class _Failure:
-    """A failed detection, handed from a node to its children.
-
-    ``read`` holds every clause the detection looked at, and ``ticks`` the
-    steps it spent, when the formula had ``formula_size`` clauses.  A child
-    adds one decision on a free variable, and its propagation has found no
-    live clause falsified.  If the formula has not grown since and the new
-    variable is in none of the ``read`` clauses, every check the detection
-    made sees the same trail values and the same candidates, so a fresh
-    detection would fail again after the same ticks.
-    """
-
-    formula_size: int
-    read: AbstractSet[int]
-    ticks: int
-
-    def holds_after(self, problem: CnfProblem, v: int) -> bool:
-        return (
-            len(problem.clauses) == self.formula_size
-            and self.read.isdisjoint(problem.occurrences(v))
-            and self.read.isdisjoint(problem.occurrences(-v))
-        )
 
 
 class _Engine:
@@ -441,6 +508,9 @@ class _Engine:
         self.models: dict[tuple[bool, ...], tuple[dict[int, bool], int]] = {}
         # The branching order; decisions are always a prefix of it.
         self.order = sorted(mentioned_variables(self.F) - self.F.quantified)
+        # The pass's detection results, cleared when the formula grows or
+        # the pass's target closes.
+        self.memo = _Memo(self.F, self.order)
 
     def tick(self, n: int = 1) -> None:
         self.steps += n
@@ -454,6 +524,7 @@ class _Engine:
         self.final[d.target] = d
         self.derivation.append({"event": "retired", "index": d.target})
         self.probe_formula = None
+        self.memo.clear()
 
     def dsequent(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
         """A D-sequent about the current formula minus the closed targets."""
@@ -481,6 +552,7 @@ class _Engine:
 
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
+        self.memo.clear()
         if self.probe_formula is not None:
             self.probe_formula.add_clause(clause)
         self.emit(clause, idx, "solution_clause")
@@ -490,16 +562,16 @@ class _Engine:
         self,
         decisions: list[tuple[int, bool]],
         target: int,
-        failed: Optional[_Failure] = None,
         up: Optional[PropagationResult] = None,
     ) -> DSequent:
         """Cover the target with a D-sequent over this subspace.
 
         The returned subspace is a subset of ``decisions``.  The call may
         add solution clauses; only the given target is covered here.
-        ``failed`` is the parent's failed detection, reused when it still
-        holds here (see ``_Failure``), and ``up`` the parent's conflict-free
-        propagation, carried on from here.
+        ``up`` is the parent's conflict-free propagation, carried on from
+        here.  A detection of the target that an earlier node of the pass
+        made and that still holds here is taken from the memo, charging
+        its ticks, without building a detector (see ``_Memo``).
         """
         self.tick()
         if self.unsat_closed:
@@ -508,26 +580,28 @@ class _Engine:
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
 
-        if failed is not None and failed.holds_after(self.F, decisions[-1][0]):
-            self.tick(failed.ticks)
+        state = self.memo.state(decisions)
+        hit = self.memo.get(target, state)
+        if hit is not None:
+            got, ticks, _ = hit
+            self.tick(ticks)
         else:
             trail = Assignment([Binding(v, val) for v, val in decisions])
-            detector = _Detector(self.F, trail, dead=self.dead, tick=self.tick)
-            before = self.steps
+            detector = _Detector(self.F, trail, self.dead, self.tick, self.memo)
             got = detector.detect(target)
-            if got is not None:
-                bindings, rationale = got
-                return self.atomic(bindings.items(), target, rationale)
-            failed = _Failure(len(self.F.clauses), detector.read, self.steps - before)
+            self.memo.put(target, got, detector.ticks, detector.mask, state)
+        if got is not None:
+            bindings, rationale = got
+            return self.atomic(bindings.items(), target, rationale)
         if len(decisions) == len(self.order):
             return self.project_out_remaining(decisions, target)
         v = self.order[len(decisions)]
-        left = self.node(decisions + [(v, False)], target, failed, res)
+        left = self.node(decisions + [(v, False)], target, res)
         # A left result that never mentions v covers the whole subspace
         # already; only otherwise is the other branch needed.
         if not left.binds(v):
             return left
-        right = self.node(decisions + [(v, True)], target, failed, res)
+        right = self.node(decisions + [(v, True)], target, res)
         return self._combine(left, right, v, target)
 
     def _propagate(

@@ -76,3 +76,32 @@ def test_worse_than_bound_triggers_just_past_the_bound(spec, at_bound, past_boun
     parent = [10.0] * 3
     assert not bench_pairs.compare(parent, [at_bound] * 3, spec)["worse_than_bound"]
     assert bench_pairs.compare(parent, [past_bound] * 3, spec)["worse_than_bound"]
+
+
+def _pass(self_s, calls, ratio=0.5):
+    return {
+        "pqe.detect.self_s": {"value": self_s, "unit": "s"},
+        "pqe.detect.calls": {"value": calls, "unit": "count"},
+        "trace.overhead_ratio": {"value": ratio, "unit": "ratio"},
+    }
+
+
+def test_the_traced_split_takes_each_metric_median():
+    passes = [_pass(0.9, 408, 1.3), _pass(0.2, 408, 1.1), _pass(0.3, 408, 1.2)]
+    got = bench_pairs.median_metrics(passes)
+    assert got == {
+        "pqe.detect.self_s": {"value": 0.3, "unit": "s"},
+        "pqe.detect.calls": {"value": 408, "unit": "count"},
+        "trace.overhead_ratio": {"value": 1.2, "unit": "ratio"},
+    }
+    # One loaded pass moves no median.
+    assert bench_pairs.layer_split(got)["metrics"]["pqe.detect.self_s"] == 0.3
+
+
+def test_the_traced_split_rejects_counts_that_differ():
+    with pytest.raises(ValueError, match="pqe.detect.calls"):
+        bench_pairs.median_metrics([_pass(0.1, 408), _pass(0.1, 457), _pass(0.1, 408)])
+    short = _pass(0.1, 408)
+    del short["trace.overhead_ratio"]
+    with pytest.raises(ValueError, match="different metrics"):
+        bench_pairs.median_metrics([_pass(0.1, 408), short])

@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -491,6 +492,33 @@ def test_fuzz_diameter_mode_reports_a_wrong_answer(capsys, monkeypatch):
         "instance 0", "instance 1", "instance 2"
     ]
     assert all("diameter_lt=" in line and "oracle=" in line for line in lines[:3])
+
+
+def test_fuzz_eqcheck_mode(capsys):
+    code, out, err = run_cli(
+        capsys, ["fuzz", "--mode", "eqcheck", "--seed", "2", "--count", "40"]
+    )
+    assert code == 0
+    assert out == "discrepancies: 0\n"
+    assert err == ""
+
+
+def test_fuzz_eqcheck_mode_reports_a_wrong_verdict(capsys, monkeypatch):
+    flipped = {"equivalent": "inequivalent", "inequivalent": "equivalent"}
+    real = cli.eq_check
+
+    def wrong(*args):
+        got = real(*args)
+        return replace(got, verdict=flipped.get(got.verdict, "equivalent"))
+
+    monkeypatch.setattr(cli, "eq_check", wrong)
+    code, out, _ = run_cli(capsys, ["fuzz", "--mode", "eqcheck", "--count", "12"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "discrepancies: 12"
+    assert all(
+        line.startswith("instance ") and "oracle=" in line for line in lines[:-1]
+    )
 
 
 def test_fuzz_diameter_mode_reports_an_exhausted_step_limit(capsys):

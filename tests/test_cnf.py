@@ -263,6 +263,11 @@ def _assert_index_matches_clauses(p):
         assert p.occurrences(lit) == want
     for i in range(len(p.clauses)):
         assert cluster_of(p, i) == _scan_cluster(p, i)
+    # Each clause filed once, under its least literal, the empty one under 0.
+    least = {}
+    for j, c in enumerate(p.clauses):
+        least.setdefault(min(c.literals, default=0), []).append(j)
+    assert p.least_literal_index() == least
 
 
 @settings(max_examples=60, deadline=None)

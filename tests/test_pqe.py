@@ -151,43 +151,75 @@ def test_atomic_subsumed_takes_the_first_witness_in_index_order():
     assert check_dsequent(p, d)
 
 
-def _linear_subsumed(problem, trail, dead, index, stack, removed):
-    """Reference: the first witness found by scanning every clause in order."""
-    allowed = problem.clauses[index].literal_set | trail.false_lits
-    for j, w in enumerate(problem.clauses):
-        if j == index or j in stack or j in removed or j in dead:
-            continue
-        if w.literal_set <= allowed and trail.true_lits.isdisjoint(w.literal_set):
-            return {abs(lit): lit < 0 for lit in w.literal_set & trail.false_lits}
-    return None
+class _ScanDetector(_Detector):
+    """Subsumption by a scan of the whole formula, kept as the reference.
+
+    The first witness in index order wins; everything else is
+    ``_Detector``'s.
+    """
+
+    def _subsumed(self, index, stack, removed):
+        false_lits = self.trail.false_lits
+        allowed = self.problem.clauses[index].literal_set | false_lits
+        for j, w in enumerate(self.problem.clauses):
+            if j == index or j in stack or j in removed or j in self.dead:
+                continue
+            ws = w.literal_set
+            if ws <= allowed and self.trail.true_lits.isdisjoint(ws):
+                return {abs(lit): lit < 0 for lit in ws & false_lits}
+        return None
+
+
+def _witness_formula(rng):
+    """A random formula and trail, with duplicate clauses, maybe the empty
+    clause, and clauses the trail falsifies whole, some of them added after
+    the formula's least-literal index was built."""
+    problem = random_pqe(rng, 9, 27, 1).problem
+    n = problem.var_count
+    chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
+    trail = Assignment([Binding(v, rng.random() < 0.5) for v in chosen])
+    if rng.random() < 0.5:
+        problem.least_literal_index()
+    false_lits = sorted(trail.false_lits)
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.4:
+            problem.add_clause(rng.choice(problem.clauses))
+        elif kind < 0.8 and false_lits:
+            k = rng.randint(1, min(3, len(false_lits)))
+            problem.add_clause(Clause(rng.sample(false_lits, k)))
+        elif kind < 0.9:
+            # The empty clause is falsified under every trail.
+            problem.add_clause(Clause([]))
+    return problem, trail
 
 
 def test_subsumption_witnesses_match_a_linear_scan():
     rng = random.Random(9191)
-    checked = hits = 0
-    for _ in range(150):
-        problem = random_pqe(rng, 9, 27, 1).problem
-        if rng.random() < 0.2:
-            # The empty clause is falsified under every trail.
-            problem.add_clause(Clause([]))
-        n, m = problem.var_count, len(problem.clauses)
-        for _ in range(4):
-            chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
-            trail = Assignment([Binding(v, rng.random() < 0.5) for v in chosen])
-            dead = frozenset(j for j in range(m) if rng.random() < 0.1)
-            det = _Detector(problem, trail, dead)
-            for index in range(m):
-                stack = frozenset(j for j in range(m) if rng.random() < 0.15)
-                removed = frozenset(j for j in range(m) if rng.random() < 0.15)
-                got = det._subsumed(index, stack | {index}, removed)
-                want = _linear_subsumed(
-                    problem, trail, dead, index, stack | {index}, removed
-                )
-                assert got == want
-                checked += 1
-                hits += want is not None
-    # The corpus exercises both outcomes.
+    checked = hits = falsified_hits = 0
+    for _ in range(400):
+        problem, trail = _witness_formula(rng)
+        m = len(problem.clauses)
+        dead = frozenset(j for j in range(m) if rng.random() < 0.1)
+        det, ticks = _counted(_Detector, problem, trail, dead)
+        ref, ref_ticks = _counted(_ScanDetector, problem, trail, dead)
+        for index in range(m):
+            stack = frozenset(j for j in range(m) if rng.random() < 0.15)
+            removed = frozenset(j for j in range(m) if rng.random() < 0.15)
+            got = det._subsumed(index, stack | {index}, removed)
+            want = ref._subsumed(index, stack | {index}, removed)
+            assert got == want
+            # Discharges inside a detection search for witnesses too.
+            assert det.detect(index) == ref.detect(index)
+            assert ticks == ref_ticks
+            checked += 1
+            hits += want is not None
+            falsified_hits += want is not None and not (
+                set(want) & problem.clauses[index].variables()
+            )
+    # The corpus exercises both outcomes, and witnesses falsified whole.
     assert 0 < hits < checked
+    assert falsified_hits > 0
 
 
 class _PartnerLoopDetector(_Detector):
@@ -240,9 +272,9 @@ class _PartnerLoopDetector(_Detector):
 
 
 def _counted(cls, problem, trail, dead):
-    """A detector of class ``cls`` and the list its ticks append to."""
+    """A detector of class ``cls`` and the list of the ticks it charges."""
     ticks = []
-    return cls(problem, trail, dead, tick=lambda: ticks.append(1)), ticks
+    return cls(problem, trail, dead, tick=ticks.append), ticks
 
 
 def test_blocked_partner_sets_match_the_partner_loop():
@@ -688,7 +720,7 @@ def test_redundancy_probes_share_one_solver(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Reusing failed detections.
+# Reusing detections and discharges within a pass.
 # ---------------------------------------------------------------------------
 
 
@@ -707,6 +739,13 @@ class _NoModelReuse(pqe._Engine):
         self.models = _ForgetfulModels()
 
 
+class _UnkeptMemo(pqe._Memo):
+    """A detection memo that keeps nothing."""
+
+    def put(self, *args):
+        pass
+
+
 class _FreshDetectionEngine(_NoModelReuse):
     """The engine without reuse, kept as the reference.
 
@@ -715,7 +754,7 @@ class _FreshDetectionEngine(_NoModelReuse):
     last, where a StepLimitError is raised.
     """
 
-    def node(self, decisions, target, failed=None, up=None):
+    def node(self, decisions, target, up=None):
         self.at = list(decisions)
         self.tick()
         if self.unsat_closed:
@@ -724,7 +763,8 @@ class _FreshDetectionEngine(_NoModelReuse):
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
         trail = Assignment([Binding(v, val) for v, val in decisions])
-        got = _Detector(self.F, trail, self.dead, self.tick).detect(target)
+        memo = _UnkeptMemo(self.F, self.order)
+        got = _Detector(self.F, trail, self.dead, self.tick, memo).detect(target)
         if got is not None:
             return self.atomic(got[0].items(), target, got[1])
         if len(decisions) == len(self.order):
@@ -740,9 +780,9 @@ class _FreshDetectionEngine(_NoModelReuse):
 class _ReusingEngine(_NoModelReuse):
     """The engine as it is but for model reuse, noting the node entered last."""
 
-    def node(self, decisions, target, failed=None, up=None):
+    def node(self, decisions, target, up=None):
         self.at = list(decisions)
-        return super().node(decisions, target, failed, up)
+        return super().node(decisions, target, up)
 
 
 def _run_with(engine, pq, config=None):
@@ -923,6 +963,98 @@ def test_a_grown_formula_refuses_reuse():
     ]
     # 1=0 took the root's failure; 1=1 detected afresh and hit.
     assert reusing == [fresh[0], fresh[2]]
+
+
+# 1, 2, 3 and 4 are free, 5 and 6 quantified.  The target (-6 or 3) fails
+# at 1=0, 2=1: its partner (6 or -4) is open and cannot be discharged while
+# the target is being checked.  That failure reads no clause holding 1, so
+# the cousin 1=1, 2=1 takes it, where 1=1 had reused the root's failure,
+# which read 2's clauses.
+COUSIN_TAKES_A_FAILURE = ([[-6, 3], [-5, -2, 6], [1, -3], [6, -4]], {5, 6}, (0,))
+
+# 1 and 2 are free; 3, 4 and 5 quantified.  At 1=0 the target (-3) is
+# blocked: its partner (3 or 4) is discharged, because (-2 or -1 or -4) is
+# satisfied, and then (-5 or 3), with no partner at -5, is discharged
+# with (3 or 4) removed.  At 1=1, 2=0 a fresh detection takes that last
+# discharge from 1=0, whose result holds no free variable.
+DISCHARGE_FROM_A_COUSIN = ([[-3], [3, 4], [-2, -1, -4], [-5, 3]], {3, 4, 5}, (0,))
+
+
+class _LoggedMemo(pqe._Memo):
+    """The engine's memo, logging every hit.
+
+    A hit is logged as (key, node, node the entry was made at, result),
+    with the nodes named by their decisions.
+    """
+
+    def __init__(self, engine, hits):
+        super().__init__(engine.F, engine.order)
+        self.engine = engine
+        self.hits = hits
+        self.made = {}
+
+    def put(self, key, result, ticks, mask, state):
+        super().put(key, result, ticks, mask, state)
+        self.made[id(self.entries[key][-1][-1])] = self.engine.at
+
+    def get(self, key, state):
+        hit = super().get(key, state)
+        if hit is not None:
+            made = self.made[id(hit)]
+            self.hits.append((key, self.engine.at, made, hit[0]))
+        return hit
+
+
+def _memo_hits(pq):
+    """The memo hits of the engine as it is but for model reuse."""
+    hits = []
+
+    class Logged(_ReusingEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.memo = _LoggedMemo(self, hits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pqe, "_Engine", Logged)
+        take_out(pq)
+    return hits
+
+
+def _assert_exact_under_every_limit(pq):
+    outcome, *_ = _assert_reuse_is_exact(pq)
+    for limit in range(1, outcome[3] + 1):
+        _assert_reuse_is_exact(pq, PqeConfig(step_limit=limit))
+
+
+def test_a_cousin_takes_a_failed_detection():
+    pq = _instance(*COUSIN_TAKES_A_FAILURE)
+    _assert_exact_under_every_limit(pq)
+    _, fresh, reusing, _ = _assert_reuse_is_exact(pq)
+    at = [(1, True), (2, True)]
+    assert (at, None) in fresh and (at, None) not in reusing
+    assert (0, at, [(1, False), (2, True)], None) in _memo_hits(pq)
+
+
+def test_a_fresh_detection_takes_a_discharge_from_a_cousin():
+    pq = _instance(*DISCHARGE_FROM_A_COUSIN)
+    _assert_exact_under_every_limit(pq)
+    _, _, reusing, _ = _assert_reuse_is_exact(pq)
+    at = [(1, True), (2, False)]
+    assert (at, ({2: False}, "blocked")) in reusing
+    key = (3, frozenset({0}), frozenset({1}), 1)
+    assert (key, at, [(1, False)], ({}, frozenset({1}))) in _memo_hits(pq)
+
+
+def test_a_closed_pass_refuses_its_entries():
+    # The target (-3 or 1) is blocked at the root: no clause holds 3.
+    pq = _instance([[-3, 1], [2, 1]], {3}, (0,))
+    engine = pqe._Engine(pq, PqeConfig())
+    d = engine.node([], 0)
+    assert d.rationale == "blocked"
+    state = engine.memo.state([])
+    assert engine.memo.get(0, state) == (({}, "blocked"), 0, 0b11)
+    engine.close(d)
+    assert engine.memo.get(0, state) is None
 
 
 def _capped_chain():

@@ -23,8 +23,11 @@ names a metric whose gain is judged: the change must win at least nine
 tenths of the pairs and its median must beat the parent's by more than
 the parent's interquartile range.  ``--holdout`` repeats the claimed
 workload on a query-order seed not used for the main pairs, in
-``HOLDOUT_PAIRS`` pairs.  One traced pass per workload and side records
-the per-layer split, and ``counts_differ`` names every per-layer count of
+``HOLDOUT_PAIRS`` pairs.  ``TRACED_PASSES`` traced passes per workload
+and side, alternating sides, record the per-layer split as each metric's
+median, so that one pass run on a loaded machine skews no self time.  A
+traced pass runs every query once, so its counts must be the same in
+every pass of a side.  ``counts_differ`` names every per-layer count of
 ``BENCHMARK.json`` whose value differs between the sides.  The output file
 keeps the shape of the earlier ``BENCH_*.json`` records.
 """
@@ -46,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 1
 HOLDOUT_PAIRS = 3
+TRACED_PASSES = 3
 
 
 def git(*args: str) -> str:
@@ -155,6 +159,26 @@ def summarize(runs: dict, specs: dict) -> dict:
     return out
 
 
+def median_metrics(passes: list[dict]) -> dict:
+    """Each metric's median over several traced passes of one side.
+
+    Raises ValueError when the passes report different metrics, or
+    different values of a count: the passes then did different work, and
+    no median describes them.
+    """
+    names = passes[0].keys()
+    if any(p.keys() != names for p in passes):
+        raise ValueError("traced passes report different metrics")
+    out = {}
+    for name in names:
+        unit = passes[0][name]["unit"]
+        values = [p[name]["value"] for p in passes]
+        if unit == "count" and len(set(values)) > 1:
+            raise ValueError(f"{name} differs between traced passes: {values}")
+        out[name] = {"value": statistics.median(values), "unit": unit}
+    return out
+
+
 def layer_split(metrics: dict) -> dict:
     """Per-layer counts and self seconds, plus each layer's share of self time."""
     flat = {k: v["value"] for k, v in metrics.items()}
@@ -193,7 +217,9 @@ def main(argv=None) -> int:
             "what": (
                 f"{PAIRS} alternating pairs of `python3 bench/run.py` per "
                 f"workload (--seed {SEED}, bench/run.py's default --seconds); "
-                "odd pairs ran the parent first, even pairs the change first"
+                "odd pairs ran the parent first, even pairs the change first; "
+                f"the per-layer split is each metric's median over "
+                f"{TRACED_PASSES} traced passes per side, alternating sides"
             ),
             "parent_commit": parent,
             "change_commit": change,
@@ -228,11 +254,18 @@ def main(argv=None) -> int:
                 )
         record["trace"] = {}
         for w in workloads:
-            traced = {}
-            for side in ("parent", "change"):
-                line = bench(sides[side], w, SEED, trace=True)
-                traced[side] = layer_split(line["metrics"])
-                log(f"traced {w} {side}: correct={line['correct']}")
+            passes = {"parent": [], "change": []}
+            for i in range(TRACED_PASSES):
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    line = bench(sides[side], w, SEED, trace=True)
+                    passes[side].append(line["metrics"])
+                    log(f"traced {i + 1}/{TRACED_PASSES} {w} {side}: "
+                        f"correct={line['correct']}")
+            traced = {
+                side: layer_split(median_metrics(passes[side]))
+                for side in ("parent", "change")
+            }
             traced["counts_differ"] = [
                 k for k in counts
                 if traced["parent"]["metrics"].get(k)

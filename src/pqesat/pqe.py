@@ -241,8 +241,7 @@ class _Memo:
         self.clear()
 
     def clear(self) -> None:
-        """Drop every entry; the engine calls it when the formula grows and
-        when a target closes."""
+        """Drop every entry; OR the clauses added since into their lists' masks."""
         bits = self.bits
         clauses = self.problem.clauses
         for c in clauses[self.size:]:

@@ -171,9 +171,12 @@ class _ScanDetector(_Detector):
 
 
 def _witness_formula(rng):
-    """A random formula and trail, with duplicate clauses, maybe the empty
-    clause, and clauses the trail falsifies whole, some of them added after
-    the formula's least-literal index was built."""
+    """A random formula and a trail over its variables.
+
+    The formula has duplicate clauses, maybe the empty clause, and clauses
+    the trail falsifies whole, added after its least-literal index was
+    built half the time.
+    """
     problem = random_pqe(rng, 9, 27, 1).problem
     n = problem.var_count
     chosen = rng.sample(range(1, n + 1), rng.randint(0, n))

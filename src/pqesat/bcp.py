@@ -18,19 +18,14 @@ they join the heap.  A heap entry satisfied after it was pushed is
 skipped when popped.  Formula clauses are found through the formula's
 occurrence index, learned ones through a ``_LearnedIndex``.
 
-A call may start from an earlier conflict-free result, its parent,
-instead of an assignment: the parent's trail is the base, and its
-counters are carried instead of counting every clause.  At the parent's
-fixpoint no counted clause is unit or falsified, so the child copies the
-parent's counters, applies its own decisions through their occurrence
-lists, and counts from scratch only the clauses appended since the
-parent ran: learned clauses, or formula clauses when the formula grew,
-as a PQE formula does when it gains solution clauses.  Every clause
-that is unit or falsified after the decisions is then a touched one or
-a newly counted one, so the scan-order rule above still picks the same
-clause.  The learned index is shared down the chain of results and
-grows as learned clauses are appended; it is rebuilt when the formula's
-clause count changes, because that shifts every learned scan position.
+A call may start from an earlier conflict-free result, its parent: the
+child copies the parent's counters, applies its own decisions through
+their occurrence lists, and counts only the clauses appended since.  At
+the parent's fixpoint no counted clause is unit or falsified, so every
+clause unit or falsified after the decisions is a touched or a newly
+counted one, and the scan-order rule still picks the same clause.  A
+chain of results grows either its formula with no learned clauses (PQE)
+or its learned list on a fixed formula (the solver), never both.
 
 Conflict analysis walks the trail once, latest binding first, and edits
 one ordered literal set instead of building a clause per resolution.
@@ -47,12 +42,12 @@ from .cnf import Assignment, Binding, Clause, CnfProblem, ResolutionError
 
 
 class _LearnedIndex:
-    """Learned clauses' scan positions by literal, grown as clauses are appended."""
+    """Learned clauses' scan positions by literal, shared down a chain of results."""
 
     __slots__ = ("formula_len", "count", "occ")
 
     def __init__(self):
-        self.formula_len = -1
+        self.formula_len = 0
         self.count = 0
         self.occ: dict[int, list[int]] = {}
 
@@ -60,9 +55,9 @@ class _LearnedIndex:
         self, formula_len: int, learned: Sequence[Clause]
     ) -> dict[int, list[int]]:
         if formula_len != self.formula_len:
+            if self.count:
+                raise ValueError("the formula grew after learned clauses were indexed")
             self.formula_len = formula_len
-            self.count = 0
-            self.occ = {}
         occ = self.occ
         for i in range(self.count, len(learned)):
             pos = formula_len + i
@@ -79,10 +74,9 @@ class PropagationResult:
     A falsified clause is an outcome, not an error.  ``base_len`` marks
     where this call's bindings start on the trail; bindings before it
     belong to the caller's context.  A result without a conflict also
-    keeps what a child call needs to start from it: the open-literal
-    count of every unsatisfied counted clause, keyed by scan position in
-    ascending order, how many scan positions were counted, the formula's
-    length at the time, and the learned index the chain of calls shares.
+    keeps what a child call needs: the open-literal count of every
+    unsatisfied counted clause, keyed by scan position in ascending
+    order, how many scan positions were counted, and the chain's index.
     """
 
     trail: Assignment
@@ -90,7 +84,6 @@ class PropagationResult:
     conflict: Optional[Clause]
     open_count: dict[int, int] = field(default_factory=dict, repr=False)
     counted: int = 0
-    formula_len: int = 0
     index: Optional[_LearnedIndex] = field(default=None, repr=False)
 
     @property
@@ -114,9 +107,9 @@ def propagate(
     ignored as if absent.
 
     A result to carry on from must have been computed on the same problem,
-    skip set and learned list; either may have grown since.  Its counters
-    are copied, not changed.  One that counted learned clauses before the
-    formula grew cannot be carried, and the call counts from scratch.
+    skip set and learned list, and its counters are copied, not changed.
+    Since it ran, the formula may have grown if the chain has indexed no
+    learned clause, or else the learned list; otherwise ``ValueError``.
     """
     if isinstance(start, PropagationResult):
         if start.is_conflict:
@@ -134,9 +127,7 @@ def propagate(
     occ = problem.occurrences
     clauses = problem.clauses
     n = len(clauses)
-    if parent is not None and (
-        parent.formula_len == n or parent.counted == parent.formula_len
-    ):
+    if parent is not None:
         open_count = dict(parent.open_count)
         counted = parent.counted
         index = parent.index
@@ -216,7 +207,7 @@ def propagate(
                 if k == 2:
                     heappush(units, p)
     return PropagationResult(
-        trail, base_len, None, open_count, n + len(learned), n, index
+        trail, base_len, None, open_count, n + len(learned), index
     )
 
 

@@ -321,9 +321,6 @@ def cmd_fuzz(args) -> int:
     if n_vars < 3:
         print("error: --vars must be at least 3", file=sys.stderr)
         return EXIT_USAGE
-    if args.step_limit < 1:
-        print("error: --step-limit must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -473,6 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "step_limit", 1) < 1:
+        print("error: --step-limit must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError, CnfError, CircuitError) as exc:

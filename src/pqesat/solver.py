@@ -17,19 +17,14 @@ though an exploration may well return a copy of one.
 Coverage checks rest on three invariants.  Within one exploration frame
 the trail does not change after propagation, and the learned clauses are
 only ever appended to.  So a cluster's required pairs are fixed for the
-frame, and a covered pair stays covered by the same first certificate.
-Each frame keeps a ``CoverageTable`` that tests a pair only against the
-certificates learned since it last tested it.  The same invariants let a
-frame's propagation start from its parent frame's counters (see
-``bcp.propagate``), counting only the clauses learned since the parent ran.
-Third, at a frame's fixpoint the trail falsifies no learned clause that
-propagation reads: such a clause would have been a conflict, and a clause
-learned below the frame is passed up rather than learned when the trail
-falsifies it.  So a certificate keeps a literal its pair's vicinity
-falsifies, and the frame's table reaches it through the vicinity's
-literals alone (see ``CoverageTable``).  Clusters come from the formula
-(``cnf.cluster_of``), which keeps each one until it gains a clause, so
-every solve on one formula shares them.
+frame, and a covered pair stays covered by the same first certificate;
+the same invariants let a frame's propagation carry on from its parent
+frame's (see ``bcp.propagate``).  Third, a frame's trail falsifies no
+learned clause: at its fixpoint that would have been a conflict, and a
+frame passes up, rather than learns, a certificate its trail falsifies.
+Each frame keeps a ``CoverageTable`` built on these.  Clusters come from
+the formula (``cnf.cluster_of``), which keeps each one until it gains a
+clause, so every solve on one formula shares them.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -154,17 +149,14 @@ class CoverageTable:
 
     Lookups file each learned clause under its least open literal.  Under
     the fixed trail a learned clause is either satisfied, and never a
-    certificate, or the trail falsifies all its literals but a set ``u``
-    of open ones.  It is then falsified in a pair's vicinity exactly when
-    ``u`` is a subset of the literals the vicinity falsifies.  Filed under
-    ``min(u)``, a clause is reached by reading only the lists of those
-    literals, at most as many as the pair's clause is wide.  A clause the
-    trail already falsifies (``u`` empty, which only a table built off a
-    propagation fixpoint meets) is filed under 0 and covers every pair.
-    Clauses are classified in list order, only as far as a lookup needs,
-    and every list ascends.  So the lowest hit at or after a start
-    position, over the lists a lookup reads, is the first certificate a
-    linear scan would find.
+    certificate, or it keeps a nonempty set ``u`` of open literals; one
+    with none raises ``ValueError``.  It is falsified in a pair's vicinity
+    exactly when ``u`` is a subset of the literals the vicinity falsifies,
+    so, filed under ``min(u)``, it is reached by reading only the lists of
+    those literals.  Clauses are classified in list order, only as far as
+    a lookup needs, and every list ascends.  So the lowest hit at or after
+    a start position, over the lists a lookup reads, is the first
+    certificate a linear scan would find.
     """
 
     def __init__(
@@ -183,10 +175,6 @@ class CoverageTable:
         opens = self.opens
         lists = self.lists
         best = len(opens)  # every filed position is below it
-        # Clauses the trail falsifies cover every pair.
-        positions = lists.get(0)
-        if positions is not None and positions[-1] >= start:
-            best = positions[bisect_left(positions, start)]
         for key in falsified:
             positions = lists.get(key)
             if positions is None or positions[-1] < start:
@@ -212,8 +200,10 @@ class CoverageTable:
                 opens.append(None)
                 continue
             u = lits if lits.isdisjoint(false_lits) else lits - false_lits
+            if not u:
+                raise ValueError(f"the trail falsifies learned clause {p}")
             opens.append(u)
-            lists.setdefault(min(u) if u else 0, []).append(p)
+            lists.setdefault(min(u), []).append(p)
             if p >= start and u <= falsified:
                 return p
         return None

@@ -193,7 +193,6 @@ def test_propagate_matches_the_rescan(seed):
 
 def _assert_same_counters(res, fresh):
     assert res.counted == fresh.counted
-    assert res.formula_len == fresh.formula_len
     # Both dicts hold the same positions, in ascending order.
     assert list(res.open_count.items()) == list(fresh.open_count.items())
     assert list(res.open_count) == sorted(res.open_count)
@@ -212,10 +211,11 @@ def test_carried_propagation_matches_the_rescan(seed, grow):
 
     ``"learned"`` appends learned clauses, as the solver does;
     ``"formula"`` appends formula clauses with no learned ones, as a PQE
-    formula grows; ``"both"`` grows both, where the child cannot carry
-    and counts from scratch.
-    Each child must match the plain rescan and, in its counters, a call
-    without a parent.
+    formula grows.  Each child must match the plain rescan and, in its
+    counters, a call without a parent.  ``"both"`` grows both, which no
+    engine does: a child whose chain indexed a learned clause before the
+    formula grew raises ``ValueError``, and a call without a parent then
+    starts a new chain.
     """
     rng = random.Random(seed)
     n = rng.randint(5, 12)
@@ -225,19 +225,28 @@ def test_carried_propagation_matches_the_rescan(seed, grow):
         learned = []
     skip = frozenset(i for i in range(len(p.clauses)) if rng.random() < 0.1)
     res = propagate(p, learned, Assignment(), [], skip)
+    indexed = bool(learned)
     for _ in range(6):
         if res.is_conflict:
             break
+        grown = False
         for _ in range(rng.randint(0, 4)):
             c = _random_clause(rng, n)
             if grow != "formula" and rng.random() < 0.6:
                 learned.append(rng.choice(p.clauses) if rng.random() < 0.2 else c)
             if grow != "learned":
                 p.add_clause(c)
+                grown = True
         decisions = _unassigned_decisions(rng, n, res.trail, 3)
         if not decisions:
             break
-        child = propagate(p, learned, res, decisions, skip)
+        if grown and indexed:
+            with pytest.raises(ValueError):
+                propagate(p, learned, res, decisions, skip)
+            child = propagate(p, learned, res.trail, decisions, skip)
+        else:
+            child = propagate(p, learned, res, decisions, skip)
+        indexed = bool(learned)
         want = _scan_propagate(p, learned, res.trail, decisions, skip)
         _assert_same_result(child, want)
         _assert_same_counters(
@@ -256,21 +265,23 @@ def test_carried_propagation_leaves_the_parent_alone():
     assert parent.trail.items() == []
 
 
-def test_learned_positions_shift_when_the_formula_grows():
-    # The parent counted no learned clause, so both children carry its
-    # counters.  The first child indexes the learned clause at position 1;
-    # after the formula grows, the second must find it at position 2.
+def test_growing_the_formula_after_indexing_a_learned_clause_raises():
+    # The first child indexes the learned clause at position 1 for the
+    # whole chain.  After the formula grows, that position would name
+    # the new formula clause, so the chain refuses to carry on.
     p = CnfProblem(4, [Clause([1, 2, 3])])
     parent = propagate(p, [], Assignment(), [])
     learned = [Clause([-4, 2])]
     propagate(p, learned, parent, [(3, False)])
     p.add_clause(Clause([-1, 4]))
     decisions = [(1, True)]
-    child = propagate(p, learned, parent, decisions)
-    assert child.trail.items() == [(1, True), (4, True), (2, True)]
-    assert child.trail.bindings[-1].reason is learned[0]
-    _assert_same_result(child, _scan_propagate(p, learned, parent.trail, decisions))
-    _assert_same_counters(child, propagate(p, learned, parent.trail, decisions))
+    with pytest.raises(ValueError):
+        propagate(p, learned, parent, decisions)
+    # A call without a parent starts a new chain.
+    fresh = propagate(p, learned, parent.trail, decisions)
+    assert fresh.trail.items() == [(1, True), (4, True), (2, True)]
+    assert fresh.trail.bindings[-1].reason is learned[0]
+    _assert_same_result(fresh, _scan_propagate(p, learned, parent.trail, decisions))
 
 
 def test_a_conflicting_result_cannot_be_a_parent():

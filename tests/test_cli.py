@@ -533,11 +533,26 @@ def test_fuzz_diameter_mode_reports_an_exhausted_step_limit(capsys):
 
 
 def test_fuzz_rejects_a_step_limit_below_one(capsys):
-    for limit in ("0", "-5"):
-        code, out, err = run_cli(capsys, ["fuzz", "--step-limit", limit])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "--step-limit" in err
+    # Every subcommand that takes --step-limit shares one check, made
+    # before any file is read.
+    cnf = str(EXAMPLES / "example1.cnf")
+    commands = [
+        ["fuzz"],
+        ["sat", cnf],
+        ["pqe", cnf],
+        ["pqe-check", cnf],
+        ["diameter", "system.net", cnf, "--k", "2"],
+        ["interp", cnf, cnf],
+        ["eqcheck", "first.net", "second.net"],
+        ["propgen", "circuit.net"],
+    ]
+    for command in commands:
+        for limit in ("0", "-5"):
+            code, out, err = run_cli(capsys, command + ["--step-limit", limit])
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error:") and "--step-limit" in err
 
 
 def test_fuzz_rejects_a_count_below_one(capsys):
@@ -585,7 +600,7 @@ def test_fuzz_pqe_mode_rejects_too_few_clauses(capsys):
 
 def test_pqe_step_limit_returns_unknown(capsys):
     code, out, _ = run_cli(
-        capsys, ["pqe", str(EXAMPLES / "example1.cnf"), "--step-limit", "0"]
+        capsys, ["pqe", str(EXAMPLES / "example1.cnf"), "--step-limit", "1"]
     )
     assert code == 30
     assert out == "s UNKNOWN\n"

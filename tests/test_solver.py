@@ -181,8 +181,7 @@ def test_table_matches_the_rescan(seed):
     learned = []
     table = CoverageTable(problem, learned, trail)
     for _ in range(3 * n):
-        vs = rng.sample(range(1, n + 1), rng.randint(1, 3))
-        learned.append(Clause([v if rng.random() < 0.5 else -v for v in vs]))
+        learned.append(_open_clause(rng, n, 3, [trail]))
         fired = None
         for i, clause in enumerate(problem.clauses):
             if trail.satisfies_clause(clause):
@@ -197,6 +196,19 @@ def test_table_matches_the_rescan(seed):
         assert check_induction(table) == fired
 
 
+def _open_clause(rng, n, width, trails):
+    """A random clause of 1 to ``width`` literals that no trail falsifies.
+
+    The solver learns only such clauses: at a frame's fixpoint a falsified
+    learned clause would have been a conflict.
+    """
+    while True:
+        vs = rng.sample(range(1, n + 1), rng.randint(1, width))
+        c = Clause([v if rng.random() < 0.5 else -v for v in vs])
+        if not any(c.literal_set <= trail.false_lits for trail in trails):
+            return c
+
+
 def _random_trail(rng, n, most):
     order = rng.sample(range(1, n + 1), n)
     return Assignment(
@@ -206,9 +218,8 @@ def _random_trail(rng, n, most):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_indexed_lookup_matches_the_linear_scan(seed):
-    # Several tables over one growing list, each under its own trail.
-    # The trails are not at a fixpoint, so some learned clauses are
-    # falsified outright, and lookups start anywhere in the list.
+    # Several tables over one growing list, each under its own trail, and
+    # lookups start anywhere in the list.
     rng = random.Random(seed)
     problem = random_cnf(rng, max_vars=9, max_clauses=20)
     n = problem.var_count
@@ -218,8 +229,7 @@ def test_indexed_lookup_matches_the_linear_scan(seed):
         trail = _random_trail(rng, n, n // 2)
         tables.append((trail, CoverageTable(problem, learned, trail)))
     for _ in range(4 * n):
-        vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
-        learned.append(Clause([v if rng.random() < 0.5 else -v for v in vs]))
+        learned.append(_open_clause(rng, n, min(4, n), [t for t, _ in tables]))
         for trail, table in tables:
             seed_index = rng.randrange(len(problem.clauses))
             for ci, lit in required_pairs(problem, seed_index, trail):
@@ -232,18 +242,16 @@ def test_indexed_lookup_matches_the_linear_scan(seed):
                 assert certificate_for(spec, fresh) is want
 
 
-def test_a_clause_falsified_by_the_trail_covers_every_later_lookup():
-    # Off a fixpoint, a learned clause can be falsified outright.  It is
-    # the first certificate of every pair once classified, and it stays
-    # one for lookups that do not classify it themselves.
+def test_a_learned_clause_the_trail_falsifies_raises():
+    # The solver never learns a clause its frame's trail falsifies, so a
+    # table refuses one when a lookup first classifies it.
     problem, trail, _ = _coverage_fixture()
-    learned = [Clause([-1, 4]), Clause([3, 10])]
+    learned = [Clause([3, 10]), Clause([-1, 4])]
     table = CoverageTable(problem, learned, trail)
-    for ci, lit in required_pairs(problem, 0, trail):
-        spec = specify_vicinity(problem, ci, lit, trail)
-        assert certificate_for(spec, table) is learned[0]
-    spec = specify_vicinity(problem, 0, 2, trail)
-    assert certificate_for(spec, table, 1) is learned[1]
+    spec = specify_vicinity(problem, 0, 2, trail)  # falsifies -2 and 3
+    assert certificate_for(spec, table) is learned[0]
+    with pytest.raises(ValueError):
+        certificate_for(spec, table, 1)
 
 
 def test_a_lookup_reads_the_list_of_the_least_open_literal():

@@ -103,8 +103,9 @@ def interpolate(
     problem = CnfProblem(n, clauses, quantified)
     sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), config)
     what = "interpolant probe"
+    learned: list[Clause] = []  # one list, as every probe is of A
     implied = all(
-        probe(inst.a, c, [], config.step_limit, what).status == "unsat"
+        probe(inst.a, c, learned, config.step_limit, what).status == "unsat"
         for c in sol.solution_clauses
     )
     status = "interpolant" if implied else "candidate_only"
@@ -163,8 +164,9 @@ def eq_check(
     f2, map2 = tseitin_encode(inst.m2)
     for label, f, w in (("m1", f1, map1.outputs[0]), ("m2", f2, map2.outputs[0])):
         what = f"constant probe of the {label} circuit"
+        learned: list[Clause] = []  # one list per circuit, as each is fixed
         for value, h in ((0, Clause([-w])), (1, Clause([w]))):
-            if probe(f, h, [], config.step_limit, what).status == "unsat":
+            if probe(f, h, learned, config.step_limit, what).status == "unsat":
                 constant = f"{label} is constant {value}"
                 return EqCheckResult("constant_circuit", constant=constant)
 

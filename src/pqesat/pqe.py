@@ -651,9 +651,9 @@ class _Engine:
     def _alive_twin(self, clause: Clause) -> Optional[int]:
         """Lowest index of a live clause with the given clause's exact content.
 
-        A twin is on every literal's occurrence list, which is ascending,
-        so the first hit is the lowest index; only the empty clause, with
-        no literal, scans every index.
+        A twin has the same least literal, so it is filed under it in the
+        least-literal index (the empty clause under 0), whose lists
+        ascend: the first hit is the lowest index.
 
         It also names the conflict and reason clauses of a log, because
         propagation only ever reads the lowest live copy of a content: the
@@ -661,9 +661,8 @@ class _Engine:
         a min-heap, and a later copy is satisfied by the time its turn
         comes.
         """
-        lits = clause.literals
-        candidates = self.F.occurrences(lits[0]) if lits else range(len(self.F.clauses))
-        for j in candidates:
+        least = min(clause.literals, default=0)
+        for j in self.F.least_literal_index().get(least, ()):
             if j in self.dead:
                 continue
             if self.F.clauses[j].literal_set == clause.literal_set:

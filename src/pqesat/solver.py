@@ -22,9 +22,11 @@ the same invariants let a frame's propagation carry on from its parent
 frame's (see ``bcp.propagate``).  Third, a frame's trail falsifies no
 learned clause: at its fixpoint that would have been a conflict, and a
 frame passes up, rather than learns, a certificate its trail falsifies.
-Each frame keeps a ``CoverageTable`` built on these.  Clusters come from
-the formula (``cnf.cluster_of``), which keeps each one until it gains a
-clause, so every solve on one formula shares them.
+Each frame keeps a ``CoverageTable`` built on these, the record of the
+covered pairs that induction clauses are built from; ``required_pairs``
+is the lazy walk of a cluster's pairs.  Clusters come from the formula
+(``cnf.cluster_of``), which keeps each one until it gains a clause, so
+every solve on one formula shares them.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import AbstractSet, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterator, NamedTuple, Optional, Sequence
 
 from .bcp import analyze_conflict, propagate, resolve_to_base
 from .cnf import Assignment, Clause, CnfError, CnfProblem, cluster_of
@@ -80,15 +82,20 @@ def specify_vicinity(
     return VicinitySpec(index, literal, tuple(bindings), frozenset(falsified))
 
 
-def _walk_pairs(problem: CnfProblem, members: list[int], trail: Assignment):
-    """Yield the required pairs of ``required_pairs``, one at a time.
+def required_pairs(
+    problem: CnfProblem, index: int, trail: Assignment
+) -> Iterator[tuple[int, int]]:
+    """Yield the (cluster clause index, shared literal) pairs demanding coverage.
 
-    ``members`` is the cluster, seed first, as ``cluster_of`` gives it.
+    A pair is required when the cluster clause is not satisfied by the
+    trail and the shared literal is unassigned.  The seed clause pairs
+    with each of its own unassigned literals.  Pairs come lazily, in
+    cluster order and then clause order.
     """
-    seed = problem.clauses[members[0]].literal_set
+    seed = problem.clauses[index].literal_set
     true_lits = trail.true_lits
     false_lits = trail.false_lits
-    for ci in members:
+    for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         if not true_lits.isdisjoint(c.literal_set):
             continue
@@ -96,18 +103,6 @@ def _walk_pairs(problem: CnfProblem, members: list[int], trail: Assignment):
         for lit in c.literals:
             if lit in seed and lit not in false_lits:
                 yield ci, lit
-
-
-def required_pairs(
-    problem: CnfProblem, index: int, trail: Assignment
-) -> list[tuple[int, int]]:
-    """All (cluster clause index, shared literal) pairs demanding coverage.
-
-    A pair is required when the cluster clause is not satisfied by the
-    trail and the shared literal is unassigned.  The seed clause pairs
-    with each of its own unassigned literals.
-    """
-    return list(_walk_pairs(problem, cluster_of(problem, index), trail))
 
 
 def certificate_for(
@@ -136,16 +131,18 @@ class _Coverage:
 
 
 class CoverageTable:
-    """A frame's induction state: which required pairs the learned clauses cover.
+    """A frame's induction state: the record of the required pairs covered.
 
     Coverage only grows while the trail stays fixed and ``learned`` only
     grows: a solve never grows its formula, so the clusters and their
     required pairs are fixed for a frame, and a pair's first certificate
-    stays first when clauses are learned.  So each seed keeps the first
-    pair not yet known to be covered and how many learned clauses were
-    tested against it, and a later query tests that pair only against the
-    clauses learned since.  Pairs and their vicinities are built only when
-    reached, as most seeds fail at their first pair.
+    stays first when clauses are learned.  So each seed records its
+    covered pairs in walk order with their first certificates, and keeps
+    the first pair not yet known to be covered and how many learned
+    clauses were tested against it; a later query tests that pair only
+    against the clauses learned since.  The seed's ``required_pairs``
+    walk, and the vicinities, advance only as far as a query needs, as
+    most seeds fail at their first pair.
 
     Lookups file each learned clause under its least open literal.  Under
     the fixed trail a learned clause is either satisfied, and never a
@@ -211,8 +208,7 @@ class CoverageTable:
     def _entry(self, seed: int) -> _Coverage:
         entry = self._entries.get(seed)
         if entry is None:
-            members = cluster_of(self.problem, seed)
-            entry = _Coverage(_walk_pairs(self.problem, members, self.trail))
+            entry = _Coverage(required_pairs(self.problem, seed, self.trail))
             self._entries[seed] = entry
         return entry
 
@@ -268,7 +264,9 @@ def build_induction_clause(table: CoverageTable, index: int) -> Clause:
     Three ingredients: the seed clause's falsified literals; for each
     satisfied cluster clause, the negation of its earliest satisfying
     trail literal; and for each required pair, the certificate literals
-    over variables foreign to that pair's clause.
+    over variables foreign to that pair's clause.  The required pairs are
+    the keys of ``table.certificates(index)``, complete once
+    ``table.uncovered(index)`` finds none uncovered.
     """
     missing = table.uncovered(index)
     if missing is not None:
@@ -279,28 +277,19 @@ def build_induction_clause(table: CoverageTable, index: int) -> Clause:
     problem = table.problem
     trail = table.trail
     certs = table.certificates(index)
-    required = set(required_pairs(problem, index, trail))
-    seed = problem.clauses[index]
-    lits: list[int] = []
-
-    def take(lit: int) -> None:
-        if lit not in lits:
-            lits.append(lit)
-
-    for lit in seed:
-        if trail.falsifies_literal(lit):
-            take(lit)
+    lits = [lit for lit in problem.clauses[index] if trail.falsifies_literal(lit)]
     for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         earliest = trail.first_true_literal(c)
         if earliest is not None:
-            take(-earliest)
+            lits.append(-earliest)
+            continue
         own = c.variables()
         for lit in c:
-            if (ci, lit) in required:
-                for b in certs[ci, lit]:
-                    if abs(b) not in own:
-                        take(b)
+            cert = certs.get((ci, lit))
+            if cert is not None:
+                lits.extend(b for b in cert if abs(b) not in own)
+    # ``Clause`` keeps each literal's first occurrence.
     return Clause(lits)
 
 

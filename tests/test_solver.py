@@ -15,6 +15,7 @@ from pqesat.cnf import (
     CnfProblem,
     cluster_of,
     parse_dimacs,
+    parse_dimacs_file,
 )
 from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat, implies
@@ -30,6 +31,7 @@ from pqesat.solver import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_specify_vicinity_rejects_bad_requests():
 
 def test_required_pairs():
     problem, trail, _ = _coverage_fixture()
-    assert required_pairs(problem, 0, trail) == [(0, 2), (0, 3), (2, 2)]
+    assert list(required_pairs(problem, 0, trail)) == [(0, 2), (0, 3), (2, 2)]
 
 
 def test_certificate_for_each_required_pair():
@@ -152,6 +154,57 @@ def _scan_uncovered(problem, learned, trail, index):
     return None
 
 
+def _reference_induction_clause(table, index):
+    """The assembly ``build_induction_clause`` replaced, kept as the reference.
+
+    It recomputes the required pairs and adds each literal only when it
+    is not yet in the list.
+    """
+    missing = table.uncovered(index)
+    if missing is not None:
+        raise CnfError(f"pair ({missing.clause_index}, {missing.literal}) is open")
+    problem = table.problem
+    trail = table.trail
+    certs = table.certificates(index)
+    required = set(required_pairs(problem, index, trail))
+    lits = []
+
+    def take(lit):
+        if lit not in lits:
+            lits.append(lit)
+
+    for lit in problem.clauses[index]:
+        if trail.falsifies_literal(lit):
+            take(lit)
+    for ci in cluster_of(problem, index):
+        c = problem.clauses[ci]
+        earliest = trail.first_true_literal(c)
+        if earliest is not None:
+            take(-earliest)
+        own = c.variables()
+        for lit in c:
+            if (ci, lit) in required:
+                for b in certs[ci, lit]:
+                    if abs(b) not in own:
+                        take(b)
+    return Clause(lits)
+
+
+def _assert_induction_clause_matches_the_reference(table, index):
+    """Compare literal order too: ``Clause ==`` ignores it, traces do not.
+
+    A fresh table is built from first, so its certificates are complete
+    only if ``build_induction_clause`` completes them itself.
+    """
+    problem, learned, trail = table.problem, table.learned, table.trail
+    fresh = build_induction_clause(CoverageTable(problem, learned, trail), index)
+    want = _reference_induction_clause(CoverageTable(problem, learned, trail), index)
+    got = build_induction_clause(table, index)
+    assert fresh.literals == want.literals
+    assert got.literals == want.literals
+    return got
+
+
 def test_table_covers_a_pair_first_tested_uncovered():
     problem, trail, learned = _coverage_fixture()
     grown = learned[:1]
@@ -190,10 +243,26 @@ def test_table_matches_the_rescan(seed):
             assert table.uncovered(i) == want
             if want is None:
                 fired = i if fired is None else fired
-                fresh = CoverageTable(problem, learned, trail)
-                got = build_induction_clause(table, i)
-                assert got == build_induction_clause(fresh, i)
+                _assert_induction_clause_matches_the_reference(table, i)
         assert check_induction(table) == fired
+
+
+def test_induction_clause_matches_the_reference_inside_solve(monkeypatch):
+    # Every induction step of random 3-SAT near ratio 4.26 and of the
+    # nine-clause example.
+    built = []
+
+    def checked(table, index):
+        built.append(index)
+        return _assert_induction_clause_matches_the_reference(table, index)
+
+    monkeypatch.setattr(solver, "build_induction_clause", checked)
+    assert solve(parse_dimacs_file(str(EXAMPLES / "appendix_e.cnf"))).status == "unsat"
+    assert built
+    rng = random.Random(426)
+    for _ in range(40):
+        solve(_random_3sat(rng, 20, 4.26))
+    assert len(built) > 40
 
 
 def _open_clause(rng, n, width, trails):

@@ -181,6 +181,7 @@ def propagate(
             units.append(pos)
 
     # ``units`` is in ascending order, so it is already a heap.
+    bindings = trail.bindings
     while units:
         pos = heappop(units)
         if pos not in open_count:
@@ -189,23 +190,35 @@ def propagate(
         for lit in reason.literals:
             if lit not in false_lits:
                 break
-        trail.push(Binding(abs(lit), lit > 0, reason))
+        # A counted, unsatisfied clause's one open literal is unassigned,
+        # so the binding skips ``Assignment.push``'s check.
+        bindings.append(Binding(abs(lit), lit > 0, reason))
+        true_lits.add(lit)
+        false_lits.add(-lit)
         for p in occ(lit):
             open_count.pop(p, None)
         for p in learned_occ.get(lit, ()):
             open_count.pop(p, None)
         # Both lists ascend and formula positions precede learned ones, so
         # the first clause falsified here is the first in scan order.
-        for shortened in (occ(-lit), learned_occ.get(-lit, ())):
-            for p in shortened:
-                k = open_count.get(p)
-                if k is None:
-                    continue
-                if k == 1:
-                    return PropagationResult(trail, base_len, clause_at(p))
-                open_count[p] = k - 1
-                if k == 2:
-                    heappush(units, p)
+        for p in occ(-lit):
+            k = open_count.get(p)
+            if k is None:
+                continue
+            if k == 1:
+                return PropagationResult(trail, base_len, clauses[p])
+            open_count[p] = k - 1
+            if k == 2:
+                heappush(units, p)
+        for p in learned_occ.get(-lit, ()):
+            k = open_count.get(p)
+            if k is None:
+                continue
+            if k == 1:
+                return PropagationResult(trail, base_len, learned[p - n])
+            open_count[p] = k - 1
+            if k == 2:
+                heappush(units, p)
     return PropagationResult(
         trail, base_len, None, open_count, n + len(learned), index
     )

@@ -24,7 +24,11 @@ learned clause: at its fixpoint that would have been a conflict, and a
 frame passes up, rather than learns, a certificate its trail falsifies.
 Each frame keeps a ``CoverageTable`` built on these, the record of the
 covered pairs that induction clauses are built from; ``required_pairs``
-is the lazy walk of a cluster's pairs.  Clusters come from the formula
+is the lazy walk of a cluster's pairs.  A seed's required pairs pair
+each of its open literals with the unsatisfied clauses holding it, so
+every seed shares the table's one record per pair, and
+``check_induction`` asks literals, once per call, rather than seeds.
+Clusters come from the formula
 (``cnf.cluster_of``), which keeps each one until it gains a clause, so
 every solve on one formula shares them.
 
@@ -118,16 +122,29 @@ def certificate_for(
     return None if p is None else table.learned[p]
 
 
-class _Coverage:
-    """How far a seed's required pairs are known to be covered."""
+class _Pair:
+    """One (clause, literal) pair's coverage, shared by every seed requiring it."""
 
-    __slots__ = ("pairs", "certs", "spec", "tested")
+    __slots__ = ("spec", "tested", "cert")
+
+    def __init__(self, spec: VicinitySpec):
+        self.spec = spec
+        self.tested = 0  # learned clauses already tested against ``spec``
+        self.cert: Optional[Clause] = None  # the first certificate, once found
+
+
+class _Coverage:
+    """A lazy walk over pairs, and the covered ones it passed, in order.
+
+    A seed walks its required pairs, and a literal the pairs it is in.
+    """
+
+    __slots__ = ("pairs", "pair", "certs")
 
     def __init__(self, pairs):
         self.pairs = pairs  # the pairs not yet reached, walked lazily
-        self.certs: dict[tuple[int, int], Clause] = {}  # covered pairs, in order
-        self.spec: Optional[VicinitySpec] = None  # first pair not known covered
-        self.tested = 0  # learned clauses already tested against ``spec``
+        self.pair: Optional[tuple[int, int]] = None  # first pair not known covered
+        self.certs: dict[tuple[int, int], Clause] = {}  # with first certificates
 
 
 class CoverageTable:
@@ -136,13 +153,21 @@ class CoverageTable:
     Coverage only grows while the trail stays fixed and ``learned`` only
     grows: a solve never grows its formula, so the clusters and their
     required pairs are fixed for a frame, and a pair's first certificate
-    stays first when clauses are learned.  So each seed records its
-    covered pairs in walk order with their first certificates, and keeps
-    the first pair not yet known to be covered and how many learned
-    clauses were tested against it; a later query tests that pair only
-    against the clauses learned since.  The seed's ``required_pairs``
-    walk, and the vicinities, advance only as far as a query needs, as
-    most seeds fail at their first pair.
+    stays first when clauses are learned: the lowest learned position
+    falsified in the pair's vicinity, whichever seed asks.  So the table
+    keeps one record per pair a query reached, with its vicinity, how
+    many learned clauses were tested against it, and its first
+    certificate once found; a later query tests only the clauses learned
+    since.
+
+    A seed's required pairs are the ``(c, l)`` with ``l`` an open literal
+    of the seed and ``c`` an unsatisfied clause holding ``l`` (so ``c`` is
+    in the cluster).  Seeds therefore share the records, and a seed is
+    covered exactly when each of its open literals is.  ``covers`` walks a
+    literal's pairs in occurrence order, and ``uncovered`` a seed's
+    ``required_pairs`` in cluster order, keeping the seed's covered pairs
+    for its induction clause.  A walk keeps its position and goes only as
+    far as a query needs, as most fail at their first pair.
 
     Lookups file each learned clause under its least open literal.  Under
     the fixed trail a learned clause is either satisfied, and never a
@@ -165,7 +190,9 @@ class CoverageTable:
         # Per classified learned clause, its open literals, or None when satisfied.
         self.opens: list[Optional[frozenset[int]]] = []
         self.lists: dict[int, list[int]] = {}  # least open literal -> positions
-        self._entries: dict[int, _Coverage] = {}
+        self._pairs: dict[tuple[int, int], _Pair] = {}
+        self._seeds: dict[int, _Coverage] = {}  # walks of seeds' required pairs
+        self._literals: dict[int, _Coverage] = {}  # walks of literals' pairs
 
     def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
         """First position from ``start`` on whose open literals lie in ``falsified``."""
@@ -205,55 +232,91 @@ class CoverageTable:
                 return p
         return None
 
-    def _entry(self, seed: int) -> _Coverage:
-        entry = self._entries.get(seed)
+    def _walk(self, entry: _Coverage) -> Optional[_Pair]:
+        """The record of the walk's first pair without a certificate, or None."""
+        learned = self.learned
+        while True:
+            pair = entry.pair
+            if pair is None:
+                pair = entry.pair = next(entry.pairs, None)
+                if pair is None:
+                    return None
+            record = self._pairs.get(pair)
+            if record is None:
+                spec = specify_vicinity(self.problem, *pair, self.trail)
+                record = self._pairs[pair] = _Pair(spec)
+            if record.cert is None:
+                tested = record.tested
+                if tested == len(learned):
+                    return record
+                record.tested = len(learned)
+                record.cert = certificate_for(record.spec, self, tested)
+                if record.cert is None:
+                    return record
+            entry.certs[pair] = record.cert
+            entry.pair = None
+
+    def _seed(self, seed: int) -> _Coverage:
+        entry = self._seeds.get(seed)
         if entry is None:
-            entry = _Coverage(required_pairs(self.problem, seed, self.trail))
-            self._entries[seed] = entry
+            pairs = required_pairs(self.problem, seed, self.trail)
+            entry = self._seeds[seed] = _Coverage(pairs)
         return entry
 
     def uncovered(self, seed: int) -> Optional[VicinitySpec]:
         """The vicinity of the seed's first required pair without a certificate."""
-        entry = self._entry(seed)
-        learned = self.learned
-        while True:
-            spec = entry.spec
-            if spec is None:
-                pair = next(entry.pairs, None)
-                if pair is None:
-                    return None
-                spec = entry.spec = specify_vicinity(self.problem, *pair, self.trail)
-                entry.tested = 0
-            tested = entry.tested
-            if tested == len(learned):
-                return spec
-            entry.tested = len(learned)
-            cert = certificate_for(spec, self, tested)
-            if cert is None:
-                return spec
-            entry.certs[spec.clause_index, spec.literal] = cert
-            entry.spec = None
+        record = self._walk(self._seed(seed))
+        return None if record is None else record.spec
+
+    def covers(self, lit: int) -> bool:
+        """Whether every required pair ``(c, lit)`` of the open literal is certified."""
+        entry = self._literals.get(lit)
+        if entry is None:
+            clauses = self.problem.clauses
+            true_lits = self.trail.true_lits
+            pairs = (
+                (ci, lit)
+                for ci in self.problem.occurrences(lit)
+                if true_lits.isdisjoint(clauses[ci].literal_set)
+            )
+            entry = self._literals[lit] = _Coverage(pairs)
+        return self._walk(entry) is None
 
     def certificates(self, seed: int) -> dict[tuple[int, int], Clause]:
         """Each covered pair of the seed's walked prefix, with its first certificate."""
-        return self._entry(seed).certs
+        return self._seed(seed).certs
 
 
 def check_induction(
     table: CoverageTable, candidates: Optional[Sequence[int]] = None
 ) -> Optional[int]:
-    """Lowest clause index whose cluster is fully certified, or None.
+    """First candidate clause whose cluster is fully certified, or None.
 
     When every required pair of some clause's cluster has a learned
     certificate falsified in its vicinity, the formula has no model in
-    the trail's subspace.  ``candidates`` restricts the scan.
+    the trail's subspace.  ``candidates`` restricts the scan and gives
+    its order.  A cluster is fully certified exactly when the table
+    covers each open literal of its seed.
     """
     clauses = table.problem.clauses
     indices = candidates if candidates is not None else range(len(clauses))
     true_lits = table.trail.true_lits
+    false_lits = table.trail.false_lits
+    covered: dict[int, bool] = {}
     for i in indices:
+        c = clauses[i]
         # A satisfied clause has no required pairs of its own.
-        if true_lits.isdisjoint(clauses[i].literal_set) and table.uncovered(i) is None:
+        if not true_lits.isdisjoint(c.literal_set):
+            continue
+        for lit in c.literals:
+            if lit in false_lits:
+                continue
+            ok = covered.get(lit)
+            if ok is None:
+                ok = covered[lit] = table.covers(lit)
+            if not ok:
+                break
+        else:
             return i
     return None
 

@@ -247,6 +247,113 @@ def test_table_matches_the_rescan(seed):
         assert check_induction(table) == fired
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_required_pairs_depend_on_the_open_literals_only(seed):
+    # The table shares pair records between seeds on this: a seed's
+    # required pairs pair each of its open literals with the unsatisfied
+    # clauses holding it.  Duplicate clauses included.
+    rng = random.Random(seed)
+    problem = random_cnf(rng, max_vars=9, max_clauses=25)
+    clauses = problem.clauses + rng.choices(problem.clauses, k=rng.randint(1, 4))
+    problem = CnfProblem(problem.var_count, rng.sample(clauses, len(clauses)))
+    n = problem.var_count
+    for _ in range(5):
+        trail = _random_trail(rng, n, n // 2)
+        for s, clause in enumerate(problem.clauses):
+            want = {
+                (c, lit)
+                for lit in clause
+                if not trail.is_assigned(abs(lit))
+                for c in problem.occurrences(lit)
+                if not trail.satisfies_clause(problem.clauses[c])
+            }
+            assert set(required_pairs(problem, s, trail)) == want
+
+
+def _first_certified(problem, learned, trail, candidates):
+    for i in candidates:
+        if not trail.satisfies_clause(problem.clauses[i]):
+            if _scan_uncovered(problem, learned, trail, i) is None:
+                return i
+    return None
+
+
+def test_check_induction_on_cold_tables_matches_the_rescan():
+    # Tables asked only through check_induction walk literals that no
+    # seed has walked; candidates come in random subsets and orders.
+    fired = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(5, 10)
+        problem = random_cnf(rng, max_vars=n, max_clauses=3 * n)
+        n, m = problem.var_count, len(problem.clauses)
+        trail = _random_trail(rng, n, n // 3)
+        learned = []
+        table = CoverageTable(problem, learned, trail)
+        for _ in range(3 * n):
+            learned.append(_open_clause(rng, n, 3, [trail]))
+            candidates = rng.sample(range(m), rng.randint(1, m))
+            want = _first_certified(problem, learned, trail, candidates)
+            fresh = CoverageTable(problem, learned, trail)
+            assert check_induction(fresh, candidates) == want
+            assert check_induction(table, candidates) == want
+            if want is not None:
+                fired += 1
+                _assert_induction_clause_matches_the_reference(fresh, want)
+    assert fired > 100
+
+
+def _certs(table, seed):
+    return [(pair, id(cert)) for pair, cert in table.certificates(seed).items()]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seed_order_does_not_change_coverage(seed):
+    # Seeds asked in random order, between literal walks, on one table:
+    # each answer and each seed's certificates are a fresh table's.
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    problem = random_cnf(rng, max_vars=n, max_clauses=3 * n)
+    n = problem.var_count
+    trail = _random_trail(rng, n, n // 3)
+    seeds = [i for i, c in enumerate(problem.clauses) if not trail.satisfies_clause(c)]
+    learned = []
+    table = CoverageTable(problem, learned, trail)
+    for _ in range(3 * n):
+        learned.append(_open_clause(rng, n, 3, [trail]))
+        if rng.random() < 0.5:
+            check_induction(table, rng.sample(seeds, len(seeds)))
+        for i in rng.sample(seeds, rng.randint(0, len(seeds))):
+            assert table.uncovered(i) == _scan_uncovered(problem, learned, trail, i)
+            fresh = CoverageTable(problem, learned, trail)
+            fresh.uncovered(i)
+            assert _certs(table, i) == _certs(fresh, i)
+
+
+def test_a_pair_another_seed_walked_gives_the_seed_no_literal():
+    # Clause 1 = [1, 3] is in the cluster of clause 0 = [1, 2] through 1.
+    # Seed 2 = [3, 4] walks the pair (1, 3), certified by [-3, 1, 5],
+    # whose foreign literal 5 must stay out of seed 0's clause.
+    problem = CnfProblem(
+        6, [Clause([1, 2]), Clause([1, 3]), Clause([3, 4])]
+    )
+    trail = Assignment([Binding(5, False), Binding(6, False)])
+    learned = [
+        Clause([-3, 1, 5]),  # (1, 3)
+        Clause([-1, 2, 6]),  # (0, 1)
+        Clause([-2, 1]),  # (0, 2)
+        Clause([-1, 3]),  # (1, 1)
+        Clause([-3, 4]),  # (2, 3)
+        Clause([-4, 3]),  # (2, 4)
+    ]
+    table = CoverageTable(problem, learned, trail)
+    assert table.uncovered(2) is None
+    assert table.certificates(2)[1, 3] is learned[0]
+    got = _assert_induction_clause_matches_the_reference(table, 0)
+    assert got.literals == (6,)
+    assert (1, 3) not in table.certificates(0)
+
+
 def test_induction_clause_matches_the_reference_inside_solve(monkeypatch):
     # Every induction step of random 3-SAT near ratio 4.26 and of the
     # nine-clause example.

@@ -41,6 +41,7 @@ from .circuits import (
     TransitionSystem,
     add_stutter,
     parse_netlist_file,
+    tseitin_encode,
 )
 from .cnf import Clause, CnfError, parse_dimacs_file
 from .oracle import MAX_SAT_VARS, GuardError, bfs_reach, enum_sat, verify_pqe
@@ -240,6 +241,12 @@ def cmd_propgen(args) -> int:
     quantified = frozenset(args.quantify.split(",")) if args.quantify else frozenset()
     if args.target < 1:
         raise AppError(f"--target is 1-based, got {args.target}")
+    clause_count = len(tseitin_encode(netlist)[0].clauses)
+    if args.target > clause_count:
+        raise AppError(
+            f"--target {args.target} out of range "
+            f"(the encoding has {clause_count} clauses)"
+        )
     result = prop_gen(netlist, quantified, args.target - 1, _pqe_config(args))
     if not result.properties:
         print("c no properties: the target clause was already redundant")

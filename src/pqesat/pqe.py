@@ -68,7 +68,7 @@ and certificate list for all its redundancy probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import PropagationResult, analyze_conflict, propagate
@@ -174,9 +174,6 @@ class PqeConfig:
     # Under decide_redundant each redundancy probe gets a budget of
     # step_limit of its own, not charged to the take_out steps.
     step_limit: int = 10**6
-    # Invoked with every clause over free variables only that the engine
-    # adds (the future solution clauses), the moment it is added.
-    on_solution_clause: Optional[Callable[[Clause], None]] = None
 
 
 @dataclass
@@ -488,9 +485,16 @@ def atomic_dsequent(
 
 
 class _Engine:
-    def __init__(self, pqe: PqeProblem, config: PqeConfig):
+    def __init__(
+        self,
+        pqe: PqeProblem,
+        config: PqeConfig,
+        on_clause: Optional[Callable[[Clause], None]] = None,
+    ):
         self.F = pqe.problem.copy()
         self.config = config
+        # Sees each solution clause the moment it is added.
+        self.on_clause = on_clause
         # Closed targets' final D-sequents, in closing order; dead views the keys.
         self.final: dict[int, DSequent] = {}
         self.dead = self.final.keys()
@@ -546,8 +550,8 @@ class _Engine:
         self.derivation.append(
             {"event": event, "index": index, "clause": list(clause.literals)}
         )
-        if self.config.on_solution_clause is not None:
-            self.config.on_solution_clause(clause)
+        if self.on_clause is not None:
+            self.on_clause(clause)
 
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
@@ -761,16 +765,22 @@ class _Engine:
         return joined
 
 
-def take_out(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> PqeSolution:
+def take_out(
+    pqe: PqeProblem,
+    config: Optional[PqeConfig] = None,
+    *,
+    _on_clause: Optional[Callable[[Clause], None]] = None,
+) -> PqeSolution:
     """Make the target clauses redundant, returning the clauses that do it.
 
     The returned solution clauses mention free variables only.  Appended
     to the input formula minus the targets, they preserve its projection
-    onto the free variables.
+    onto the free variables.  ``_on_clause`` is ``decide_redundant``'s
+    check of each solution clause as it is added.
     """
     if config is None:
         config = PqeConfig()
-    engine = _Engine(pqe, config)
+    engine = _Engine(pqe, config, _on_clause)
     passes = []
     for t in pqe.targets:
         clause = engine.F.clauses[t]
@@ -827,8 +837,7 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     the formula minus the targets: a clause not already implied there
     witnesses that removing the targets loses models, so the answer is
     False the moment one appears.  If take_out finishes without such a
-    clause, the targets were redundant to begin with.  The caller's
-    ``on_solution_clause`` sees each clause before it is checked.
+    clause, the targets were redundant to begin with.
 
     Each redundancy probe gets a budget of ``config.step_limit`` solver
     steps of its own; its steps are not charged to the take_out steps.
@@ -842,15 +851,12 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     learned: list[Clause] = []
 
     def check(h: Clause) -> None:
-        if config.on_solution_clause is not None:
-            config.on_solution_clause(h)
         out = probe(kept_problem, h, learned, config.step_limit, "redundancy probe")
         if out.status != "unsat":
             raise _NotRedundant
 
-    probing = replace(config, on_solution_clause=check)
     try:
-        take_out(pqe, probing)
+        take_out(pqe, config, _on_clause=check)
     except _NotRedundant:
         return False
     return True

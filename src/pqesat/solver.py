@@ -22,15 +22,14 @@ the same invariants let a frame's propagation carry on from its parent
 frame's (see ``bcp.propagate``).  Third, a frame's trail falsifies no
 learned clause: at its fixpoint that would have been a conflict, and a
 frame passes up, rather than learns, a certificate its trail falsifies.
-Each frame keeps a ``CoverageTable`` built on these, the record of the
-covered pairs that induction clauses are built from; ``required_pairs``
-is the lazy walk of a cluster's pairs.  A seed's required pairs pair
-each of its open literals with the unsatisfied clauses holding it, so
-every seed shares the table's one record per pair, and
-``check_induction`` asks literals, once per call, rather than seeds.
-Clusters come from the formula
-(``cnf.cluster_of``), which keeps each one until it gains a clause, so
-every solve on one formula shares them.
+Each frame keeps a ``CoverageTable`` built on these: one record per
+(clause, literal) pair, with the pair's vicinity and first certificate,
+shared by every seed that requires the pair.  A seed's required pairs
+(``required_pairs``) pair each of its open literals with the unsatisfied
+clauses holding it, so ``check_induction`` asks literals, once per call,
+rather than seeds, and ``build_induction_clause`` reads the records.
+Clusters come from the formula (``cnf.cluster_of``), which keeps each one
+until it gains a clause, so every solve on one formula shares them.
 
 ``solve`` takes assumptions, in the style of MiniSat's assumption
 interface (Een and Soerensson, An Extensible SAT-solver, SAT 2003): they
@@ -133,41 +132,24 @@ class _Pair:
         self.cert: Optional[Clause] = None  # the first certificate, once found
 
 
-class _Coverage:
-    """A lazy walk over pairs, and the covered ones it passed, in order.
-
-    A seed walks its required pairs, and a literal the pairs it is in.
-    """
-
-    __slots__ = ("pairs", "pair", "certs")
-
-    def __init__(self, pairs):
-        self.pairs = pairs  # the pairs not yet reached, walked lazily
-        self.pair: Optional[tuple[int, int]] = None  # first pair not known covered
-        self.certs: dict[tuple[int, int], Clause] = {}  # with first certificates
-
-
 class CoverageTable:
-    """A frame's induction state: the record of the required pairs covered.
+    """A frame's induction state: one coverage record per (clause, literal) pair.
 
     Coverage only grows while the trail stays fixed and ``learned`` only
     grows: a solve never grows its formula, so the clusters and their
     required pairs are fixed for a frame, and a pair's first certificate
     stays first when clauses are learned: the lowest learned position
     falsified in the pair's vicinity, whichever seed asks.  So the table
-    keeps one record per pair a query reached, with its vicinity, how
-    many learned clauses were tested against it, and its first
-    certificate once found; a later query tests only the clauses learned
-    since.
+    keeps one record per pair asked for, with its vicinity, how many
+    learned clauses were tested against it, and its first certificate
+    once found; ``record`` tests only the clauses learned since.
 
     A seed's required pairs are the ``(c, l)`` with ``l`` an open literal
     of the seed and ``c`` an unsatisfied clause holding ``l`` (so ``c`` is
     in the cluster).  Seeds therefore share the records, and a seed is
-    covered exactly when each of its open literals is.  ``covers`` walks a
-    literal's pairs in occurrence order, and ``uncovered`` a seed's
-    ``required_pairs`` in cluster order, keeping the seed's covered pairs
-    for its induction clause.  A walk keeps its position and goes only as
-    far as a query needs, as most fail at their first pair.
+    covered exactly when each of its open literals is: ``covers`` reads
+    a literal's records in occurrence order and stops at the first
+    without a certificate.
 
     Lookups file each learned clause under its least open literal.  Under
     the fixed trail a learned clause is either satisfied, and never a
@@ -191,8 +173,6 @@ class CoverageTable:
         self.opens: list[Optional[frozenset[int]]] = []
         self.lists: dict[int, list[int]] = {}  # least open literal -> positions
         self._pairs: dict[tuple[int, int], _Pair] = {}
-        self._seeds: dict[int, _Coverage] = {}  # walks of seeds' required pairs
-        self._literals: dict[int, _Coverage] = {}  # walks of literals' pairs
 
     def first(self, falsified: AbstractSet[int], start: int) -> Optional[int]:
         """First position from ``start`` on whose open literals lie in ``falsified``."""
@@ -232,78 +212,43 @@ class CoverageTable:
                 return p
         return None
 
-    def _walk(self, entry: _Coverage) -> Optional[_Pair]:
-        """The record of the walk's first pair without a certificate, or None."""
-        learned = self.learned
-        while True:
-            pair = entry.pair
-            if pair is None:
-                pair = entry.pair = next(entry.pairs, None)
-                if pair is None:
-                    return None
-            record = self._pairs.get(pair)
-            if record is None:
-                spec = specify_vicinity(self.problem, *pair, self.trail)
-                record = self._pairs[pair] = _Pair(spec)
-            if record.cert is None:
-                tested = record.tested
-                if tested == len(learned):
-                    return record
-                record.tested = len(learned)
-                record.cert = certificate_for(record.spec, self, tested)
-                if record.cert is None:
-                    return record
-            entry.certs[pair] = record.cert
-            entry.pair = None
-
-    def _seed(self, seed: int) -> _Coverage:
-        entry = self._seeds.get(seed)
-        if entry is None:
-            pairs = required_pairs(self.problem, seed, self.trail)
-            entry = self._seeds[seed] = _Coverage(pairs)
-        return entry
-
-    def uncovered(self, seed: int) -> Optional[VicinitySpec]:
-        """The vicinity of the seed's first required pair without a certificate."""
-        record = self._walk(self._seed(seed))
-        return None if record is None else record.spec
+    def record(self, pair: tuple[int, int]) -> _Pair:
+        """The pair's record, tested against every clause learned so far."""
+        record = self._pairs.get(pair)
+        if record is None:
+            spec = specify_vicinity(self.problem, *pair, self.trail)
+            record = self._pairs[pair] = _Pair(spec)
+        tested = record.tested
+        if record.cert is None and tested < len(self.learned):
+            record.tested = len(self.learned)
+            record.cert = certificate_for(record.spec, self, tested)
+        return record
 
     def covers(self, lit: int) -> bool:
         """Whether every required pair ``(c, lit)`` of the open literal is certified."""
-        entry = self._literals.get(lit)
-        if entry is None:
-            clauses = self.problem.clauses
-            true_lits = self.trail.true_lits
-            pairs = (
-                (ci, lit)
-                for ci in self.problem.occurrences(lit)
-                if true_lits.isdisjoint(clauses[ci].literal_set)
-            )
-            entry = self._literals[lit] = _Coverage(pairs)
-        return self._walk(entry) is None
-
-    def certificates(self, seed: int) -> dict[tuple[int, int], Clause]:
-        """Each covered pair of the seed's walked prefix, with its first certificate."""
-        return self._seed(seed).certs
+        clauses = self.problem.clauses
+        true_lits = self.trail.true_lits
+        for ci in self.problem.occurrences(lit):
+            if true_lits.isdisjoint(clauses[ci].literal_set):
+                if self.record((ci, lit)).cert is None:
+                    return False
+        return True
 
 
-def check_induction(
-    table: CoverageTable, candidates: Optional[Sequence[int]] = None
-) -> Optional[int]:
+def check_induction(table: CoverageTable, candidates: Sequence[int]) -> Optional[int]:
     """First candidate clause whose cluster is fully certified, or None.
 
     When every required pair of some clause's cluster has a learned
     certificate falsified in its vicinity, the formula has no model in
-    the trail's subspace.  ``candidates`` restricts the scan and gives
-    its order.  A cluster is fully certified exactly when the table
+    the trail's subspace.  ``candidates`` gives the clauses to scan and
+    their order.  A cluster is fully certified exactly when the table
     covers each open literal of its seed.
     """
     clauses = table.problem.clauses
-    indices = candidates if candidates is not None else range(len(clauses))
     true_lits = table.trail.true_lits
     false_lits = table.trail.false_lits
     covered: dict[int, bool] = {}
-    for i in indices:
+    for i in candidates:
         c = clauses[i]
         # A satisfied clause has no required pairs of its own.
         if not true_lits.isdisjoint(c.literal_set):
@@ -328,19 +273,14 @@ def build_induction_clause(table: CoverageTable, index: int) -> Clause:
     satisfied cluster clause, the negation of its earliest satisfying
     trail literal; and for each required pair, the certificate literals
     over variables foreign to that pair's clause.  The required pairs are
-    the keys of ``table.certificates(index)``, complete once
-    ``table.uncovered(index)`` finds none uncovered.
+    read in ``required_pairs`` order, and the first one without a
+    certificate raises ``CnfError``.
     """
-    missing = table.uncovered(index)
-    if missing is not None:
-        raise CnfError(
-            f"pair ({missing.clause_index}, {missing.literal}) has no "
-            "certificate; induction clause is not available"
-        )
     problem = table.problem
     trail = table.trail
-    certs = table.certificates(index)
-    lits = [lit for lit in problem.clauses[index] if trail.falsifies_literal(lit)]
+    false_lits = trail.false_lits
+    seed = problem.clauses[index].literal_set
+    lits = [lit for lit in problem.clauses[index] if lit in false_lits]
     for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
         earliest = trail.first_true_literal(c)
@@ -349,9 +289,15 @@ def build_induction_clause(table: CoverageTable, index: int) -> Clause:
             continue
         own = c.variables()
         for lit in c:
-            cert = certs.get((ci, lit))
-            if cert is not None:
-                lits.extend(b for b in cert if abs(b) not in own)
+            if lit not in seed or lit in false_lits:
+                continue
+            cert = table.record((ci, lit)).cert
+            if cert is None:
+                raise CnfError(
+                    f"pair ({ci}, {lit}) has no certificate; "
+                    "induction clause is not available"
+                )
+            lits.extend(b for b in cert if abs(b) not in own)
     # ``Clause`` keeps each literal's first occurrence.
     return Clause(lits)
 
@@ -445,14 +391,13 @@ class _Solver:
         if primary is None or primary >= len(self.F.clauses):
             return ("sat", trail)
         table = CoverageTable(self.F, self.learned, trail)
-        while True:
-            spec = table.uncovered(primary)
-            if spec is None:
-                # Certificates learned in other branches may already cover
-                # every pair of the primary cluster before anything is
-                # learned here, so the induction step applies now.
-                b_ind = build_induction_clause(table, primary)
-                return ("cert", resolve_to_base(b_ind, res))
+        # One walk suffices: a covered pair stays covered, and exploring a
+        # pair's vicinity either returns or learns a certificate covering it.
+        for pair in required_pairs(self.F, primary, trail):
+            record = table.record(pair)
+            if record.cert is not None:
+                continue
+            spec = record.spec
             kind, payload = self._explore(res, list(spec.bindings))
             if kind == "sat":
                 self._record(spec, None, None, "sat")
@@ -477,6 +422,11 @@ class _Solver:
                 self._record(spec, cert, fired, "induct")
                 return ("cert", cleaned)
             self._record(spec, cert, None, "learn")
+        # Every pair of the primary cluster is covered, perhaps by
+        # certificates learned in other branches before anything was
+        # learned here, so the induction step applies now.
+        b_ind = build_induction_clause(table, primary)
+        return ("cert", resolve_to_base(b_ind, res))
 
 
 def solve(

@@ -78,24 +78,33 @@ def test_worse_than_bound_triggers_just_past_the_bound(spec, at_bound, past_boun
     assert bench_pairs.compare(parent, [past_bound] * 3, spec)["worse_than_bound"]
 
 
-def _pass(self_s, calls, ratio=0.5):
+def _pass(self_s, calls, ratio=0.5, untraced_s=0.7):
     return {
         "pqe.detect.self_s": {"value": self_s, "unit": "s"},
         "pqe.detect.calls": {"value": calls, "unit": "count"},
         "trace.overhead_ratio": {"value": ratio, "unit": "ratio"},
+        "trace.untraced_s": {"value": untraced_s, "unit": "s"},
     }
 
 
 def test_the_traced_split_takes_each_metric_median():
-    passes = [_pass(0.9, 408, 1.3), _pass(0.2, 408, 1.1), _pass(0.3, 408, 1.2)]
+    passes = [
+        _pass(0.9, 408, 1.3, 1.1),
+        _pass(0.2, 408, 1.1, 0.7),
+        _pass(0.3, 408, 1.2, 0.8),
+    ]
     got = bench_pairs.median_metrics(passes)
     assert got == {
         "pqe.detect.self_s": {"value": 0.3, "unit": "s"},
         "pqe.detect.calls": {"value": 408, "unit": "count"},
         "trace.overhead_ratio": {"value": 1.2, "unit": "ratio"},
+        "trace.untraced_s": {"value": 0.8, "unit": "s"},
     }
-    # One loaded pass moves no median.
-    assert bench_pairs.layer_split(got)["metrics"]["pqe.detect.self_s"] == 0.3
+    # One loaded pass moves no median, and its untraced seconds show it.
+    split = bench_pairs.layer_split(passes)
+    assert split["metrics"]["pqe.detect.self_s"] == 0.3
+    assert split["self_share"] == {"pqe.detect": 1.0}
+    assert split["untraced_s_passes"] == [1.1, 0.7, 0.8]
 
 
 def test_the_traced_split_rejects_counts_that_differ():

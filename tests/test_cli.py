@@ -377,6 +377,20 @@ def test_propgen_cli(tmp_path, capsys):
     assert "1-based" in err
 
 
+def test_propgen_target_out_of_range_names_the_flag(tmp_path, capsys):
+    # One AND gate encodes as 3 clauses; an empty netlist as none.
+    netlist = tmp_path / "and.net"
+    netlist.write_text("input a\ninput b\ngate z = AND(a, b)\noutput z\n")
+    code, _, err = run_cli(capsys, ["propgen", str(netlist), "--target", "4"])
+    assert code == 2
+    assert "--target 4 out of range (the encoding has 3 clauses)" in err
+    empty = tmp_path / "empty.net"
+    empty.write_text("")
+    code, _, err = run_cli(capsys, ["propgen", str(empty)])
+    assert code == 2
+    assert "--target 1 out of range (the encoding has 0 clauses)" in err
+
+
 def test_fuzz_sat_mode(capsys):
     code, out, _ = run_cli(
         capsys, ["fuzz", "--seed", "7", "--count", "1000", "--vars", "12"]

@@ -624,16 +624,22 @@ def test_unmentioned_free_variables_change_nothing():
     assert probes > 0
 
 
-def test_solution_clause_callback_sees_every_clause():
+def test_decide_redundant_probes_each_solution_clause(monkeypatch):
     # decide_redundant stops at the first clause the rest of the formula
-    # does not imply, here the only one, and still passes it on.
+    # does not imply, here the only one.
     want = take_out(PqeProblem(parse_dimacs(UNIT_EXTRACTION), (0,))).solution_clauses
     assert want == [Clause([2])]
-    for run in (take_out, decide_redundant):
-        seen = []
-        config = PqeConfig(on_solution_clause=seen.append)
-        run(PqeProblem(parse_dimacs(UNIT_EXTRACTION), (0,)), config)
-        assert seen == want, run.__name__
+    probed = []
+    real = pqe.probe
+
+    def recording(problem, h, learned, limit, what):
+        if what == "redundancy probe":
+            probed.append(h)
+        return real(problem, h, learned, limit, what)
+
+    monkeypatch.setattr(pqe, "probe", recording)
+    assert not decide_redundant(PqeProblem(parse_dimacs(UNIT_EXTRACTION), (0,)))
+    assert probed == want
 
 
 def test_take_out_random_instances_verify():

@@ -118,8 +118,9 @@ def test_certificate_for_returns_none_when_nothing_is_falsified():
 
 def test_check_induction_fires_only_with_full_coverage():
     problem, trail, learned = _coverage_fixture()
-    assert check_induction(CoverageTable(problem, learned, trail)) == 0
-    assert check_induction(CoverageTable(problem, learned[:2], trail)) is None
+    every = range(len(problem.clauses))
+    assert check_induction(CoverageTable(problem, learned, trail), every) == 0
+    assert check_induction(CoverageTable(problem, learned[:2], trail), every) is None
     table = CoverageTable(problem, learned, trail)
     assert check_induction(table, candidates=[1]) is None
 
@@ -130,6 +131,16 @@ def test_build_induction_clause():
     problem, trail, learned = _coverage_fixture()
     got = build_induction_clause(CoverageTable(problem, learned, trail), 0)
     assert got.literals == (-1, 10, 4, -9)
+
+
+def test_build_induction_clause_names_the_first_uncovered_pair():
+    # The required pairs are (0, 2), (0, 3) and (2, 2), certified by the
+    # fixture's learned clauses in that order.
+    problem, trail, learned = _coverage_fixture()
+    for kept, (ci, lit) in (([2], (0, 2)), ([0, 2], (0, 3)), ([0, 1], (2, 2))):
+        table = CoverageTable(problem, [learned[i] for i in kept], trail)
+        with pytest.raises(CnfError, match=rf"^pair \({ci}, {lit}\) has no"):
+            build_induction_clause(table, 0)
 
 
 def _linear_certificate(spec, learned, trail, start=0):
@@ -154,18 +165,33 @@ def _scan_uncovered(problem, learned, trail, index):
     return None
 
 
+def _coverage(table, index):
+    """The seed's covered prefix of required pairs, and the vicinity after it.
+
+    Walks ``required_pairs`` through ``table.record``: each covered pair
+    maps to its first certificate, and the vicinity is the first required
+    pair without one, or None when the seed is covered.
+    """
+    certs = {}
+    for pair in required_pairs(table.problem, index, table.trail):
+        record = table.record(pair)
+        if record.cert is None:
+            return certs, record.spec
+        certs[pair] = record.cert
+    return certs, None
+
+
 def _reference_induction_clause(table, index):
     """The assembly ``build_induction_clause`` replaced, kept as the reference.
 
     It recomputes the required pairs and adds each literal only when it
     is not yet in the list.
     """
-    missing = table.uncovered(index)
+    certs, missing = _coverage(table, index)
     if missing is not None:
         raise CnfError(f"pair ({missing.clause_index}, {missing.literal}) is open")
     problem = table.problem
     trail = table.trail
-    certs = table.certificates(index)
     required = set(required_pairs(problem, index, trail))
     lits = []
 
@@ -210,12 +236,12 @@ def test_table_covers_a_pair_first_tested_uncovered():
     grown = learned[:1]
     table = CoverageTable(problem, grown, trail)
     # (0, 2) is covered; (0, 3) is tested against the one clause and fails.
-    assert table.uncovered(0) == specify_vicinity(problem, 0, 3, trail)
+    assert _coverage(table, 0)[1] == specify_vicinity(problem, 0, 3, trail)
     grown.append(learned[1])
-    assert table.uncovered(0) == specify_vicinity(problem, 2, 2, trail)
+    assert _coverage(table, 0)[1] == specify_vicinity(problem, 2, 2, trail)
     grown.append(learned[2])
-    assert table.uncovered(0) is None
-    assert check_induction(table) == 0
+    assert _coverage(table, 0)[1] is None
+    assert check_induction(table, range(len(problem.clauses))) == 0
     got = build_induction_clause(table, 0)
     assert got.literals == (-1, 10, 4, -9)
 
@@ -240,11 +266,15 @@ def test_table_matches_the_rescan(seed):
             if trail.satisfies_clause(clause):
                 continue
             want = _scan_uncovered(problem, learned, trail, i)
-            assert table.uncovered(i) == want
+            assert _coverage(table, i)[1] == want
             if want is None:
                 fired = i if fired is None else fired
                 _assert_induction_clause_matches_the_reference(table, i)
-        assert check_induction(table) == fired
+            else:
+                pair = rf"^pair \({want.clause_index}, {want.literal}\) has no"
+                with pytest.raises(CnfError, match=pair):
+                    build_induction_clause(table, i)
+        assert check_induction(table, range(len(problem.clauses))) == fired
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -304,7 +334,7 @@ def test_check_induction_on_cold_tables_matches_the_rescan():
 
 
 def _certs(table, seed):
-    return [(pair, id(cert)) for pair, cert in table.certificates(seed).items()]
+    return [(pair, id(cert)) for pair, cert in _coverage(table, seed)[0].items()]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -324,9 +354,9 @@ def test_seed_order_does_not_change_coverage(seed):
         if rng.random() < 0.5:
             check_induction(table, rng.sample(seeds, len(seeds)))
         for i in rng.sample(seeds, rng.randint(0, len(seeds))):
-            assert table.uncovered(i) == _scan_uncovered(problem, learned, trail, i)
+            want = _scan_uncovered(problem, learned, trail, i)
+            assert _coverage(table, i)[1] == want
             fresh = CoverageTable(problem, learned, trail)
-            fresh.uncovered(i)
             assert _certs(table, i) == _certs(fresh, i)
 
 
@@ -347,11 +377,12 @@ def test_a_pair_another_seed_walked_gives_the_seed_no_literal():
         Clause([-4, 3]),  # (2, 4)
     ]
     table = CoverageTable(problem, learned, trail)
-    assert table.uncovered(2) is None
-    assert table.certificates(2)[1, 3] is learned[0]
+    certs, missing = _coverage(table, 2)
+    assert missing is None
+    assert certs[1, 3] is learned[0]
     got = _assert_induction_clause_matches_the_reference(table, 0)
     assert got.literals == (6,)
-    assert (1, 3) not in table.certificates(0)
+    assert (1, 3) not in _coverage(table, 0)[0]
 
 
 def test_induction_clause_matches_the_reference_inside_solve(monkeypatch):
@@ -555,6 +586,24 @@ def test_solve_agrees_with_enumeration_on_random_formulas():
         if out.status == "sat":
             for c in p.clauses:
                 assert any(out.model[abs(lit)] == (lit > 0) for lit in c)
+
+
+def test_random_3sat_inductions_agree_with_the_oracles():
+    # Mixed-width draws rarely reach an induction step; 3-SAT near the
+    # threshold does in most unsat runs.
+    rng = random.Random(426)
+    inductions = 0
+    for _ in range(60):
+        p = _random_3sat(rng, rng.randint(10, 14), 4.26)
+        out = solve(p)
+        assert out.status == ("unsat" if enum_sat(p) is None else "sat")
+        if out.status == "sat":
+            for c in p.clauses:
+                assert any(out.model[abs(lit)] == (lit > 0) for lit in c)
+        for r in out.certificates:
+            assert implies(p, r.clause)
+        inductions += sum(r["action"] == "induct" for r in out.trace)
+    assert inductions >= 40
 
 
 # Random 3-SAT (n=18), shrunk by greedy clause deletion.  Certificates

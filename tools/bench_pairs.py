@@ -25,8 +25,9 @@ the parent's interquartile range.  ``--holdout`` repeats the claimed
 workload on a query-order seed not used for the main pairs, in
 ``HOLDOUT_PAIRS`` pairs.  ``TRACED_PASSES`` traced passes per workload
 and side, alternating sides, record the per-layer split as each metric's
-median, so that one pass run on a loaded machine skews no self time.  A
-traced pass runs every query once, so its counts must be the same in
+median, so that one pass run on a loaded machine skews no self time; each
+pass's ``trace.untraced_s`` is kept too, so that such a pass can be seen.
+A traced pass runs every query once, so its counts must be the same in
 every pass of a side.  ``counts_differ`` names every per-layer count of
 ``BENCHMARK.json`` whose value differs between the sides.  The output file
 keeps the shape of the earlier ``BENCH_*.json`` records.
@@ -49,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 1
 HOLDOUT_PAIRS = 3
-TRACED_PASSES = 3
+TRACED_PASSES = 5
 
 
 def git(*args: str) -> str:
@@ -179,13 +180,18 @@ def median_metrics(passes: list[dict]) -> dict:
     return out
 
 
-def layer_split(metrics: dict) -> dict:
-    """Per-layer counts and self seconds, plus each layer's share of self time."""
-    flat = {k: v["value"] for k, v in metrics.items()}
+def layer_split(passes: list[dict]) -> dict:
+    """Per-layer counts and self seconds, and each layer's share of self time.
+
+    Each figure is its median over the traced passes of one side, and
+    ``untraced_s_passes`` lists every pass's untraced corpus seconds.
+    """
+    flat = {k: v["value"] for k, v in median_metrics(passes).items()}
     selfs = {k[: -len(".self_s")]: v for k, v in flat.items() if k.endswith(".self_s")}
     total = sum(selfs.values())
     shares = {k: round(v / total, 4) for k, v in sorted(selfs.items()) if total}
-    return {"metrics": flat, "self_share": shares}
+    untraced = [p["trace.untraced_s"]["value"] for p in passes]
+    return {"metrics": flat, "self_share": shares, "untraced_s_passes": untraced}
 
 
 def main(argv=None) -> int:
@@ -263,8 +269,7 @@ def main(argv=None) -> int:
                     log(f"traced {i + 1}/{TRACED_PASSES} {w} {side}: "
                         f"correct={line['correct']}")
             traced = {
-                side: layer_split(median_metrics(passes[side]))
-                for side in ("parent", "change")
+                side: layer_split(passes[side]) for side in ("parent", "change")
             }
             traced["counts_differ"] = [
                 k for k in counts

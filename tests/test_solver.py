@@ -309,8 +309,8 @@ def _first_certified(problem, learned, trail, candidates):
 
 
 def test_check_induction_on_cold_tables_matches_the_rescan():
-    # Tables asked only through check_induction walk literals that no
-    # seed has walked; candidates come in random subsets and orders.
+    # Tables asked only through check_induction fill pair records that no
+    # seed has asked for; candidates come in random subsets and orders.
     fired = 0
     for seed in range(60):
         rng = random.Random(seed)
@@ -339,8 +339,8 @@ def _certs(table, seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_seed_order_does_not_change_coverage(seed):
-    # Seeds asked in random order, between literal walks, on one table:
-    # each answer and each seed's certificates are a fresh table's.
+    # Seeds asked in random order, between check_induction calls, on one
+    # table: each answer and each seed's certificates are a fresh table's.
     rng = random.Random(seed)
     n = rng.randint(5, 10)
     problem = random_cnf(rng, max_vars=n, max_clauses=3 * n)

@@ -36,10 +36,9 @@ from .oracle import (
     verify_pqe,
 )
 from .bcp import PropagationResult, propagate
-from .solver import SolveOutcome, SolverConfig, solve
+from .solver import SolveOutcome, solve
 from .pqe import (
     DSequent,
-    PqeConfig,
     PqeError,
     PqeProblem,
     PqeSolution,
@@ -100,10 +99,8 @@ __all__ = [
     "PropagationResult",
     "propagate",
     "SolveOutcome",
-    "SolverConfig",
     "solve",
     "DSequent",
-    "PqeConfig",
     "PqeError",
     "PqeProblem",
     "PqeSolution",

@@ -16,8 +16,8 @@ from typing import Optional
 from .circuits import Netlist, TransitionSystem, tseitin_encode, unroll
 from .cnf import Clause, CnfProblem, mentioned_variables
 from .oracle import implies
-from .pqe import PqeConfig, PqeProblem, decide_redundant, probe, take_out
-from .solver import solve  # noqa: F401  bench/spans.py wraps apps.solve by name
+from .pqe import PqeProblem, decide_redundant, probe, take_out
+from .solver import STEP_LIMIT, solve  # noqa: F401  bench/spans.py wraps apps.solve by name
 
 
 class AppError(Exception):
@@ -29,9 +29,7 @@ class AppError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def diameter_lt(
-    ts: TransitionSystem, k: int, config: Optional[PqeConfig] = None
-) -> bool:
+def diameter_lt(ts: TransitionSystem, k: int, step_limit: int = STEP_LIMIT) -> bool:
     """Is every reachable state reachable in fewer than k transitions?
 
     Unrolls k frames with the initial-state clauses instantiated a second
@@ -46,7 +44,7 @@ def diameter_lt(
     if k < 1:
         raise AppError(f"diameter comparison needs k >= 1, got {k}")
     u = unroll(ts, k, duplicate_init=True)
-    return decide_redundant(PqeProblem(u.problem, tuple(u.init_targets)), config)
+    return decide_redundant(PqeProblem(u.problem, tuple(u.init_targets)), step_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ class InterpolationResult:
 
 
 def interpolate(
-    inst: InterpolationInstance, config: Optional[PqeConfig] = None
+    inst: InterpolationInstance, step_limit: int = STEP_LIMIT
 ) -> InterpolationResult:
     """Take A out of the quantified conjunction of A and B.
 
@@ -93,19 +91,17 @@ def interpolate(
     every solution clause is implied by A alone (checked by bounded
     solver probes), the result is a proper interpolant.
     """
-    if config is None:
-        config = PqeConfig()
     n = max(inst.a.var_count, inst.b.var_count)
     quantified = (
         mentioned_variables(inst.a) | mentioned_variables(inst.b)
     ) - inst.shared
     clauses = list(inst.a.clauses) + list(inst.b.clauses)
     problem = CnfProblem(n, clauses, quantified)
-    sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), config)
+    sol = take_out(PqeProblem(problem, tuple(range(len(inst.a.clauses)))), step_limit)
     what = "interpolant probe"
     learned: list[Clause] = []  # one list, as every probe is of A
     implied = all(
-        probe(inst.a, c, learned, config.step_limit, what).status == "unsat"
+        probe(inst.a, c, learned, step_limit, what).status == "unsat"
         for c in sol.solution_clauses
     )
     status = "interpolant" if implied else "candidate_only"
@@ -146,9 +142,7 @@ class EqCheckResult:
     steps: int = 0
 
 
-def eq_check(
-    inst: EqCheckInstance, config: Optional[PqeConfig] = None
-) -> EqCheckResult:
+def eq_check(inst: EqCheckInstance, step_limit: int = STEP_LIMIT) -> EqCheckResult:
     """Are the two circuits equivalent?
 
     Rules out constant circuits with four satisfiability probes, then
@@ -158,15 +152,13 @@ def eq_check(
     variables equal.  An inequivalence witness comes from a miter-style
     satisfiability call.
     """
-    if config is None:
-        config = PqeConfig()
     f1, map1 = tseitin_encode(inst.m1)
     f2, map2 = tseitin_encode(inst.m2)
     for label, f, w in (("m1", f1, map1.outputs[0]), ("m2", f2, map2.outputs[0])):
         what = f"constant probe of the {label} circuit"
         learned: list[Clause] = []  # one list per circuit, as each is fixed
         for value, h in ((0, Clause([-w])), (1, Clause([w]))):
-            if probe(f, h, learned, config.step_limit, what).status == "unsat":
+            if probe(f, h, learned, step_limit, what).status == "unsat":
                 constant = f"{label} is constant {value}"
                 return EqCheckResult("constant_circuit", constant=constant)
 
@@ -187,7 +179,7 @@ def eq_check(
     var_count = offset + f2.var_count
     quantified = frozenset(range(1, var_count + 1)) - {w1, w2}
     problem = CnfProblem(var_count, body, quantified)
-    sol = take_out(PqeProblem(problem, tuple(range(len(eq_clauses)))), config)
+    sol = take_out(PqeProblem(problem, tuple(range(len(eq_clauses)))), step_limit)
 
     # The solution ranges over the two output variables only; squeeze it
     # into a two-variable space so the entailment check stays tiny.
@@ -203,7 +195,7 @@ def eq_check(
                              steps=sol.steps)
 
     miter = CnfProblem(var_count, body + [Clause([w1, w2]), Clause([-w1, -w2])])
-    outcome = probe(miter, Clause([]), [], config.step_limit, "miter call")
+    outcome = probe(miter, Clause([]), [], step_limit, "miter call")
     if outcome.status != "sat":
         raise AssertionError("solution refutes equality but the miter is unsat")
     witness = {name: outcome.model[v] for name, v in zip(inst.m1.inputs, v1)}
@@ -228,7 +220,7 @@ def prop_gen(
     nl: Netlist,
     quantified_inputs: frozenset[str] = frozenset(),
     target: int = 0,
-    config: Optional[PqeConfig] = None,
+    step_limit: int = STEP_LIMIT,
 ) -> PropGenResult:
     """Properties of a circuit, from taking one clause out of its encoding.
 
@@ -249,7 +241,7 @@ def prop_gen(
         raise AppError(f"target index {target} out of range")
     if not problem.clauses[target].variables() & problem.quantified:
         raise AppError("target clause has no quantified variable to eliminate")
-    sol = take_out(PqeProblem(problem, (target,)), config)
+    sol = take_out(PqeProblem(problem, (target,)), step_limit)
     return PropGenResult(
         list(sol.solution_clauses), problem, sol.derivation, sol.steps
     )

@@ -46,8 +46,8 @@ from .circuits import (
 from .cnf import Clause, CnfError, parse_dimacs_file
 from .oracle import MAX_SAT_VARS, GuardError, bfs_reach, enum_sat, verify_pqe
 from . import fuzzing
-from .pqe import PqeConfig, PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
-from .solver import SolverConfig, solve
+from .pqe import PqeError, PqeProblem, StepLimitError, decide_redundant, take_out
+from .solver import STEP_LIMIT, solve
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -126,10 +126,6 @@ def _read_solution_clauses(path: str) -> list[Clause]:
     return clauses
 
 
-def _pqe_config(args) -> PqeConfig:
-    return PqeConfig(step_limit=args.step_limit)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 # ---------------------------------------------------------------------------
@@ -137,7 +133,7 @@ def _pqe_config(args) -> PqeConfig:
 
 def cmd_sat(args) -> int:
     problem = parse_dimacs_file(args.file)
-    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
+    outcome = solve(problem, args.step_limit)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as handle:
             for record in outcome.trace:
@@ -167,7 +163,7 @@ def cmd_sat_oracle(args) -> int:
 def cmd_pqe(args) -> int:
     problem = parse_dimacs_file(args.file)
     targets = _resolve_targets(args, args.file, len(problem.clauses))
-    solution = take_out(PqeProblem(problem, targets), _pqe_config(args))
+    solution = take_out(PqeProblem(problem, targets), args.step_limit)
     if not solution.solution_clauses:
         print("c empty solution: the targets were already redundant")
     for clause in solution.solution_clauses:
@@ -178,7 +174,7 @@ def cmd_pqe(args) -> int:
 def cmd_pqe_check(args) -> int:
     problem = parse_dimacs_file(args.file)
     targets = _resolve_targets(args, args.file, len(problem.clauses))
-    if decide_redundant(PqeProblem(problem, targets), _pqe_config(args)):
+    if decide_redundant(PqeProblem(problem, targets), args.step_limit):
         print("redundant")
     else:
         print("not redundant")
@@ -202,7 +198,7 @@ def cmd_diameter(args) -> int:
     ts = TransitionSystem(init, netlist)
     if not args.no_stutter:
         ts = add_stutter(ts)
-    if diameter_lt(ts, args.k, _pqe_config(args)):
+    if diameter_lt(ts, args.k, args.step_limit):
         print(f"diameter < {args.k}: yes")
     else:
         print(f"diameter < {args.k}: no")
@@ -212,7 +208,7 @@ def cmd_diameter(args) -> int:
 def cmd_interp(args) -> int:
     side_a = parse_dimacs_file(args.a)
     side_b = parse_dimacs_file(args.b)
-    result = interpolate(InterpolationInstance(side_a, side_b), _pqe_config(args))
+    result = interpolate(InterpolationInstance(side_a, side_b), args.step_limit)
     print(f"status: {result.status}")
     if not result.candidate:
         print("c empty candidate: equivalent to true")
@@ -224,7 +220,7 @@ def cmd_interp(args) -> int:
 def cmd_eqcheck(args) -> int:
     first = parse_netlist_file(args.first)
     second = parse_netlist_file(args.second)
-    result = eq_check(EqCheckInstance(first, second), _pqe_config(args))
+    result = eq_check(EqCheckInstance(first, second), args.step_limit)
     print(f"verdict: {result.verdict}")
     if result.verdict == "constant_circuit":
         print(result.constant)
@@ -247,7 +243,7 @@ def cmd_propgen(args) -> int:
             f"--target {args.target} out of range "
             f"(the encoding has {clause_count} clauses)"
         )
-    result = prop_gen(netlist, quantified, args.target - 1, _pqe_config(args))
+    result = prop_gen(netlist, quantified, args.target - 1, args.step_limit)
     if not result.properties:
         print("c no properties: the target clause was already redundant")
     for clause in result.properties:
@@ -258,7 +254,7 @@ def cmd_propgen(args) -> int:
 def _fuzz_sat(rng: random.Random, args, n_vars: int) -> Optional[str]:
     problem = fuzzing.random_cnf(rng, n_vars, args.clauses)
     expected = "sat" if enum_sat(problem) is not None else "unsat"
-    outcome = solve(problem, SolverConfig(step_limit=args.step_limit))
+    outcome = solve(problem, args.step_limit)
     if outcome.status == "unknown":
         return "step limit exhausted"
     if outcome.status != expected:
@@ -273,7 +269,7 @@ def _fuzz_sat(rng: random.Random, args, n_vars: int) -> Optional[str]:
 
 def _fuzz_pqe(rng: random.Random, args, n_vars: int) -> Optional[str]:
     instance = fuzzing.random_pqe(rng, n_vars, args.clauses)
-    solution = take_out(instance, PqeConfig(step_limit=args.step_limit))
+    solution = take_out(instance, args.step_limit)
     ok = verify_pqe(instance.problem, list(instance.targets), solution.solution_clauses)
     return None if ok else "solution check failed"
 
@@ -281,7 +277,7 @@ def _fuzz_pqe(rng: random.Random, args, n_vars: int) -> Optional[str]:
 def _fuzz_diameter(rng: random.Random, args, n_vars: int) -> Optional[str]:
     ts = fuzzing.random_transition_system(rng)
     k = rng.randint(1, 5)
-    got = diameter_lt(ts, k, PqeConfig(step_limit=args.step_limit))
+    got = diameter_lt(ts, k, args.step_limit)
     # The diameter is below k exactly when k steps reach no new state.
     expected = bfs_reach(ts, k - 1) == bfs_reach(ts, k)
     return None if got == expected else f"k={k} diameter_lt={got} oracle={expected}"
@@ -291,7 +287,7 @@ def _fuzz_eqcheck(rng: random.Random, args, n_vars: int) -> Optional[str]:
     inst = fuzzing.random_eq_pair(rng)
     if rng.random() < 0.5:
         inst = EqCheckInstance(inst.m1, fuzzing.distinct_mutant(rng, inst.m1))
-    got = eq_check(inst, PqeConfig(step_limit=args.step_limit))
+    got = eq_check(inst, args.step_limit)
     tables = [fuzzing.netlist_truth_table(m) for m in (inst.m1, inst.m2)]
     # eq_check rules out a constant first circuit before the second.
     for label, table in zip(("m1", "m2"), tables):
@@ -369,7 +365,7 @@ def _add_step_limit(parser: argparse.ArgumentParser) -> None:
         "--step-limit",
         dest="step_limit",
         type=int,
-        default=10**6,
+        default=STEP_LIMIT,
         help=(
             "give up (exit 30) after this many engine steps; a step is a unit "
             "of work (a PQE branching node, chained discharge attempt or solver "

@@ -40,7 +40,7 @@ class Clause:
         seen = []
         seen_set = set()
         for lit in literals:
-            if not isinstance(lit, int) or lit == 0:
+            if type(lit) is not int or lit == 0:
                 raise CnfError(f"bad literal {lit!r}: literals are nonzero ints")
             if -lit in seen_set:
                 raise CnfError(
@@ -209,9 +209,6 @@ class Assignment:
 
     def is_assigned(self, v: Variable) -> bool:
         return v in self.true_lits or v in self.false_lits
-
-    def falsifies_literal(self, lit: Literal) -> bool:
-        return lit in self.false_lits
 
     def satisfies_clause(self, clause: Clause) -> bool:
         return not self.true_lits.isdisjoint(clause.literal_set)

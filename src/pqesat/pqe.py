@@ -73,7 +73,7 @@ from typing import AbstractSet, Callable, Iterable, Optional
 
 from .bcp import PropagationResult, analyze_conflict, propagate
 from .cnf import Assignment, Binding, Clause, CnfProblem, mentioned_variables
-from .solver import SolveOutcome, SolverConfig, solve
+from .solver import STEP_LIMIT, SolveOutcome, solve
 
 MAX_CHAIN_DEPTH = 8
 
@@ -83,7 +83,7 @@ class PqeError(Exception):
 
 
 class StepLimitError(Exception):
-    """The configured step budget ran out before an answer was reached."""
+    """The step budget ran out before an answer was reached."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,6 @@ class PqeProblem:
             if t not in uniq:
                 uniq.append(t)
         object.__setattr__(self, "targets", tuple(uniq))
-
-
-@dataclass
-class PqeConfig:
-    # Work budget: StepLimitError once more steps than this are taken.
-    # A step is one branching node, one chained _discharge attempt or one
-    # solver step of a cube probe, so a change that only saves work spends
-    # fewer.  A cube probe may spend only what is left of the budget, and
-    # a literal that the latest closing clause already drops costs none.
-    # A detection or discharge taken from an earlier node of the pass is
-    # charged the _discharge attempts it made there, as if it ran again.  A
-    # cube settled by an earlier probe's model costs its node's step only.
-    # Under decide_redundant each redundancy probe gets a budget of
-    # step_limit of its own, not charged to the take_out steps.
-    step_limit: int = 10**6
 
 
 @dataclass
@@ -488,11 +473,11 @@ class _Engine:
     def __init__(
         self,
         pqe: PqeProblem,
-        config: PqeConfig,
+        step_limit: int,
         on_clause: Optional[Callable[[Clause], None]] = None,
     ):
         self.F = pqe.problem.copy()
-        self.config = config
+        self.step_limit = step_limit
         # Sees each solution clause the moment it is added.
         self.on_clause = on_clause
         # Closed targets' final D-sequents, in closing order; dead views the keys.
@@ -517,10 +502,8 @@ class _Engine:
 
     def tick(self, n: int = 1) -> None:
         self.steps += n
-        if self.steps > self.config.step_limit:
-            raise StepLimitError(
-                f"step limit {self.config.step_limit} exceeded"
-            )
+        if self.steps > self.step_limit:
+            raise StepLimitError(f"step limit {self.step_limit} exceeded")
 
     def close(self, d: DSequent) -> None:
         """Record a target's final D-sequent, taking the target out."""
@@ -704,7 +687,7 @@ class _Engine:
             self.probe_learned = []
 
         def closing(lits: list[int]) -> Optional[Clause]:
-            limit = self.config.step_limit - self.steps
+            limit = self.step_limit - self.steps
             out = probe(
                 self.probe_formula, Clause(lits), self.probe_learned, limit, "cube probe"
             )
@@ -767,7 +750,7 @@ class _Engine:
 
 def take_out(
     pqe: PqeProblem,
-    config: Optional[PqeConfig] = None,
+    step_limit: int = STEP_LIMIT,
     *,
     _on_clause: Optional[Callable[[Clause], None]] = None,
 ) -> PqeSolution:
@@ -777,10 +760,13 @@ def take_out(
     to the input formula minus the targets, they preserve its projection
     onto the free variables.  ``_on_clause`` is ``decide_redundant``'s
     check of each solution clause as it is added.
+
+    Raises StepLimitError once more than ``step_limit`` steps (see
+    ``PqeSolution.steps``) are taken.  A cube probe may spend only what
+    is left of the budget, and a literal that the latest closing clause
+    already drops costs nothing.
     """
-    if config is None:
-        config = PqeConfig()
-    engine = _Engine(pqe, config, _on_clause)
+    engine = _Engine(pqe, step_limit, _on_clause)
     passes = []
     for t in pqe.targets:
         clause = engine.F.clauses[t]
@@ -820,7 +806,7 @@ def probe(
     steps run out.
     """
     assumptions = [(abs(lit), lit < 0) for lit in h.literals]
-    out = solve(problem, SolverConfig(step_limit=limit), assumptions, learned)
+    out = solve(problem, limit, assumptions, learned)
     if out.status == "unknown":
         raise StepLimitError(f"{what} hit the step limit")
     return out
@@ -830,7 +816,7 @@ class _NotRedundant(Exception):
     pass
 
 
-def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> bool:
+def decide_redundant(pqe: PqeProblem, step_limit: int = STEP_LIMIT) -> bool:
     """Are the target clauses jointly redundant under the quantifier?
 
     Runs take_out while checking each produced solution clause against
@@ -839,11 +825,9 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     False the moment one appears.  If take_out finishes without such a
     clause, the targets were redundant to begin with.
 
-    Each redundancy probe gets a budget of ``config.step_limit`` solver
-    steps of its own; its steps are not charged to the take_out steps.
+    Each redundancy probe gets a budget of ``step_limit`` solver steps of
+    its own; its steps are not charged to the take_out steps.
     """
-    if config is None:
-        config = PqeConfig()
     base = pqe.problem
     kept = [c for i, c in enumerate(base.clauses) if i not in pqe.targets]
     # One probe formula and certificate list serve every check: kept is fixed.
@@ -851,12 +835,12 @@ def decide_redundant(pqe: PqeProblem, config: Optional[PqeConfig] = None) -> boo
     learned: list[Clause] = []
 
     def check(h: Clause) -> None:
-        out = probe(kept_problem, h, learned, config.step_limit, "redundancy probe")
+        out = probe(kept_problem, h, learned, step_limit, "redundancy probe")
         if out.status != "unsat":
             raise _NotRedundant
 
     try:
-        take_out(pqe, config, _on_clause=check)
+        take_out(pqe, step_limit, _on_clause=check)
     except _NotRedundant:
         return False
     return True

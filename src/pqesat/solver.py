@@ -50,6 +50,9 @@ from typing import AbstractSet, Iterator, NamedTuple, Optional, Sequence
 from .bcp import analyze_conflict, propagate, resolve_to_base
 from .cnf import Assignment, Clause, CnfError, CnfProblem, cluster_of
 
+# The default work budget of every entry point, in steps.
+STEP_LIMIT = 10**6
+
 
 class VicinitySpec(NamedTuple):
     """The branching assignment for one (clause, literal) pair.
@@ -312,11 +315,6 @@ class CertRecord(NamedTuple):
 
 
 @dataclass
-class SolverConfig:
-    step_limit: int = 10**6
-
-
-@dataclass
 class SolveOutcome:
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[dict[int, bool]]
@@ -431,7 +429,7 @@ class _Solver:
 
 def solve(
     problem: CnfProblem,
-    config: Optional[SolverConfig] = None,
+    step_limit: int = STEP_LIMIT,
     assumptions: Sequence[tuple[int, bool]] = (),
     learned: Optional[list[Clause]] = None,
 ) -> SolveOutcome:
@@ -441,9 +439,10 @@ def solve(
     takes as its decisions.  Returns a SolveOutcome whose status is "sat"
     with a total model that agrees with the assumptions, "unsat" with the
     closing clause and the certificates learned in this call, or
-    "unknown" when the step limit ran out.  The closing clause is the root
-    certificate: the formula implies it, and the assumptions falsify every
-    literal of it, so without assumptions it is the empty clause.
+    "unknown" when the call would take more than ``step_limit`` steps (one
+    step is one exploration).  The closing clause is the root certificate:
+    the formula implies it, and the assumptions falsify every literal of
+    it, so without assumptions it is the empty clause.
 
     Certificates go to a learned list, never to ``problem``, which the
     call leaves as it found it.  ``learned``, when given, is the caller's
@@ -458,8 +457,6 @@ def solve(
     Python recursion, so an instance that needs more nested explorations
     than ``sys.getrecursionlimit()`` allows raises RecursionError.
     """
-    if config is None:
-        config = SolverConfig()
     chosen: dict[int, bool] = {}
     for v, val in assumptions:
         if not 1 <= v <= problem.var_count:
@@ -468,4 +465,4 @@ def solve(
             raise CnfError(f"contradictory assumptions on variable {v}")
     if learned is None:
         learned = []
-    return _Solver(problem, config.step_limit, learned).run(list(chosen.items()))
+    return _Solver(problem, step_limit, learned).run(list(chosen.items()))

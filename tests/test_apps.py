@@ -29,7 +29,8 @@ from pqesat.fuzzing import (
     random_transition_system,
 )
 from pqesat.oracle import bfs_reach, enum_sat, implies, verify_pqe
-from pqesat.pqe import PqeConfig, StepLimitError
+from pqesat.pqe import StepLimitError
+from pqesat.solver import STEP_LIMIT
 
 from oracle_helpers import extension_holds, projected_models
 
@@ -154,7 +155,7 @@ def test_interpolant_over_shared_variables():
     assert extension_holds(inst, res.candidate)
 
 
-def test_candidate_can_lean_on_b():
+def _leaning_on_b() -> InterpolationInstance:
     # The unit clause 5 follows from A with B but not from A alone.
     a = CnfProblem(
         8,
@@ -170,11 +171,15 @@ def test_candidate_can_lean_on_b():
         ],
     )
     b = CnfProblem(8, [Clause([-6]), Clause([5, 8])])
-    inst = InterpolationInstance(a, b)
+    return InterpolationInstance(a, b)
+
+
+def test_candidate_can_lean_on_b():
+    inst = _leaning_on_b()
     res = interpolate(inst)
     assert res.status == "candidate_only"
     assert [list(c.literals) for c in res.candidate] == [[5]]
-    assert not implies(a, res.candidate[0])
+    assert not implies(inst.a, res.candidate[0])
     assert extension_holds(inst, res.candidate)
 
 
@@ -269,7 +274,7 @@ def test_eq_check_encodes_each_circuit_once(monkeypatch):
 
 def test_eq_check_constant_probe_respects_the_step_limit():
     with pytest.raises(StepLimitError, match="constant probe of the m1 circuit"):
-        eq_check(EqCheckInstance(AND_DIRECT, OR_DIRECT), PqeConfig(step_limit=0))
+        eq_check(EqCheckInstance(AND_DIRECT, OR_DIRECT), 0)
 
 
 def test_eq_check_validates_shapes():
@@ -354,3 +359,23 @@ def test_prop_gen_validates_arguments():
     nl = Netlist(["a", "b"], [Gate("z", "AND", ("a", "b"))], ["z"])
     with pytest.raises(AppError):
         prop_gen(nl, target=0)
+
+
+# ---------------------------------------------------------------------------
+# Step budgets.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda limit: diameter_lt(add_stutter(_counter()), 4, limit),
+        lambda limit: interpolate(_leaning_on_b(), limit),
+        lambda limit: prop_gen(COMPARATOR, step_limit=limit),
+    ],
+    ids=["diameter_lt", "interpolate", "prop_gen"],
+)
+def test_every_application_honours_its_step_limit(run):
+    run(STEP_LIMIT)  # answerable, so the error below is the budget's
+    with pytest.raises(StepLimitError):
+        run(1)

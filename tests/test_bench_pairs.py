@@ -114,3 +114,16 @@ def test_the_traced_split_rejects_counts_that_differ():
     del short["trace.overhead_ratio"]
     with pytest.raises(ValueError, match="different metrics"):
         bench_pairs.median_metrics([_pass(0.1, 408), short])
+
+
+def test_src_lines_counts_as_ci_does(tmp_path):
+    pkg = tmp_path / "src" / "pqesat"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text('"""Doc."""\n\n# note\nx = 1  # trailing\n')
+    (pkg / "b.py").write_text("    \n\t# indented\ndef f():\n    return '#'\n")
+    (pkg / "notes.txt").write_text("not python\n")
+    (tmp_path / "src" / "other.py").write_text("y = 2\n")
+    assert bench_pairs.src_lines(tmp_path) == {
+        "lines": 8,
+        "non_blank_non_comment": 4,
+    }

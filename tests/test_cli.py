@@ -299,6 +299,12 @@ gate next_1 = XOR(s_1, s_2)
 output next_1
 output next_2
 """
+CMP_NETLIST = "input a\ninput b\ngate eq = XOR(a, b)\ngate z = NOT(eq)\noutput z\n"
+AND_NETLIST = "input a\ninput b\ngate z = AND(a, b)\noutput z\n"
+OR_NETLIST = "input a\ninput b\ngate z = OR(a, b)\noutput z\n"
+# The candidate 5 follows from A with B but not from A alone.
+LEANING_A = "p cnf 8 8\n1 6 -4 0\n1 -6 7 0\n-4 3 0\n6 1 5 0\n-5 1 -7 0\n-2 0\n3 7 -4 0\n-1 0\n"
+LEANING_B = "p cnf 8 2\n-6 0\n5 8 0\n"
 
 
 def test_diameter_cli(tmp_path, capsys):
@@ -353,9 +359,9 @@ def test_interp_cli_beyond_the_enumeration_guard(tmp_path, capsys):
 
 def test_eqcheck_cli(tmp_path, capsys):
     first = tmp_path / "and.net"
-    first.write_text("input a\ninput b\ngate z = AND(a, b)\noutput z\n")
+    first.write_text(AND_NETLIST)
     second = tmp_path / "or.net"
-    second.write_text("input a\ninput b\ngate z = OR(a, b)\noutput z\n")
+    second.write_text(OR_NETLIST)
     code, out, _ = run_cli(capsys, ["eqcheck", str(first), str(second)])
     assert code == 0
     assert out.splitlines() == ["verdict: inequivalent", "witness: a=0 b=1"]
@@ -366,9 +372,7 @@ def test_eqcheck_cli(tmp_path, capsys):
 
 def test_propgen_cli(tmp_path, capsys):
     netlist = tmp_path / "cmp.net"
-    netlist.write_text(
-        "input a\ninput b\ngate eq = XOR(a, b)\ngate z = NOT(eq)\noutput z\n"
-    )
+    netlist.write_text(CMP_NETLIST)
     code, out, _ = run_cli(capsys, ["propgen", str(netlist)])
     assert code == 0
     assert out == "4 -1 -2 0\n"
@@ -380,7 +384,7 @@ def test_propgen_cli(tmp_path, capsys):
 def test_propgen_target_out_of_range_names_the_flag(tmp_path, capsys):
     # One AND gate encodes as 3 clauses; an empty netlist as none.
     netlist = tmp_path / "and.net"
-    netlist.write_text("input a\ninput b\ngate z = AND(a, b)\noutput z\n")
+    netlist.write_text(AND_NETLIST)
     code, _, err = run_cli(capsys, ["propgen", str(netlist), "--target", "4"])
     assert code == 2
     assert "--target 4 out of range (the encoding has 3 clauses)" in err
@@ -404,8 +408,8 @@ def test_fuzz_sat_mode_checks_the_model(capsys, monkeypatch):
     # of most draws.
     real = cli.solve
 
-    def flipped(problem, config):
-        out = real(problem, config)
+    def flipped(problem, step_limit):
+        out = real(problem, step_limit)
         if out.model is not None:
             out.model = {v: not val for v, val in out.model.items()}
         return out
@@ -421,8 +425,8 @@ def test_fuzz_sat_mode_checks_the_model(capsys, monkeypatch):
 def test_fuzz_sat_mode_checks_the_status(capsys, monkeypatch):
     real = cli.solve
 
-    def wrong(problem, config):
-        out = real(problem, config)
+    def wrong(problem, step_limit):
+        out = real(problem, step_limit)
         out.status = "unsat" if out.status == "sat" else "sat"
         return out
 
@@ -675,3 +679,31 @@ def test_console_script_is_installed():
     )
     assert got.returncode == 0
     assert got.stdout == "2 0\n"
+
+
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["pqe-check", str(EXAMPLES / "example1.cnf")], {}),
+        (
+            ["diameter", "{net}", "{init}", "--k", "4"],
+            {"net": COUNTER_NETLIST, "init": "p cnf 2 2\n-1 0\n-2 0\n"},
+        ),
+        (["interp", "{a}", "{b}"], {"a": LEANING_A, "b": LEANING_B}),
+        (["eqcheck", "{m1}", "{m2}"], {"m1": AND_NETLIST, "m2": OR_NETLIST}),
+        (["propgen", "{net}"], {"net": CMP_NETLIST}),
+    ],
+    ids=["pqe-check", "diameter", "interp", "eqcheck", "propgen"],
+)
+def test_every_engine_subcommand_honours_its_step_limit(
+    tmp_path, capsys, command, files
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in command]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0  # answerable, so the exit below is the budget's
+    code, out, _ = run_cli(capsys, argv + ["--step-limit", "1"])
+    assert (code, out) == (30, "s UNKNOWN\n")

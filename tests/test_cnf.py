@@ -38,6 +38,12 @@ def test_clause_rejects_tautology_and_zero():
         Clause([1, 0])
 
 
+def test_clause_rejects_bool_literals():
+    # True == 1, but it would print as "True" and break the DIMACS round trip.
+    with pytest.raises(CnfError, match="bad literal True"):
+        Clause([True])
+
+
 def test_empty_clause():
     c = Clause([])
     assert c.is_empty()
@@ -69,7 +75,7 @@ def test_assignment_trail_order_and_lookup():
     assert a.items() == [(2, True), (1, False)]
     assert a.value(2) is True
     assert a.value(3) is None
-    assert a.falsifies_literal(-2)
+    assert -2 in a.false_lits
     assert a.first_true_literal(Clause([-1, 2])) == 2
     with pytest.raises(CnfError):
         a.push(Binding(2, False))
@@ -97,8 +103,8 @@ def test_assignment_copy_is_independent():
     assert len(a) == 1
     assert len(b) == 2
     assert not a.is_assigned(2)
-    assert not a.falsifies_literal(2)
-    assert b.falsifies_literal(2)
+    assert 2 not in a.false_lits
+    assert 2 in b.false_lits
 
 
 DIMACS = """\

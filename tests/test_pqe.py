@@ -12,7 +12,6 @@ from pqesat.fuzzing import random_clause, random_pqe, random_transition_system
 from pqesat.oracle import enum_sat, implies, qe_enum, verify_pqe
 from pqesat.pqe import (
     DSequent,
-    PqeConfig,
     PqeError,
     PqeProblem,
     StepLimitError,
@@ -23,6 +22,7 @@ from pqesat.pqe import (
     sat_by_pqe,
     take_out,
 )
+from pqesat.solver import STEP_LIMIT
 
 from oracle_helpers import check_dsequent
 
@@ -328,7 +328,7 @@ def test_pqe_problem_checks_targets():
 def test_take_out_respects_the_step_limit():
     p = parse_dimacs(UNIT_EXTRACTION)
     with pytest.raises(StepLimitError):
-        take_out(PqeProblem(p, (0,)), PqeConfig(step_limit=1))
+        take_out(PqeProblem(p, (0,)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +602,7 @@ def test_shrunk_probe_clause_run_pinned(monkeypatch):
 def test_a_budget_spent_inside_a_cube_probe_stops_the_run():
     # 35 steps finish the run; at 20 the first probe runs out.
     with pytest.raises(StepLimitError, match="cube probe"):
-        take_out(_instance(*SHRUNK_PROBE), PqeConfig(step_limit=20))
+        take_out(_instance(*SHRUNK_PROBE), 20)
 
 
 def test_unmentioned_free_variables_change_nothing():
@@ -794,7 +794,7 @@ class _ReusingEngine(_NoModelReuse):
         return super().node(decisions, target, up)
 
 
-def _run_with(engine, pq, config=None):
+def _run_with(engine, pq, step_limit=STEP_LIMIT):
     """``take_out`` run by ``engine``: its outcome, detections and propagations.
 
     The outcome is the run's outputs, or the StepLimitError message with
@@ -840,7 +840,7 @@ def _run_with(engine, pq, config=None):
         mp.setattr(_Detector, "detect", checked)
         mp.setattr(pqe, "propagate", carried_checked)
         try:
-            sol = take_out(pq, config)
+            sol = take_out(pq, step_limit)
         except StepLimitError as exc:
             (run,) = engines
             outcome = ("limit", str(exc), run.at, run.derivation)
@@ -854,14 +854,14 @@ def _run_with(engine, pq, config=None):
     return outcome, detections, propagations
 
 
-def _assert_reuse_is_exact(pq, config=None):
+def _assert_reuse_is_exact(pq, step_limit=STEP_LIMIT):
     """Both engines agree.
 
     Returns the outcome, the two detection logs and the reusing engine's
     propagations.
     """
-    want, fresh, _ = _run_with(_FreshDetectionEngine, pq, config)
-    got, reusing, propagations = _run_with(_ReusingEngine, pq, config)
+    want, fresh, _ = _run_with(_FreshDetectionEngine, pq, step_limit)
+    got, reusing, propagations = _run_with(_ReusingEngine, pq, step_limit)
     assert got == want
     # Every detection the reusing engine makes, the reference makes too,
     # in the same order and with the same result.
@@ -907,9 +907,9 @@ def test_reused_detections_match_fresh_ones():
         steps = outcome[3]
         if steps > 1 and rng.random() < 0.3:
             # A budget that runs out somewhere inside the run, or just not.
-            config = PqeConfig(step_limit=rng.randint(1, steps))
-            _assert_reuse_is_exact(pq, config)
-            limited += config.step_limit < steps
+            limit = rng.randint(1, steps)
+            _assert_reuse_is_exact(pq, limit)
+            limited += limit < steps
     assert reusing_calls < fresh_calls
     assert limited > 0
     # Carried propagations, checked against fresh ones, both ways.
@@ -1032,7 +1032,7 @@ def _memo_hits(pq):
 def _assert_exact_under_every_limit(pq):
     outcome, *_ = _assert_reuse_is_exact(pq)
     for limit in range(1, outcome[3] + 1):
-        _assert_reuse_is_exact(pq, PqeConfig(step_limit=limit))
+        _assert_reuse_is_exact(pq, limit)
 
 
 def test_a_cousin_takes_a_failed_detection():
@@ -1057,7 +1057,7 @@ def test_a_fresh_detection_takes_a_discharge_from_a_cousin():
 def test_a_closed_pass_refuses_its_entries():
     # The target (-3 or 1) is blocked at the root: no clause holds 3.
     pq = _instance([[-3, 1], [2, 1]], {3}, (0,))
-    engine = pqe._Engine(pq, PqeConfig())
+    engine = pqe._Engine(pq, STEP_LIMIT)
     d = engine.node([], 0)
     assert d.rationale == "blocked"
     state = engine.memo.state([])
@@ -1089,12 +1089,11 @@ def test_a_partner_met_at_the_depth_cap_is_read():
 def test_a_step_limit_inside_a_reused_detection():
     pq = _instance(*LEFT_CLAUSE_WITNESSES_RIGHT)
     for limit in range(1, 10):
-        _assert_reuse_is_exact(pq, PqeConfig(step_limit=limit))
+        _assert_reuse_is_exact(pq, limit)
     # The root node and its two discharges take 3 steps and 1=0 a fourth,
     # so limits 4 and 5 run out inside the failure 1=0 reuses.
     for limit in (4, 5):
-        config = PqeConfig(step_limit=limit)
-        outcome, detections, _ = _run_with(_ReusingEngine, pq, config)
+        outcome, detections, _ = _run_with(_ReusingEngine, pq, limit)
         assert outcome[:3] == ("limit", f"step limit {limit} exceeded", [(1, False)])
         assert detections == [([], None)]
 
@@ -1237,7 +1236,7 @@ def test_a_model_falsified_by_a_later_clause_is_probed_again(monkeypatch):
     # falsifies a stored model; this state is built by hand.  At 1=0, 2=1
     # the formula has the model 3=1.
     pq = _instance([[1, 3], [-3, 2]], {3}, (0,))
-    engine = pqe._Engine(pq, PqeConfig())
+    engine = pqe._Engine(pq, STEP_LIMIT)
     cube = [(1, False), (2, True)]
     assert engine.project_out_remaining(cube, 0).rationale == "sat"
     assert (False, True) in engine.models
@@ -1290,7 +1289,7 @@ def test_decide_redundant_redundancy_probe_respects_the_step_limit():
     # so the redundancy probe runs before the engine takes a step.
     p = CnfProblem(2, [Clause([1]), Clause([1, 2])], frozenset({2}))
     with pytest.raises(StepLimitError, match="redundancy probe"):
-        decide_redundant(PqeProblem(p, (0,)), PqeConfig(step_limit=0))
+        decide_redundant(PqeProblem(p, (0,)), 0)
 
 
 def test_sat_by_pqe_satisfiable():

@@ -21,7 +21,6 @@ from pqesat.fuzzing import random_cnf
 from pqesat.oracle import enum_sat, implies
 from pqesat.solver import (
     CoverageTable,
-    SolverConfig,
     build_induction_clause,
     certificate_for,
     check_induction,
@@ -200,7 +199,7 @@ def _reference_induction_clause(table, index):
             lits.append(lit)
 
     for lit in problem.clauses[index]:
-        if trail.falsifies_literal(lit):
+        if lit in trail.false_lits:
             take(lit)
     for ci in cluster_of(problem, index):
         c = problem.clauses[ci]
@@ -527,7 +526,7 @@ def test_solve_respects_step_limit():
     p = CnfProblem(
         6, [Clause([i, j]) for i in (1, 2, 3) for j in (4, 5, 6)]
     )
-    out = solve(p, SolverConfig(step_limit=1))
+    out = solve(p, 1)
     assert out.status == "unknown"
     assert out.model is None
 

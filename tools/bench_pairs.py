@@ -29,8 +29,10 @@ median, so that one pass run on a loaded machine skews no self time; each
 pass's ``trace.untraced_s`` is kept too, so that such a pass can be seen.
 A traced pass runs every query once, so its counts must be the same in
 every pass of a side.  ``counts_differ`` names every per-layer count of
-``BENCHMARK.json`` whose value differs between the sides.  The output file
-keeps the shape of the earlier ``BENCH_*.json`` records.
+``BENCHMARK.json`` whose value differs between the sides.  ``src_lines``
+gives each side's line counts of ``src/pqesat/*.py``, counted as CI's
+"Source line counts" step counts them.  The output file keeps the shape
+of the earlier ``BENCH_*.json`` records.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ def export(rev: str, dest: Path) -> Path:
         tar.extractall(dest)
     archive.unlink()
     return dest
+
+
+def src_lines(tree: Path) -> dict:
+    """The lines, and the non-blank non-comment lines, of ``src/pqesat/*.py``."""
+    files = sorted((tree / "src" / "pqesat").glob("*.py"))
+    text = "".join(f.read_text(encoding="utf-8") for f in files)
+    code = [line for line in text.split("\n") if line.strip()[:1] not in ("", "#")]
+    return {"lines": text.count("\n"), "non_blank_non_comment": len(code)}
 
 
 def bench(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
@@ -235,6 +245,7 @@ def main(argv=None) -> int:
                 f"{platform.python_version()}, {platform.machine()}"
             ),
             "gain_claimed": args.claim is not None,
+            "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         }
         runs = run_pairs(sides, workloads, SEED, PAIRS, log)
         record["workloads"] = summarize(runs, specs)

@@ -109,11 +109,11 @@ class CnfProblem:
 
     def __post_init__(self):
         self.quantified = frozenset(self.quantified)
-        if self.var_count < 0:
-            raise CnfError("var_count must be nonnegative")
+        if type(self.var_count) is not int or self.var_count < 0:
+            raise CnfError(f"var_count {self.var_count!r} is not a nonnegative int")
         for v in self.quantified:
-            if not 1 <= v <= self.var_count:
-                raise CnfError(f"quantified variable {v} out of range")
+            if type(v) is not int or not 1 <= v <= self.var_count:
+                raise CnfError(f"quantified variable {v!r} out of range")
         self._occ: dict[Literal, list[int]] = {}
         for i, c in enumerate(self.clauses):
             for lit in c:

@@ -34,7 +34,7 @@ depends only on the decisions' values on the clauses of the occurrence
 lists it walked.  So each result is kept, with the steps it spent and the
 free variables of those clauses, until the formula grows or the target
 closes.  Any later node whose decisions agree on those variables takes
-it, charging the same steps, without detecting again (see ``_Memo``).
+it, charging the same steps, without detecting again (see ``_Detector``).
 
 A node's propagation carries on from its parent's.  Within a pass the
 closed targets are fixed and the formula only grows, so a child starts
@@ -154,8 +154,8 @@ class PqeProblem:
     def __post_init__(self):
         uniq = []
         for t in self.targets:
-            if not 0 <= t < len(self.problem.clauses):
-                raise PqeError(f"target index {t} out of range")
+            if type(t) is not int or not 0 <= t < len(self.problem.clauses):
+                raise PqeError(f"target index {t!r} out of range")
             if t not in uniq:
                 uniq.append(t)
         object.__setattr__(self, "targets", tuple(uniq))
@@ -188,33 +188,59 @@ class PqeSolution:
     steps: int
 
 
-class _Memo:
-    """The detection results of one ``take_out`` pass, with what they read.
+class _Detector:
+    """Atomic redundancy detection, keeping the results of one ``take_out`` pass.
 
-    Entries are filed under a ``_Detector._discharge`` call's arguments
-    ``(index, stack, removed, depth)``, or under the target for a whole
-    detection.  Each holds the result, the ticks the call spent and a
-    dependency mask: an int with one bit per variable of ``order``, the
-    OR of the bits of every clause on the occurrence lists the call
-    walked, nested calls included.  An entry holds at a trail that
-    agrees with the trail it was made at on every masked variable, both
-    on which are assigned and on their values.
+    A detection for a clause may lean on other clauses being locally
+    removable: those are discharged one after another, each check running
+    against the formula minus the clauses discharged before it, so the
+    whole chain reads as a sequence of single-clause removals.  Clauses
+    still being worked on (``stack``) stay visible as threats but may not
+    be discharged or serve as subsumption witnesses; ``dead`` clauses
+    were taken out by earlier passes and are invisible entirely.  ``dead``
+    is a live view of the engine's closed targets, read rather than
+    copied: targets close only between passes.
+
+    Three invariants keep detections cheap without changing any result.
+    A subsumption witness lies inside the clause plus the falsified
+    literals, so the formula's least-literal index files it under one of
+    those literals, or under 0 if it is empty: only those lists are
+    candidates, walked in index order so the first witness is the one a
+    scan of the whole formula finds.  And no discharge ever puts a
+    ``stack`` member into ``removed``, while at ``MAX_CHAIN_DEPTH`` no
+    discharge runs at all: so a blocked check whose literal has an open,
+    non-clashing partner in ``stack``, or any such partner at the depth
+    cap, fails before a single partner is discharged.  Only ``ticks``
+    tells the difference, one per ``_discharge`` not attempted.  Finally,
+    a check reads other clauses only through occurrence lists, and
+    ``mask`` collects the bits of the lists it walks.
+
+    Results are kept for the pass, filed under a ``_discharge`` call's
+    arguments ``(index, stack, removed, depth)`` or under the target for a
+    whole detection, each with the ticks the call spent and a dependency
+    mask: an int with one bit per variable of ``order``, the OR of the
+    bits of every clause on the occurrence lists the call walked, nested
+    calls included.  A later call with the same key, at a trail that
+    agrees with the entry's on every masked variable, both on which are
+    assigned and on their values, takes the result and charges the ticks.
 
     Within a pass that is exact, for three reasons.  Engine trails hold
     only decisions on ``order``, made in its sequence, so two trails that
     agree on the masked variables give every walked clause the same
     values and the same earliest satisfied literal.  The dead clauses are
-    fixed, and the engine clears the memo whenever the formula grows, so
-    every list and every skip is the same.  And the engine detects only
-    when no live clause is falsified, so a subsumption witness, a live
-    clause inside the checked clause plus the falsified literals, shares
-    a literal with the checked clause: a candidate off that clause's own
-    lists fails under both trails.  So the call returns the same result
-    after the same ticks.
+    fixed, and the engine clears the detector whenever the formula grows,
+    so every list and every skip is the same.  And the engine detects
+    only when no live clause is falsified, so a subsumption witness, a
+    live clause inside the checked clause plus the falsified literals,
+    shares a literal with the checked clause: a candidate off that
+    clause's own lists fails under both trails.  So the call returns the
+    same result after the same ticks.  With an empty ``order`` every mask
+    is 0, so such a detector serves one trail only.
     """
 
-    def __init__(self, problem: CnfProblem, order: Iterable[int]):
+    def __init__(self, problem: CnfProblem, dead: AbstractSet[int], order=()):
         self.problem = problem
+        self.dead = dead
         self.bits = {v: 1 << i for i, v in enumerate(order)}
         # Each literal's occurrence list's bits.  Lists only grow, so the
         # clauses added since the last clear are ORed in at the next.
@@ -236,16 +262,6 @@ class _Memo:
         self.size = len(clauses)
         self.entries: dict[object, list[tuple]] = {}
 
-    def state(self, trail: Iterable[tuple[int, bool]]) -> tuple[int, int]:
-        """The masks of the variables a trail assigns, and of those it sets true."""
-        assigned = true = 0
-        for v, val in trail:
-            bit = self.bits.get(v, 0)
-            assigned |= bit
-            if val:
-                true |= bit
-        return assigned, true
-
     def lists_mask(self, index: int) -> int:
         """The bits of the clauses on the clause's own literals' lists."""
         mask = 0
@@ -253,77 +269,46 @@ class _Memo:
             mask |= self.list_masks.get(lit, 0)
         return mask
 
-    def get(self, key: object, state: tuple[int, int]) -> Optional[tuple]:
-        """``(result, ticks, mask)`` of an entry that holds at ``state``."""
-        assigned, true = state
+    def get(self, key: object) -> Optional[tuple]:
+        """``(result, ticks, mask)`` of an entry that holds at the trail."""
+        assigned, true = self.state
         for mask, was_assigned, was_true, hit in self.entries.get(key, ()):
             if assigned & mask == was_assigned and true & mask == was_true:
                 return hit
         return None
 
-    def put(
-        self, key: object, result, ticks: int, mask: int, state: tuple[int, int]
-    ) -> None:
-        hit = (result, ticks, mask)
-        entry = (mask, state[0] & mask, state[1] & mask, hit)
+    def put(self, key: object, result, ticks: int, mask: int) -> None:
+        assigned, true = self.state
+        entry = (mask, assigned & mask, true & mask, (result, ticks, mask))
         self.entries.setdefault(key, []).append(entry)
 
-
-class _Detector:
-    """Atomic redundancy detection under a pure-decision assignment.
-
-    A detection for a clause may lean on other clauses being locally
-    removable: those are discharged one after another, each check running
-    against the formula minus the clauses discharged before it, so the
-    whole chain reads as a sequence of single-clause removals.  Clauses
-    still being worked on (``stack``) stay visible as threats but may not
-    be discharged or serve as subsumption witnesses; ``dead`` clauses
-    were taken out by earlier passes and are invisible entirely.  ``dead``
-    is a live view of the engine's closed targets, read rather than
-    copied: targets close only between passes.
-
-    Three invariants keep detections cheap without changing any result.
-    A subsumption witness lies inside the clause plus the falsified
-    literals, so the formula's least-literal index files it under one of
-    those literals, or under 0 if it is empty: only those lists are
-    candidates, walked in index order so the first witness is the one a
-    scan of the whole formula finds.  And no discharge ever puts a
-    ``stack`` member into ``removed``, while at ``MAX_CHAIN_DEPTH`` no
-    discharge runs at all: so a blocked check whose literal has an open,
-    non-clashing partner in ``stack``, or any such partner at the depth
-    cap, fails before a single partner is discharged.  Only ``steps``
-    tells the difference, one tick per ``_discharge`` not attempted.
-    Finally, a check reads other clauses only through occurrence lists,
-    and ``mask`` collects the bits of the lists it walks (see ``_Memo``).
-    Every ``_discharge`` result goes into ``memo`` with that mask and the
-    ticks it spent, and a later call with the same arguments, at a trail
-    that agrees on the mask, takes it and charges the same ticks.  A
-    detector built without the engine's memo keeps one of its own, which
-    serves its one trail.
-    """
-
-    def __init__(
-        self,
-        problem: CnfProblem,
-        trail: Assignment,
-        dead: AbstractSet[int],
-        tick: Optional[Callable[[int], None]] = None,
-        memo: Optional[_Memo] = None,
-    ):
-        self.problem = problem
-        self.trail = trail
-        self.dead = dead
-        self.tick = tick
-        self.memo = memo if memo is not None else _Memo(problem, ())
-        self.state = self.memo.state(trail.items())
-        self.mask = 0
+    def detect(
+        self, index: int, decisions: list[tuple[int, bool]]
+    ) -> Optional[tuple[dict[int, bool], str]]:
+        """The clause's detection under the decisions; ``ticks`` is its cost."""
+        assigned = true = 0
+        for v, val in decisions:
+            bit = self.bits.get(v, 0)
+            assigned |= bit
+            if val:
+                true |= bit
+        self.state = assigned, true
+        hit = self.get(index)
+        if hit is not None:
+            got, self.ticks, _ = hit
+            return got
+        self.trail = Assignment([Binding(v, val) for v, val in decisions])
         self.ticks = 0
+        # Every check reads the clause's own values; its lists hold it.
+        self.mask = self.lists_mask(index)
+        got = self._rules(index)
+        self.put(index, got, self.ticks, self.mask)
+        return got
 
-    def detect(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
+    def _rules(self, index: int) -> Optional[tuple[dict[int, bool], str]]:
+        """The first rule that detects the clause under ``trail``."""
         clause = self.problem.clauses[index]
         stack = frozenset([index])
-        # Every check reads the clause's own values; its lists hold it.
-        self.mask |= self.memo.lists_mask(index)
         got = self._satisfied(clause)
         if got is not None:
             return got, "satisfied"
@@ -379,7 +364,7 @@ class _Detector:
         # it holds one of them other than -own.
         neg_open = frozenset(-lit for lit in clause.literal_set)
         neg_open -= self.trail.false_lits
-        list_masks = self.memo.list_masks
+        list_masks = self.list_masks
         for own in clause:
             if abs(own) not in quantified or self.trail.is_assigned(abs(own)):
                 continue
@@ -421,31 +406,26 @@ class _Detector:
                 return bindings, rm
         return None
 
-    def _charge(self, n: int) -> None:
-        self.ticks += n
-        if self.tick is not None:
-            self.tick(n)
-
     def _discharge(
         self, index: int, stack: frozenset[int], removed: frozenset[int], depth: int
     ) -> Optional[tuple[dict[int, bool], frozenset[int]]]:
         # Only _blocked calls this, for a partner it found unsatisfied.
         key = (index, stack, removed, depth)
-        hit = self.memo.get(key, self.state)
+        hit = self.get(key)
         if hit is not None:
             got, ticks, mask = hit
             self.mask |= mask
-            self._charge(ticks)
+            self.ticks += ticks
             return got
-        outer, self.mask = self.mask, self.memo.lists_mask(index)
+        outer, self.mask = self.mask, self.lists_mask(index)
         before = self.ticks
-        self._charge(1)
+        self.ticks += 1
         witness = self._subsumed(index, stack, removed)
         if witness is not None:
             got = witness, removed
         else:
             got = self._blocked(index, stack, removed, depth)
-        self.memo.put(key, got, self.ticks - before, self.mask, self.state)
+        self.put(key, got, self.ticks - before, self.mask)
         self.mask |= outer
         return got
 
@@ -457,10 +437,11 @@ def atomic_dsequent(
 
     The subspace assignment should consist of plain decisions.  Detection
     is the engine's own, so it may discharge chains of other clauses on the
-    way.  Returns a D-sequent whose subspace is the subset of bindings the
-    detection actually relied on, or None when no detector applies.
+    way; its empty ``order`` gives all-zero masks, so it serves this one
+    subspace only.  Returns a D-sequent whose subspace is the subset of
+    bindings the detection relied on, or None when no detector applies.
     """
-    got = _Detector(problem, subspace, dead=frozenset()).detect(index)
+    got = _Detector(problem, frozenset()).detect(index, subspace.items())
     if got is None:
         return None
     bindings, rationale = got
@@ -496,9 +477,9 @@ class _Engine:
         self.models: dict[tuple[bool, ...], tuple[dict[int, bool], int]] = {}
         # The branching order; decisions are always a prefix of it.
         self.order = sorted(mentioned_variables(self.F) - self.F.quantified)
-        # The pass's detection results, cleared when the formula grows or
-        # the pass's target closes.
-        self.memo = _Memo(self.F, self.order)
+        # Keeps the pass's detection results, cleared when the formula
+        # grows or the pass's target closes.
+        self.detector = _Detector(self.F, self.dead, self.order)
 
     def tick(self, n: int = 1) -> None:
         self.steps += n
@@ -510,7 +491,7 @@ class _Engine:
         self.final[d.target] = d
         self.derivation.append({"event": "retired", "index": d.target})
         self.probe_formula = None
-        self.memo.clear()
+        self.detector.clear()
 
     def dsequent(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
         """A D-sequent about the current formula minus the closed targets."""
@@ -538,7 +519,7 @@ class _Engine:
 
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
-        self.memo.clear()
+        self.detector.clear()
         if self.probe_formula is not None:
             self.probe_formula.add_clause(clause)
         self.emit(clause, idx, "solution_clause")
@@ -555,9 +536,8 @@ class _Engine:
         The returned subspace is a subset of ``decisions``.  The call may
         add solution clauses; only the given target is covered here.
         ``up`` is the parent's conflict-free propagation, carried on from
-        here.  A detection of the target that an earlier node of the pass
-        made and that still holds here is taken from the memo, charging
-        its ticks, without building a detector (see ``_Memo``).
+        here.  The pass's detector settles the target or fails, and its
+        ticks are charged once it returns (see ``_Detector``).
         """
         self.tick()
         if self.unsat_closed:
@@ -566,16 +546,8 @@ class _Engine:
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
 
-        state = self.memo.state(decisions)
-        hit = self.memo.get(target, state)
-        if hit is not None:
-            got, ticks, _ = hit
-            self.tick(ticks)
-        else:
-            trail = Assignment([Binding(v, val) for v, val in decisions])
-            detector = _Detector(self.F, trail, self.dead, self.tick, self.memo)
-            got = detector.detect(target)
-            self.memo.put(target, got, detector.ticks, detector.mask, state)
+        got = self.detector.detect(target, decisions)
+        self.tick(self.detector.ticks)
         if got is not None:
             bindings, rationale = got
             return self.atomic(bindings.items(), target, rationale)
@@ -762,9 +734,9 @@ def take_out(
     check of each solution clause as it is added.
 
     Raises StepLimitError once more than ``step_limit`` steps (see
-    ``PqeSolution.steps``) are taken.  A cube probe may spend only what
-    is left of the budget, and a literal that the latest closing clause
-    already drops costs nothing.
+    ``PqeSolution.steps``) are taken; a detection charges its ticks when
+    it completes.  A cube probe may spend only what is left of the budget,
+    and a literal that the latest closing clause already drops costs nothing.
     """
     engine = _Engine(pqe, step_limit, _on_clause)
     passes = []

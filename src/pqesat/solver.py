@@ -459,8 +459,8 @@ def solve(
     """
     chosen: dict[int, bool] = {}
     for v, val in assumptions:
-        if not 1 <= v <= problem.var_count:
-            raise CnfError(f"assumption on variable {v} out of range")
+        if type(v) is not int or not 1 <= v <= problem.var_count:
+            raise CnfError(f"assumption on variable {v!r} out of range")
         if chosen.setdefault(v, val) != val:
             raise CnfError(f"contradictory assumptions on variable {v}")
     if learned is None:

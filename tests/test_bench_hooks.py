@@ -11,7 +11,7 @@ import pathlib
 
 import pqesat
 import pqesat.pqe
-from pqesat.cnf import parse_dimacs_file
+from pqesat.cnf import Clause, CnfProblem, parse_dimacs_file
 
 ROOT = pathlib.Path(__file__).parent.parent
 EXAMPLES = ROOT / "examples"
@@ -50,3 +50,25 @@ def test_traced_run_records_the_engine_layers():
     for name in ("solver.solve", "solver.required_pairs", "solver.certificate_for",
                  "solver.check_induction", "bcp.propagate", "bcp.analyze_conflict"):
         assert totals.get(name, (0, 0.0))[0] > 0, name
+
+
+def test_a_detection_taken_from_the_store_enters_the_traced_method(monkeypatch):
+    # The target (3 or 2) fails at the root, and that failure reads no
+    # clause holding 1, so node 1=0 takes it from the pass's detector;
+    # node 1=1 detects afresh.
+    spans = _load_spans()
+    clauses = [[3, 2], [-3, 4], [2, 4], [2, -4], [1, -2, 5], [1, -2, -5]]
+    problem = CnfProblem(5, [Clause(c) for c in clauses], frozenset({3, 4, 5}))
+    computed = []
+    rules = pqesat.pqe._Detector._rules
+
+    def counted(self, index):
+        computed.append(index)
+        return rules(self, index)
+
+    monkeypatch.setattr(pqesat.pqe._Detector, "_rules", counted)
+    tracer = spans.Tracer()
+    with tracer.wrapped():
+        pqesat.pqe.take_out(pqesat.PqeProblem(problem, (0,)))
+    assert tracer.totals()["pqe.detect"][0] == 3
+    assert computed == [0, 0]

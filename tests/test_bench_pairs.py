@@ -116,6 +116,19 @@ def test_the_traced_split_rejects_counts_that_differ():
         bench_pairs.median_metrics([_pass(0.1, 408), short])
 
 
+def test_counts_changed_keeps_both_values_of_each_moved_count():
+    parent = {"pqe.detect.calls": 408, "solver.solve.steps": 5119, "a.self_s": 0.1}
+    change = {"pqe.detect.calls": 1647, "solver.solve.steps": 5119, "a.self_s": 0.2}
+    names = ["pqe.detect.calls", "solver.solve.steps", "pqe.project.calls"]
+    got = bench_pairs.counts_changed(parent, change, names)
+    assert got == {"pqe.detect.calls": [408, 1647]}
+    # A count only one side reports moved from or to None.
+    assert bench_pairs.counts_changed({}, {"pqe.project.calls": 3}, names) == {
+        "pqe.project.calls": [None, 3]
+    }
+    assert bench_pairs.counts_changed(parent, parent, names) == {}
+
+
 def test_src_lines_counts_as_ci_does(tmp_path):
     pkg = tmp_path / "src" / "pqesat"
     pkg.mkdir(parents=True)

@@ -57,6 +57,26 @@ def test_problem_checks_variable_range():
         CnfProblem(2, [], quantified=frozenset({5}))
 
 
+# Like bool literals, these would print as "True" or "2.0" and break the
+# DIMACS round trip.
+
+
+@pytest.mark.parametrize("var_count", [True, 2.0])
+def test_problem_rejects_a_var_count_that_is_not_an_int(var_count):
+    with pytest.raises(CnfError, match=f"var_count {var_count!r} is not"):
+        CnfProblem(var_count, [Clause([1])])
+
+
+def test_problem_rejects_a_bool_quantified_variable():
+    with pytest.raises(CnfError, match="quantified variable True"):
+        CnfProblem(2, [Clause([1])], quantified=frozenset({True}))
+
+
+def test_problem_rejects_a_missing_var_count_with_its_own_error():
+    with pytest.raises(CnfError, match="var_count None"):
+        CnfProblem(None, [])
+
+
 def test_free_vars():
     p = CnfProblem(4, [], frozenset({2, 4}))
     assert p.free_vars == frozenset({1, 3})

@@ -204,8 +204,8 @@ def test_subsumption_witnesses_match_a_linear_scan():
         problem, trail = _witness_formula(rng)
         m = len(problem.clauses)
         dead = frozenset(j for j in range(m) if rng.random() < 0.1)
-        det, ticks = _counted(_Detector, problem, trail, dead)
-        ref, ref_ticks = _counted(_ScanDetector, problem, trail, dead)
+        det = _counted(_Detector, problem, trail, dead)
+        ref = _counted(_ScanDetector, problem, trail, dead)
         for index in range(m):
             stack = frozenset(j for j in range(m) if rng.random() < 0.15)
             removed = frozenset(j for j in range(m) if rng.random() < 0.15)
@@ -213,8 +213,9 @@ def test_subsumption_witnesses_match_a_linear_scan():
             want = ref._subsumed(index, stack | {index}, removed)
             assert got == want
             # Discharges inside a detection search for witnesses too.
-            assert det.detect(index) == ref.detect(index)
-            assert ticks == ref_ticks
+            decisions = trail.items()
+            assert det.detect(index, decisions) == ref.detect(index, decisions)
+            assert det.ticks == ref.ticks
             checked += 1
             hits += want is not None
             falsified_hits += want is not None and not (
@@ -275,9 +276,13 @@ class _PartnerLoopDetector(_Detector):
 
 
 def _counted(cls, problem, trail, dead):
-    """A detector of class ``cls`` and the list of the ticks it charges."""
-    ticks = []
-    return cls(problem, trail, dead, tick=ticks.append), ticks
+    """A detector of class ``cls`` at ``trail``, with no ticks spent yet.
+
+    ``detect`` sets its trail itself; this one lets a test call a rule.
+    """
+    det = cls(problem, dead)
+    det.trail, det.state, det.mask, det.ticks = trail, (0, 0), 0, 0
+    return det
 
 
 def test_blocked_partner_sets_match_the_partner_loop():
@@ -291,23 +296,23 @@ def test_blocked_partner_sets_match_the_partner_loop():
             trail = Assignment([Binding(v, rng.random() < 0.5) for v in chosen])
             dead = frozenset(j for j in range(m) if rng.random() < 0.1)
             for index in range(m):
-                det, ticks = _counted(_Detector, problem, trail, dead)
-                ref, ref_ticks = _counted(_PartnerLoopDetector, problem, trail, dead)
-                got = det.detect(index)
-                assert got == ref.detect(index)
-                assert ticks == ref_ticks
+                det = _counted(_Detector, problem, trail, dead)
+                ref = _counted(_PartnerLoopDetector, problem, trail, dead)
+                got = det.detect(index, trail.items())
+                assert got == ref.detect(index, trail.items())
+                assert det.ticks == ref.ticks
                 blocked += got is not None and got[1] == "blocked"
                 # detect drops the removed set, so compare _blocked itself.
                 stack = frozenset(j for j in range(m) if rng.random() < 0.15)
                 removed = frozenset(j for j in range(m) if rng.random() < 0.15)
                 depth = rng.choice((0, 0, 3, pqe.MAX_CHAIN_DEPTH))
-                det, ticks = _counted(_Detector, problem, trail, dead)
-                ref, ref_ticks = _counted(_PartnerLoopDetector, problem, trail, dead)
+                det = _counted(_Detector, problem, trail, dead)
+                ref = _counted(_PartnerLoopDetector, problem, trail, dead)
                 got = det._blocked(index, stack | {index}, removed, depth)
                 assert got == ref._blocked(index, stack | {index}, removed, depth)
-                assert ticks == ref_ticks
+                assert det.ticks == ref.ticks
                 checked += 1
-                discharged += len(ticks)
+                discharged += det.ticks
     # Both outcomes occur, and chains are discharged along the way.
     assert 0 < blocked < checked
     assert discharged > 0
@@ -323,6 +328,13 @@ def test_pqe_problem_checks_targets():
     with pytest.raises(PqeError):
         PqeProblem(p, (1,))
     assert PqeProblem(p, (0, 0)).targets == (0,)
+
+
+def test_pqe_problem_rejects_a_bool_target():
+    # False == 0, but it would be reported as target False.
+    p = CnfProblem(2, [Clause([1, 2])], frozenset({2}))
+    with pytest.raises(PqeError, match="target index False"):
+        PqeProblem(p, (False,))
 
 
 def test_take_out_respects_the_step_limit():
@@ -748,8 +760,8 @@ class _NoModelReuse(pqe._Engine):
         self.models = _ForgetfulModels()
 
 
-class _UnkeptMemo(pqe._Memo):
-    """A detection memo that keeps nothing."""
+class _UnkeptDetector(_Detector):
+    """A detector that keeps no result."""
 
     def put(self, *args):
         pass
@@ -758,10 +770,14 @@ class _UnkeptMemo(pqe._Memo):
 class _FreshDetectionEngine(_NoModelReuse):
     """The engine without reuse, kept as the reference.
 
-    Every node propagates from scratch and builds a fresh ``_Detector``,
-    and every cube is probed.  ``at`` is the decisions of the node entered
-    last, where a StepLimitError is raised.
+    Every node propagates from scratch and detects afresh, and every cube
+    is probed.  ``at`` is the decisions of the node entered last, where a
+    StepLimitError is raised.
     """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.detector = _UnkeptDetector(self.F, self.dead, self.order)
 
     def node(self, decisions, target, up=None):
         self.at = list(decisions)
@@ -771,9 +787,8 @@ class _FreshDetectionEngine(_NoModelReuse):
         res = pqe.propagate(self.F, (), Assignment(), decisions, self.dead)
         if res.is_conflict:
             return self._conflict_node(decisions, target, res)
-        trail = Assignment([Binding(v, val) for v, val in decisions])
-        memo = _UnkeptMemo(self.F, self.order)
-        got = _Detector(self.F, trail, self.dead, self.tick, memo).detect(target)
+        got = self.detector.detect(target, decisions)
+        self.tick(self.detector.ticks)
         if got is not None:
             return self.atomic(got[0].items(), target, got[1])
         if len(decisions) == len(self.order):
@@ -799,15 +814,16 @@ def _run_with(engine, pq, step_limit=STEP_LIMIT):
 
     The outcome is the run's outputs, or the StepLimitError message with
     the node it was raised at and the derivation so far.  Detections are
-    (decisions, result) pairs in call order; each is checked to start
-    with no live clause falsified by the decisions, which the reuse and
-    ``_Detector.falsified`` rely on.  Propagations are (node decisions,
+    the (decisions, result) pairs the detector computes, in call order, and
+    not those it takes from its store; each is checked to start with no
+    live clause falsified by the decisions, which the reuse relies on.
+    Propagations are (node decisions,
     carried, decisions pushed, conflict) tuples in call order; a carried
     one is checked to conflict exactly when a fresh one from the node's
     decisions does.
     """
     engines, detections, propagations = [], [], []
-    detect = _Detector.detect
+    rules = _Detector._rules
     propagate = pqe.propagate
 
     def carried_checked(problem, learned, start, decisions, skip):
@@ -826,7 +842,7 @@ def _run_with(engine, pq, step_limit=STEP_LIMIT):
             c.literal_set <= false_lits and j not in self.dead
             for j, c in enumerate(self.problem.clauses)
         )
-        got = detect(self, index)
+        got = rules(self, index)
         detections.append((self.trail.items(), got))
         return got
 
@@ -837,7 +853,7 @@ def _run_with(engine, pq, step_limit=STEP_LIMIT):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pqe, "_Engine", Recorded)
-        mp.setattr(_Detector, "detect", checked)
+        mp.setattr(_Detector, "_rules", checked)
         mp.setattr(pqe, "propagate", carried_checked)
         try:
             sol = take_out(pq, step_limit)
@@ -989,25 +1005,25 @@ COUSIN_TAKES_A_FAILURE = ([[-6, 3], [-5, -2, 6], [1, -3], [6, -4]], {5, 6}, (0,)
 DISCHARGE_FROM_A_COUSIN = ([[-3], [3, 4], [-2, -1, -4], [-5, 3]], {3, 4, 5}, (0,))
 
 
-class _LoggedMemo(pqe._Memo):
-    """The engine's memo, logging every hit.
+class _LoggedDetector(_Detector):
+    """The engine's detector, logging every result it takes from its store.
 
     A hit is logged as (key, node, node the entry was made at, result),
     with the nodes named by their decisions.
     """
 
     def __init__(self, engine, hits):
-        super().__init__(engine.F, engine.order)
+        super().__init__(engine.F, engine.dead, engine.order)
         self.engine = engine
         self.hits = hits
         self.made = {}
 
-    def put(self, key, result, ticks, mask, state):
-        super().put(key, result, ticks, mask, state)
+    def put(self, key, result, ticks, mask):
+        super().put(key, result, ticks, mask)
         self.made[id(self.entries[key][-1][-1])] = self.engine.at
 
-    def get(self, key, state):
-        hit = super().get(key, state)
+    def get(self, key):
+        hit = super().get(key)
         if hit is not None:
             made = self.made[id(hit)]
             self.hits.append((key, self.engine.at, made, hit[0]))
@@ -1015,13 +1031,13 @@ class _LoggedMemo(pqe._Memo):
 
 
 def _memo_hits(pq):
-    """The memo hits of the engine as it is but for model reuse."""
+    """The detector's hits in the engine as it is but for model reuse."""
     hits = []
 
     class Logged(_ReusingEngine):
         def __init__(self, *args):
             super().__init__(*args)
-            self.memo = _LoggedMemo(self, hits)
+            self.detector = _LoggedDetector(self, hits)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pqe, "_Engine", Logged)
@@ -1060,10 +1076,10 @@ def test_a_closed_pass_refuses_its_entries():
     engine = pqe._Engine(pq, STEP_LIMIT)
     d = engine.node([], 0)
     assert d.rationale == "blocked"
-    state = engine.memo.state([])
-    assert engine.memo.get(0, state) == (({}, "blocked"), 0, 0b11)
+    # The detector's trail is still the root's.
+    assert engine.detector.get(0) == (({}, "blocked"), 0, 0b11)
     engine.close(d)
-    assert engine.memo.get(0, state) is None
+    assert engine.detector.get(0) is None
 
 
 def _capped_chain():
@@ -1096,6 +1112,27 @@ def test_a_step_limit_inside_a_reused_detection():
         outcome, detections, _ = _run_with(_ReusingEngine, pq, limit)
         assert outcome[:3] == ("limit", f"step limit {limit} exceeded", [(1, False)])
         assert detections == [([], None)]
+
+
+
+# 1, 2 and 3 are quantified and 4 is free.  At the root the target (1) is
+# checked through its partner (-1 or 2), whose partner (-2 or 3) has the
+# partner (-3 or 4): each is discharged in turn, and the last fails, since
+# its own partner is the link being checked.
+DISCHARGE_CHAIN = ([[1], [-1, 2], [-2, 3], [-3, 4]], {1, 2, 3}, (0,))
+
+
+def test_a_step_limit_inside_a_discharge_chain():
+    pq = _instance(*DISCHARGE_CHAIN)
+    detector = pqe._Engine(pq, STEP_LIMIT).detector
+    assert detector.detect(0, []) is None and detector.ticks == 3
+    # The root's node takes step 1 and its three discharges steps 2 to 4,
+    # charged when the detection completes.
+    for limit in (2, 3):
+        want, _, _ = _run_with(_FreshDetectionEngine, pq, limit)
+        got, _, _ = _run_with(_ReusingEngine, pq, limit)
+        assert got == want == ("limit", f"step limit {limit} exceeded", [], [])
+    _assert_exact_under_every_limit(pq)
 
 
 # ---------------------------------------------------------------------------

@@ -734,6 +734,11 @@ def test_assumptions_must_name_known_variables():
         solve(CnfProblem(2, [Clause([1, 2])]), assumptions=[(3, True)])
 
 
+def test_assumptions_must_name_int_variables():
+    with pytest.raises(CnfError, match="variable 1.0"):
+        solve(CnfProblem(2, [Clause([1, 2])]), 10, [(1.0, True)])
+
+
 def test_a_repeated_assumption_is_dropped():
     p = CnfProblem(3, [Clause([1, 2]), Clause([-1, 3])])
     once = solve(p, assumptions=[(1, True), (2, False)])

@@ -28,8 +28,9 @@ and side, alternating sides, record the per-layer split as each metric's
 median, so that one pass run on a loaded machine skews no self time; each
 pass's ``trace.untraced_s`` is kept too, so that such a pass can be seen.
 A traced pass runs every query once, so its counts must be the same in
-every pass of a side.  ``counts_differ`` names every per-layer count of
-``BENCHMARK.json`` whose value differs between the sides.  ``src_lines``
+every pass of a side.  ``counts_changed`` maps every per-layer count of
+``BENCHMARK.json`` whose value differs between the sides to its parent
+and change values, and ``counts_differ`` lists those names.  ``src_lines``
 gives each side's line counts of ``src/pqesat/*.py``, counted as CI's
 "Source line counts" step counts them.  The output file keeps the shape
 of the earlier ``BENCH_*.json`` records.
@@ -204,6 +205,15 @@ def layer_split(passes: list[dict]) -> dict:
     return {"metrics": flat, "self_share": shares, "untraced_s_passes": untraced}
 
 
+def counts_changed(parent: dict, change: dict, names: list[str]) -> dict:
+    """``{name: [parent, change]}`` for each named count whose values differ."""
+    return {
+        k: [parent.get(k), change.get(k)]
+        for k in names
+        if parent.get(k) != change.get(k)
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision measured as the parent")
@@ -282,11 +292,11 @@ def main(argv=None) -> int:
             traced = {
                 side: layer_split(passes[side]) for side in ("parent", "change")
             }
-            traced["counts_differ"] = [
-                k for k in counts
-                if traced["parent"]["metrics"].get(k)
-                != traced["change"]["metrics"].get(k)
-            ]
+            changed = counts_changed(
+                traced["parent"]["metrics"], traced["change"]["metrics"], counts
+            )
+            traced["counts_changed"] = changed
+            traced["counts_differ"] = list(changed)
             record["trace"][w] = traced
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     log(f"wrote {args.out}")

@@ -1114,7 +1114,6 @@ def test_a_step_limit_inside_a_reused_detection():
         assert detections == [([], None)]
 
 
-
 # 1, 2 and 3 are quantified and 4 is free.  At the root the target (1) is
 # checked through its partner (-1 or 2), whose partner (-2 or 3) has the
 # partner (-3 or 4): each is discharged in turn, and the last fails, since

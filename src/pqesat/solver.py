@@ -9,6 +9,13 @@ clause's cluster is covered by a certificate falsified in the matching
 vicinity, an induction step produces a clause refuting the whole current
 subspace without visiting the remaining branches.
 
+Each exploration frame anchors its picks on one primary clause C: the
+unsatisfied formula clause with the fewest open literals under the
+frame's trail, the lowest index on ties.  Shortest clause first is the
+cheapest structural rule (Jeroslow and Wang, Solving propositional
+satisfiability problems, Annals of Mathematics and AI, 1990), and
+propagation already counts every clause's open literals.
+
 Certificates are collected in a side set P, and a solve never adds a
 clause to its formula.  Certificate lookups consult the learned clauses
 only — original formula clauses never serve as stored certificates,
@@ -381,12 +388,23 @@ class _Solver:
         if res.is_conflict:
             return ("cert", analyze_conflict(res))
         trail = res.trail
-        # The first unsatisfied clause anchors every pick in this subspace;
-        # the trail no longer changes here, so it stays the first one.  The
-        # counted positions ascend and cover every unsatisfied clause, so
-        # it is the first of them, unless that is a learned clause.
-        primary = next(iter(res.open_count), None)
-        if primary is None or primary >= len(self.F.clauses):
+        # The unsatisfied formula clause with the fewest open literals, the
+        # lowest position on ties, anchors every pick in this subspace; the
+        # trail no longer changes here, so it stays that clause.  The
+        # counted positions ascend, formula before learned, and cover every
+        # unsatisfied clause.  At a conflict-free fixpoint none has fewer
+        # than 2 open literals, so the scan stops at the first 2.
+        primary = None
+        fewest = 0
+        formula_len = len(self.F.clauses)
+        for pos, k in res.open_count.items():
+            if pos >= formula_len:
+                break
+            if primary is None or k < fewest:
+                primary, fewest = pos, k
+                if k == 2:
+                    break
+        if primary is None:
             return ("sat", trail)
         table = CoverageTable(self.F, self.learned, trail)
         # One walk suffices: a covered pair stays covered, and exploring a

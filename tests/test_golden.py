@@ -8,6 +8,8 @@ changes any decision, any propagation order or any step count shows up
 here as a changed digest.  The PQE corpora pin their ``steps`` in a digest
 of their own: steps count work against a budget, so a change that only
 saves work moves that digest and leaves the outputs' digest alone.  The
+solver corpora pin their verdicts alone as well, so that a change of
+search order, which re-records their digests, cannot change one.  The
 corpora are small enough for the file to run in a few seconds.
 """
 
@@ -26,6 +28,7 @@ from pqesat.fuzzing import (
     random_pqe,
     random_transition_system,
 )
+from pqesat.oracle import enum_sat
 from pqesat.pqe import take_out
 from pqesat.solver import solve
 
@@ -46,11 +49,16 @@ def _random_3sat(rng: random.Random, n: int) -> CnfProblem:
     return CnfProblem(n, clauses)
 
 
-def _solver_records(seed: int, count: int, smallest: int):
+@functools.cache
+def _solver_runs(seed: int, count: int, smallest: int):
+    """(formula, outcome) of each solve; cached, as two tests read each corpus."""
     rng = random.Random(seed)
-    for i in range(count):
-        cnf = _random_3sat(rng, smallest + i % 3)
-        out = solve(cnf)
+    cnfs = [_random_3sat(rng, smallest + i % 3) for i in range(count)]
+    return [(cnf, solve(cnf)) for cnf in cnfs]
+
+
+def _solver_records(runs):
+    for _, out in runs:
         yield [
             out.status,
             out.steps,
@@ -61,6 +69,12 @@ def _solver_records(seed: int, count: int, smallest: int):
             ],
             sorted(out.model.items()) if out.model is not None else None,
         ]
+
+
+def _verdicts(runs) -> str:
+    """One letter per solve: "s" for sat, "u" for unsat, "?" for unknown."""
+    letter = {"sat": "s", "unsat": "u", "unknown": "?"}
+    return "".join(letter[out.status] for _, out in runs)
 
 
 @functools.cache
@@ -144,17 +158,33 @@ def _steps(runs):
     return [steps for _, steps in runs]
 
 
+# The verdicts do not depend on the path the search takes, so these pins
+# guard the full-output pins below whenever a change of search order
+# re-records them.
+def test_solver_verdicts_are_pinned():
+    runs = _solver_runs(4260, 24, 12)
+    assert _verdicts(runs) == "usssssusssssussssussssss"
+    for cnf, out in runs:
+        assert out.status == ("unsat" if enum_sat(cnf) is None else "sat")
+
+
+# Enumerating this corpus takes about 20 s, so its verdicts were checked
+# against ``enum_sat`` once, when they were pinned, rather than here.
+def test_solver_verdicts_at_benchmark_size_are_pinned():
+    assert _verdicts(_solver_runs(2022, 20, 20)) == "ssuusssssssuususuuss"
+
+
 def test_solver_outcomes_are_pinned():
-    assert _digest(_solver_records(4260, 24, 12)) == (
-        "abd65a8b8f634221ec988569ef62177de63770f8daea92026f85d28996a9b2b9"
+    assert _digest(_solver_records(_solver_runs(4260, 24, 12))) == (
+        "1698675346759159f0249364afe8df791732faa7df855ad744c65b4f9c4f1282"
     )
 
 
 # The benchmark's sat3 size, n in 20-22: clusters are larger there and most
 # induction candidates fail at their first required pair, unlike at n = 12-14.
 def test_solver_outcomes_at_benchmark_size_are_pinned():
-    assert _digest(_solver_records(2022, 20, 20)) == (
-        "86c23256c245f0baf189b76bc39e0aac274c14bf5525da095d12a60a1c720b1c"
+    assert _digest(_solver_records(_solver_runs(2022, 20, 20))) == (
+        "188d70b1cd7afe020786a7e7552bd127994f12703e95318d5ad895fe40a2b491"
     )
 
 

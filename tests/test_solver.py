@@ -606,9 +606,9 @@ def test_random_3sat_inductions_agree_with_the_oracles():
 
 
 # Random 3-SAT (n=18), shrunk by greedy clause deletion.  Certificates
-# learned in other branches already cover every pair of the primary
-# cluster when a fresh subspace is entered, so induction fires before
-# anything is learned there.
+# learned in other branches already cover every pair of a primary cluster
+# when a fresh subspace is entered, so induction fires before anything is
+# learned there.
 INDUCTION_ON_ENTRY = """\
 p cnf 18 35
 10 -4 -7 0  5 -7 -14 0  9 4 -14 0  -14 -2 8 0  -9 -1 -2 0  -8 14 -12 0
@@ -620,14 +620,82 @@ p cnf 18 35
 """
 
 
-def test_induction_fires_when_a_subspace_is_already_certified():
+def test_induction_fires_when_a_subspace_is_already_certified(monkeypatch):
+    built = []
+    closed_on_entry = []
+    build = solver.build_induction_clause
+    explore = solver._Solver._explore
+
+    def counted(table, index):
+        built.append(index)
+        return build(table, index)
+
+    # A frame that explores no pair of its own yet builds an induction
+    # clause can only have closed through the step after its pair walk.
+    def watched(self, start, decisions):
+        steps, builds = self.steps, len(built)
+        got = explore(self, start, decisions)
+        if self.steps == steps + 1 and len(built) > builds:
+            closed_on_entry.append(built[-1])
+        return got
+
+    monkeypatch.setattr(solver, "build_induction_clause", counted)
+    monkeypatch.setattr(solver._Solver, "_explore", watched)
     p = parse_dimacs(INDUCTION_ON_ENTRY)
     assert enum_sat(p) is None
     out = solve(p)
     assert out.status == "unsat"
-    assert out.steps == 54
+    assert out.steps == 37
     assert out.closing_clause is not None
     assert out.closing_clause.is_empty()
+    assert closed_on_entry
+
+
+# ---------------------------------------------------------------------------
+# The primary clause: fewest open literals, lowest index on ties.
+# ---------------------------------------------------------------------------
+
+
+def _watch_primaries(monkeypatch):
+    """Log each frame's (primary, reference pick, first unsatisfied clause).
+
+    ``_explore`` walks its primary's pairs through the module's
+    ``required_pairs`` once per frame, under the frame's trail.
+    """
+    picks = []
+    walk = solver.required_pairs
+
+    def watched(problem, index, trail):
+        open_sizes = [
+            (sum(lit not in trail.false_lits for lit in c.literals), i)
+            for i, c in enumerate(problem.clauses)
+            if not trail.satisfies_clause(c)
+        ]
+        picks.append((index, min(open_sizes)[1], open_sizes[0][1]))
+        return walk(problem, index, trail)
+
+    monkeypatch.setattr(solver, "required_pairs", watched)
+    return picks
+
+
+def test_each_frame_picks_the_clause_with_the_fewest_open_literals(monkeypatch):
+    picks = _watch_primaries(monkeypatch)
+    rng = random.Random(29)
+    for _ in range(40):
+        solve(_random_3sat(rng, rng.randint(10, 16), 4.26))
+    for _ in range(40):
+        solve(random_cnf(rng, max_vars=12, max_clauses=40))
+    assert all(got == want for got, want, _ in picks)
+    # The draws reach frames where the rule and scan order disagree.
+    assert sum(got != first for got, _, first in picks) >= 40
+
+
+def test_a_later_two_literal_clause_is_picked_over_an_earlier_three(monkeypatch):
+    picks = _watch_primaries(monkeypatch)
+    p = CnfProblem(4, [Clause([1, 2, 3]), Clause([-1, 4]), Clause([-4, 2])])
+    out = solve(p)
+    assert out.status == "sat"
+    assert picks[0] == (1, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ def diameter_lt(ts: TransitionSystem, k: int, step_limit: int = STEP_LIMIT) -> b
     Raises StepLimitError when the engine gives up, so a returned boolean
     is always a definite answer.
     """
-    if k < 1:
-        raise AppError(f"diameter comparison needs k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise AppError(f"diameter comparison needs an int k >= 1, got {k!r}")
     u = unroll(ts, k, duplicate_init=True)
     return decide_redundant(PqeProblem(u.problem, tuple(u.init_targets)), step_limit)
 
@@ -237,8 +237,8 @@ def prop_gen(
     quantified.update(vmap.var_of[name] for name in quantified_inputs)
     problem = CnfProblem(encoded.var_count, list(encoded.clauses),
                          frozenset(quantified))
-    if not 0 <= target < len(problem.clauses):
-        raise AppError(f"target index {target} out of range")
+    if type(target) is not int or not 0 <= target < len(problem.clauses):
+        raise AppError(f"target index {target!r} out of range")
     if not problem.clauses[target].variables() & problem.quantified:
         raise AppError("target clause has no quantified variable to eliminate")
     sol = take_out(PqeProblem(problem, (target,)), step_limit)

@@ -362,8 +362,8 @@ def unroll(ts: TransitionSystem, k: int, duplicate_init: bool = False) -> Unroll
     state bits.  All variables are quantified except the final state
     block.
     """
-    if k < 1:
-        raise CircuitError(f"cannot unroll {k} frames")
+    if type(k) is not int or k < 1:
+        raise CircuitError(f"cannot unroll {k!r} frames")
     n = ts.state_bits
     frame_states: list[list[int]] = [list(range(1, n + 1))]
     counter = n

@@ -51,19 +51,22 @@ at once.
 A cube probe that answers "sat" leaves its model, keyed by its values on
 the free variables, for the rest of the ``take_out``.  A later cube with
 those values takes the "sat" answer from the model, with no probe, if the
-model satisfies every clause added since it was stored: closed targets
-only drop clauses, so it then satisfies the live formula.  Such a cube
-spends its node's step and no solver step.  Outputs do not change: a
-skipped probe only leaves certificates unlearned, and the shrink loop
-drops a literal exactly when the live formula entails the rest.
+model satisfies every clause added since it was stored: it then satisfies
+the whole formula, and so its live part.  Such a cube spends its node's
+step and no solver step.  Outputs do not change: a skipped probe only
+leaves certificates unlearned, and the shrink loop drops a literal exactly
+when the live formula entails the rest.
 
-A probe asks the induction solver about the live formula with x as its
-assumptions.  The probes of one pass share one probe formula, which gains
-each solution clause as it is added, and one certificate list: within a
-pass the live formula only gains clauses it already implies, so what one
-probe learns holds for the next.  The list is dropped when the pass's
-target closes.  ``decide_redundant`` likewise keeps one probe formula
-and certificate list for all its redundancy probes.
+A probe asks the induction solver about the whole formula, closed targets
+included, with x as its assumptions.  Taking a clause out keeps the
+formula's projection onto the free variables: that is what closing a
+target means.  So the whole formula entails a clause over the free
+variables exactly when its live part does, and a probe gives the answer
+the live formula would.  Every probe of a ``take_out`` shares one
+certificate list: the formula only gains clauses it already implies, so
+what one probe learns holds for every later one.  ``decide_redundant``
+likewise keeps one probe formula and certificate list for all its
+redundancy probes.
 """
 
 from __future__ import annotations
@@ -175,8 +178,9 @@ class PqeSolution:
     attempts and the solver steps of cube probes.  A detection or
     discharge reused from an earlier node of the pass charges the
     ``_discharge`` attempts it made there; a cube settled by an earlier
-    probe's model charges no solver step.  Cube probes share certificates
-    within a pass, so a probe's steps depend on the probes before it.  It
+    probe's model charges no solver step.  Cube probes ask the whole
+    formula, closed targets included, and share certificates across the
+    ``take_out``, so a probe's steps depend on the probes before it.  It
     is a budget count, not an output; two engines that agree on every
     other field may spend different steps.
     """
@@ -468,9 +472,8 @@ class _Engine:
         self.derivation: list[dict] = []
         self.steps = 0
         self.unsat_closed = False
-        # The pass's probe formula and the certificates its probes share,
-        # built at the pass's first cube probe and dropped when it closes.
-        self.probe_formula: Optional[CnfProblem] = None
+        # The certificates every cube probe of the take_out shares.  The
+        # probes ask F itself: it only gains clauses it implies.
         self.probe_learned: list[Clause] = []
         # Models of "sat" cube probes, keyed by their values on ``order``,
         # each with the formula's length when it was stored.
@@ -490,7 +493,6 @@ class _Engine:
         """Record a target's final D-sequent, taking the target out."""
         self.final[d.target] = d
         self.derivation.append({"event": "retired", "index": d.target})
-        self.probe_formula = None
         self.detector.clear()
 
     def dsequent(self, subspace: Iterable, target: int, rationale: str) -> DSequent:
@@ -520,8 +522,6 @@ class _Engine:
     def _add_clause(self, clause: Clause) -> int:
         idx = self.F.add_clause(clause)
         self.detector.clear()
-        if self.probe_formula is not None:
-            self.probe_formula.add_clause(clause)
         self.emit(clause, idx, "solution_clause")
         return idx
 
@@ -642,27 +642,23 @@ class _Engine:
         the live formula and made of h's literals, so a literal missing
         from the latest such clause is dropped without a probe.
 
-        All probes of a pass share one probe formula, the live formula
-        that ``_add_clause`` keeps growing, and one certificate list.
-        Within a pass the live formula only gains clauses (closed targets
-        change only between passes), so a certificate learned by one probe
-        stays implied for the next.  Probe steps count against the budget.
+        Every probe asks ``F`` itself.  Its closed targets were taken out
+        with its projection onto the free variables kept, so ``F`` entails
+        a clause over the free variables exactly when the live formula
+        does, and each answer is the live formula's.  All probes of the
+        ``take_out`` share one certificate list: ``F`` only gains clauses
+        it implies, so a certificate learned by one probe stays implied
+        for every later one.  Probe steps count against the budget.
         The name is kept from the variable elimination this replaced,
         because the benchmark's tracer wraps the method by it as
         ``pqe.project``.
         """
         if self._stored_model(tuple(val for _, val in decisions)) is not None:
             return self.atomic(decisions, target, "sat")
-        if self.probe_formula is None:
-            live = [c for i, c in enumerate(self.F.clauses) if i not in self.dead]
-            self.probe_formula = CnfProblem(self.F.var_count, live)
-            self.probe_learned = []
 
         def closing(lits: list[int]) -> Optional[Clause]:
             limit = self.step_limit - self.steps
-            out = probe(
-                self.probe_formula, Clause(lits), self.probe_learned, limit, "cube probe"
-            )
+            out = probe(self.F, Clause(lits), self.probe_learned, limit, "cube probe")
             self.tick(out.steps)
             if out.model is not None:
                 key = tuple(out.model[v] for v in self.order)
@@ -829,7 +825,8 @@ def sat_by_pqe(
     assignment, and equisatisfiability transfers the verdict).  With no
     free variable, the engine's cube probe runs at the empty cube, so a
     falsified target the detectors cannot settle is decided by one
-    satisfiability call on the live formula.
+    satisfiability call on the formula, which is satisfiable exactly when
+    its live part is.
     """
     for v in range(1, problem.var_count + 1):
         if v not in assignment:

@@ -89,8 +89,10 @@ def test_diameter_of_a_toggle():
 
 
 def test_diameter_needs_a_positive_bound():
-    with pytest.raises(AppError):
-        diameter_lt(add_stutter(_counter()), 0)
+    # A float or a bool is not a frame count, even when it equals one.
+    for k in (0, 2.0, True):
+        with pytest.raises(AppError):
+            diameter_lt(add_stutter(_counter()), k)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +354,10 @@ def test_prop_gen_on_random_circuits():
 def test_prop_gen_validates_arguments():
     with pytest.raises(AppError):
         prop_gen(COMPARATOR, quantified_inputs=frozenset({"missing"}))
-    with pytest.raises(AppError):
-        prop_gen(COMPARATOR, target=40)
+    # A float or a bool is not a clause index, even when it names one.
+    for target in (40, 1.0, True):
+        with pytest.raises(AppError):
+            prop_gen(COMPARATOR, target=target)
     # A single-gate circuit quantifies nothing (its only gate is the
     # output), so no target clause has anything to eliminate.
     nl = Netlist(["a", "b"], [Gate("z", "AND", ("a", "b"))], ["z"])

@@ -140,3 +140,45 @@ def test_src_lines_counts_as_ci_does(tmp_path):
         "lines": 8,
         "non_blank_non_comment": 4,
     }
+
+
+class _Ran(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Ran
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--claim", "sat3:nope"),
+        ("--claim", "sat3"),
+        ("--claim", "nope:queries_per_s"),
+        ("--holdout", "sat3:x"),
+        ("--holdout", "sat3"),
+        ("--holdout", "nope:3"),
+    ],
+)
+def test_a_bad_claim_or_holdout_exits_before_any_run(
+    monkeypatch, tmp_path, capsys, flag, value
+):
+    for name in ("git", "export", "bench"):
+        monkeypatch.setattr(bench_pairs, name, _refuse)
+    out = tmp_path / "out.json"
+    argv = ["--parent", "HEAD", "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_good_claim_and_holdout_get_as_far_as_git(monkeypatch, tmp_path):
+    for name in ("git", "export", "bench"):
+        monkeypatch.setattr(bench_pairs, name, _refuse)
+    argv = ["--parent", "HEAD", "--out", str(tmp_path / "out.json"),
+            "--claim", "sat3:queries_per_s", "--holdout", "sat3:-3"]
+    with pytest.raises(_Ran):
+        bench_pairs.main(argv)

@@ -205,8 +205,10 @@ def test_add_stutter_rejects_name_collisions():
 
 
 def test_unroll_rejects_zero_frames():
-    with pytest.raises(CircuitError):
-        unroll(_toggle(), 0)
+    # A float or a bool is not a frame count, even when it equals one.
+    for k in (0, 2.0, True):
+        with pytest.raises(CircuitError):
+            unroll(_toggle(), k)
 
 
 def test_unroll_layout():

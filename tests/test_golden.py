@@ -214,7 +214,7 @@ def test_eq_check_outcomes_are_pinned():
 
 def test_eq_check_steps_are_pinned():
     assert _digest(_steps(_eq_check_runs())) == (
-        "794934c9f63f9b2c01cb9594121cfe48ddd7d83170d1acabf9164df9800ee9b6"
+        "cab532d5d84e7c28ad03e4111b990f658caab5d1d951319a0de7cc40ec850c7e"
     )
 
 

@@ -725,8 +725,50 @@ def test_cube_probes_of_a_pass_share_one_solver(monkeypatch):
         sol = take_out(pq)
         assert verify_pqe(pq.problem, list(pq.targets), sol.solution_clauses)
     assert len(log) > 50
-    # Later probes of a pass start from certificates learned before them.
+    # Later probes start from certificates learned before them.
     assert sum(before > 0 for before, _ in log) > 20
+
+
+def test_cube_probes_ask_the_whole_formula(monkeypatch):
+    # Closing a target keeps the projection onto the free variables, so the
+    # engine's formula, closed targets included, answers every cube probe
+    # as its live part does.
+    engines = []
+
+    class Recorded(pqe._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    real = pqe.probe
+    seen = {"probes": 0, "closed": 0}
+
+    def checked(problem, h, learned, limit, what):
+        out = real(problem, h, learned, limit, what)
+        if what == "cube probe":
+            engine = engines[-1]
+            assert problem is engine.F
+            live = [c for i, c in enumerate(problem.clauses) if i not in engine.dead]
+            fresh = real(CnfProblem(problem.var_count, live), h, [], 10**6, what)
+            assert out.status == fresh.status
+            seen["probes"] += 1
+            seen["closed"] += bool(engine.dead)
+        return out
+
+    monkeypatch.setattr(pqe, "_Engine", Recorded)
+    monkeypatch.setattr(pqe, "probe", checked)
+    rng = random.Random(30)
+    certificates = 0
+    for _ in range(60):
+        pq = _few_free_3sat(rng)
+        sol = take_out(pq)
+        assert verify_pqe(pq.problem, list(pq.targets), sol.solution_clauses)
+        # One list served the whole run; it holds only implied clauses.
+        for c in engines[-1].probe_learned:
+            assert implies(pq.problem, c), c
+        certificates += len(engines[-1].probe_learned)
+    assert seen["closed"] >= 30
+    assert certificates > 100
 
 
 def test_redundancy_probes_share_one_solver(monkeypatch):

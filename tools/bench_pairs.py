@@ -229,6 +229,20 @@ def main(argv=None) -> int:
     specs = {m["name"]: m for m in config["end_to_end"]}
     counts = [m["name"] for m in config["per_layer"] if m["unit"] == "count"]
     workloads = [w["name"] for w in config["workloads"]]
+    # Checked before anything runs, so that a bad flag costs no runs.
+    claim = holdout = None
+    if args.claim is not None:
+        w, _, metric = args.claim.partition(":")
+        if w not in workloads or metric not in specs:
+            ap.error(f"--claim {args.claim!r} does not name a workload and an "
+                     "end-to-end metric of BENCHMARK.json as WORKLOAD:METRIC")
+        claim = w, metric
+    if args.holdout is not None:
+        w, _, seed = args.holdout.partition(":")
+        if w not in workloads or not seed.removeprefix("-").isdecimal():
+            ap.error(f"--holdout {args.holdout!r} does not name a workload of "
+                     "BENCHMARK.json and an integer seed as WORKLOAD:SEED")
+        holdout = w, int(seed)
     parent, change = git("rev-parse", args.parent), git("rev-parse", args.change)
 
     def log(msg: str) -> None:
@@ -254,27 +268,27 @@ def main(argv=None) -> int:
                 f"machine: nproc {os.cpu_count()}, Python "
                 f"{platform.python_version()}, {platform.machine()}"
             ),
-            "gain_claimed": args.claim is not None,
+            "gain_claimed": claim is not None,
             "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         }
         runs = run_pairs(sides, workloads, SEED, PAIRS, log)
         record["workloads"] = summarize(runs, specs)
-        if args.claim is not None:
-            w, metric = args.claim.split(":")
+        if claim is not None:
+            w, metric = claim
             record["claim"] = {
                 "workload": w,
                 "metric": metric,
                 **judge(record["workloads"][w]["metrics"][metric], PAIRS,
                         specs[metric]),
             }
-        if args.holdout is not None:
-            w, seed = args.holdout.split(":")
-            held = run_pairs(sides, [w], int(seed), HOLDOUT_PAIRS, log)
-            record["holdout"] = {"workload": w, "seed": int(seed),
+        if holdout is not None:
+            w, seed = holdout
+            held = run_pairs(sides, [w], seed, HOLDOUT_PAIRS, log)
+            record["holdout"] = {"workload": w, "seed": seed,
                                  "pairs": HOLDOUT_PAIRS,
                                  **summarize(held, specs)[w]}
-            if args.claim is not None and args.claim.startswith(w + ":"):
-                metric = args.claim.split(":")[1]
+            if claim is not None and claim[0] == w:
+                metric = claim[1]
                 record["holdout"]["claim"] = judge(
                     record["holdout"]["metrics"][metric], HOLDOUT_PAIRS,
                     specs[metric],
